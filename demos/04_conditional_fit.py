@@ -31,7 +31,10 @@ truth = linear_truth(*TRUTH.values(), n_zones=30, seed=11)
 data = generate(truth, 5000)
 model = fit_model_basis(data.sets, "spline_linear", temperature_df=1, pm25_df=1)
 lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
-print(f"\nsets: {lik.n_sets}   rows: {lik.n_rows}   coefficients: {lik.dimension}")
+print(
+    f"\nsets: {lik.n_sets}   strata: {lik.n_strata}   rows: {lik.n_rows}   "
+    f"coefficients: {lik.dimension}"
+)
 
 print()
 print("=" * 60)

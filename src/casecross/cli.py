@@ -92,7 +92,6 @@ def _cmd_pipeline(args, upto: str) -> int:
     cfg = _apply_overrides(cfg, args)
     artifacts = run(cfg, verbatim, upto=upto)
     if not artifacts.converged:
-        log.warning("sampler did not converge (some rhat > 1.05); see diagnostics.txt")
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 

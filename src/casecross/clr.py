@@ -6,10 +6,28 @@ softmax probability of the case row,
     exp(x_case . beta) / sum_j exp(x_j . beta),
 
 so any per-set constant added to every row cancels: subject-level intercepts
-are conditioned out, never estimated. Internally each set is stored as row
-differences z_j = x_j - x_case (the case row becomes the zero vector), which
-makes that cancellation structural rather than an arithmetic accident, and
-the per-set log-probability is the stabilized -logsumexp_j(z_j . beta).
+are conditioned out, never estimated. Rows are stored as differences
+z_j = x_j - x_ref against a reference row of the same set, which makes that
+cancellation structural rather than an arithmetic accident.
+
+Sets that hold the same rows up to such a constant, and differ only in which
+row is the case, are collapsed into one stratum s with per-row case counts
+c_sd and N_s = sum_d c_sd events. Because exposures are zone-level and the
+referents are the case month's same-weekday days, every set from one (zone,
+year, month, weekday) stratum has the same rows. The log-likelihood
+
+    sum_s [ sum_d c_sd z_sd . beta - N_s logsumexp_d(z_sd . beta) ]
+
+is exactly the sum of the per-set terms: this is the conditional-Poisson
+form of the conditional logistic likelihood (Armstrong, Gasparrini & Tobias
+2014, BMC Med Res Methodol 14:122). A stratum's rows are differenced against
+the case row of its first set, so a stratum holding one event contributes the
+per-set term -logsumexp_j(z_j . beta) itself. The form is exact whatever the
+data; what it saves depends on their density. With sets that are all
+distinct, every stratum holds one event and the cost is that of the per-set
+form. The strata are stored as one padded tensor of row differences, one
+slice per row position up to the largest set size, and one kernel evaluates
+the likelihood, its gradient and its Hessian.
 
 Fitting is by Newton iteration with step halving (maximum likelihood) or by
 adaptive random-walk Metropolis over the same likelihood plus a per-block
@@ -20,6 +38,7 @@ scale.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -44,16 +63,20 @@ __all__ = [
 ]
 
 RHAT_WARN = 1.05
+PRIOR_START = "mle_failed_prior_start"
+
+log = logging.getLogger(__name__)
 
 
 class ConditionalLikelihood:
-    """Matched-set data prepared for likelihood evaluation.
+    """Matched-set data collapsed into count-weighted strata.
 
     ``sets`` is an iterable of ``(case_row, control_rows)`` pairs with
     ``case_row`` of shape (dim,) and ``control_rows`` of shape (m-1, dim).
-    Sets are grouped by size so evaluations are vectorized; the reduction
-    order (ascending size, input order within size) is fixed, which keeps
-    repeated evaluations bit-identical.
+    Sets whose rows, sorted and differenced against their lexicographically
+    smallest row, are bit-identical share a stratum (see the module docstring). Strata are
+    ordered by their key bytes, so the reduction order, and hence every
+    evaluation, is a function of the data alone and repeats bit for bit.
     """
 
     def __init__(
@@ -63,11 +86,8 @@ class ConditionalLikelihood:
         blocks: Sequence[tuple[str, slice]] | None = None,
     ):
         dim = None
-        grouped: dict[int, list[np.ndarray]] = {}
-        sq_sum = None
-        mean_sum = None
-        n_rows = 0
-        n_sets = 0
+        rows: list[np.ndarray] = []
+        sizes: list[int] = []
         for case_row, control_rows in sets:
             case = np.asarray(case_row, dtype=float)
             ctrl = np.atleast_2d(np.asarray(control_rows, dtype=float))
@@ -81,54 +101,92 @@ class ConditionalLikelihood:
                 )
             if dim is None:
                 dim = case.size
-                sq_sum = np.zeros(dim)
-                mean_sum = np.zeros(dim)
             elif case.size != dim:
                 raise ValueError("all sets must share one covariate dimension")
             if not (np.all(np.isfinite(case)) and np.all(np.isfinite(ctrl))):
                 raise ValueError("covariates must be finite")
-            z = np.vstack([np.zeros(dim), ctrl - case])
-            grouped.setdefault(z.shape[0], []).append(z)
-            rows = np.vstack([case[np.newaxis, :], ctrl])
-            mean_sum += rows.sum(axis=0)
-            sq_sum += (rows**2).sum(axis=0)
-            n_rows += rows.shape[0]
-            n_sets += 1
-        if n_sets == 0:
+            rows += [case[np.newaxis, :], ctrl]
+            sizes.append(ctrl.shape[0] + 1)
+        if not sizes:
             raise ValueError("need at least one matched set")
+        set_index = np.repeat(np.arange(len(sizes)), sizes)
+        is_case = np.zeros(set_index.size, dtype=bool)
+        is_case[np.cumsum(sizes) - sizes] = True
+        self._build(np.concatenate(rows), set_index, is_case, labels, blocks)
+
+    @classmethod
+    def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
+        lik = cls.__new__(cls)
+        lik._build(dm.values, dm.set_index, dm.is_case, dm.column_labels, dm.blocks)
+        return lik
+
+    def _build(self, values, set_index, is_case, labels, blocks) -> None:
+        """Collapse matched rows (one per row of ``values``, grouped into
+        sets by ``set_index``) into strata in one vectorized pass."""
+        values = np.asarray(values, dtype=float)
+        n_rows, dim = values.shape
+        if n_rows == 0:
+            raise ValueError("need at least one matched set")
+        # rows grouped by set, each set's rows in lexicographic value order
+        order = np.lexsort((*values.T[::-1], set_index))
+        x = values[order]
+        case = np.asarray(is_case, dtype=bool)[order]
+        sid = np.asarray(set_index)[order]
+        first_row = np.ones(n_rows, dtype=bool)
+        first_row[1:] = sid[1:] != sid[:-1]
+        start = np.flatnonzero(first_row)
+        size = np.diff(np.append(start, n_rows))
+        row_set = np.cumsum(first_row) - 1
+        if np.any(np.bincount(row_set, weights=case) != 1):
+            raise ValueError("each set must have exactly one case row")
+        if size.min() < 2:
+            raise ValueError("each set needs at least one control row")
+        pos = np.arange(n_rows) - start[row_set]
+        width = int(size.max())
+        n_sets = start.size
+
+        # stratum key: set size, then the padded rows differenced against
+        # the set's smallest row, compared byte for byte
+        key = np.zeros((n_sets, 1 + width * dim))
+        key[:, 0] = size
+        key[:, 1:].reshape(n_sets, width, dim)[row_set, pos] = x - x[start[row_set]]
+        key = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+        _, first, stratum = np.unique(key, return_index=True, return_inverse=True)
+        stratum = stratum.ravel()
+        n_strata = first.size
+
+        # position-major (width, strata) layout: reductions over a stratum's
+        # rows then run along contiguous memory
+        case_rows = np.flatnonzero(case)           # one per set, in set order
+        counts = np.zeros((width, n_strata))
+        np.add.at(counts, (pos[case_rows], stratum), 1.0)
+        # each stratum's rows, differenced against the case row of its first set
+        in_first = np.zeros(n_sets, dtype=bool)
+        in_first[first] = True
+        keep = in_first[row_set]
+        kept_set = row_set[keep]
+        z = np.zeros((width, n_strata, dim))
+        z[pos[keep], stratum[kept_set]] = x[keep] - x[case_rows[kept_set]]
 
         self.dimension = dim
         self.n_sets = n_sets
         self.n_rows = n_rows
+        self.n_strata = n_strata
         self.labels = tuple(labels) if labels is not None else None
         self.blocks = tuple(blocks) if blocks is not None else None
-        mean = mean_sum / n_rows
-        var = sq_sum / n_rows - mean**2
+        mean = values.sum(axis=0) / n_rows
+        var = (values**2).sum(axis=0) / n_rows - mean**2
         self.pooled_sd = np.sqrt(np.maximum(var, 0.0))
-        self._groups = [
-            (m, np.stack(zs)) for m, zs in sorted(grouped.items())
-        ]
+        real = np.arange(width)[:, np.newaxis] < size[first]
+        z = z.reshape(-1, dim)
+        self._strata = _Strata(
+            z, np.where(real, 0.0, -np.inf), counts.sum(axis=0), counts.ravel() @ z
+        )
 
-    @classmethod
-    def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
-        # rows arrive grouped by set, so one pass over the boundaries suffices
-        if dm.set_index.size and np.any(np.diff(dm.set_index) < 0):
-            order = np.argsort(dm.set_index, kind="stable")
-            values, set_index, is_case = dm.values[order], dm.set_index[order], dm.is_case[order]
-        else:
-            values, set_index, is_case = dm.values, dm.set_index, dm.is_case
-        boundaries = np.flatnonzero(np.diff(set_index)) + 1
-        sets = []
-        for rows, case_mask in zip(
-            np.split(values, boundaries), np.split(is_case, boundaries)
-        ):
-            if case_mask.sum() != 1:
-                raise ValueError("each set must have exactly one case row")
-            sets.append((rows[case_mask][0], rows[~case_mask]))
-        return cls(sets, labels=dm.column_labels, blocks=dm.blocks)
-
-    def scaled_groups(self, inv_scale: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        return [(m, z * inv_scale) for m, z in self._groups]
+    def scaled(self, inv_scale: np.ndarray) -> "_Strata":
+        """The likelihood kernel for coefficients in units of ``1/inv_scale``."""
+        s = self._strata
+        return _Strata(s.z * inv_scale, s.pad, s.n, s.t * inv_scale)
 
     def block_of(self, column: int) -> str:
         if self.blocks:
@@ -140,46 +198,55 @@ class ConditionalLikelihood:
         return f"column {column}"
 
 
-def _group_ll(groups, beta: np.ndarray) -> float:
-    total = 0.0
-    for _, z in groups:
-        e = z @ beta
-        mx = e.max(axis=1)
-        total -= float((mx + np.log(np.exp(e - mx[:, np.newaxis]).sum(axis=1))).sum())
-    return total
+@dataclass(frozen=True, eq=False)
+class _Strata:
+    """Padded count-weighted strata: the one likelihood kernel.
 
+    ``z`` holds the (width, strata, dim) tensor of row differences, zero on
+    padding, flattened to (width * strata, dim); ``pad`` is (width, strata),
+    0 on real rows and -inf on padding; ``n`` the events per stratum; ``t``
+    the summed case-row differences sum_s sum_d c_sd z_sd, so that the
+    log-likelihood is t.beta - n.logsumexp.
+    """
 
-def _group_grad_hess(groups, beta: np.ndarray, want_hess: bool = True):
-    """One pass over the sets: log-likelihood, gradient, and (optionally)
-    the Hessian, all in the parameterization of the supplied groups."""
-    dim = beta.size
-    ll = 0.0
-    g = np.zeros(dim)
-    h = np.zeros((dim, dim)) if want_hess else None
-    for _, z in groups:
-        e = z @ beta
-        mx = e.max(axis=1)
-        w = np.exp(e - mx[:, np.newaxis])
-        norm = w.sum(axis=1)
-        ll -= float((mx + np.log(norm)).sum())
-        w /= norm[:, np.newaxis]
-        zbar = np.einsum("nm,nmd->nd", w, z)
-        g -= zbar.sum(axis=0)
-        if want_hess:
-            h -= np.einsum("nm,nmd,nme->de", w, z, z) - zbar.T @ zbar
-    return (ll, g, h) if want_hess else (ll, g)
+    z: np.ndarray
+    pad: np.ndarray
+    n: np.ndarray
+    t: np.ndarray
+
+    def log_likelihood(self, beta: np.ndarray) -> float:
+        e = (self.z @ beta).reshape(self.pad.shape) + self.pad
+        mx = e.max(axis=0)
+        lse = mx + np.log(np.exp(e - mx).sum(axis=0))
+        return float(self.t @ beta - self.n @ lse)
+
+    def derivatives(self, beta: np.ndarray, want_hess: bool = True):
+        """Log-likelihood, gradient and (optionally) Hessian in one pass."""
+        e = (self.z @ beta).reshape(self.pad.shape) + self.pad
+        mx = e.max(axis=0)
+        w = np.exp(e - mx)
+        norm = w.sum(axis=0)
+        ll = float(self.t @ beta - self.n @ (mx + np.log(norm)))
+        w *= self.n / norm                        # N_s times softmax weights
+        g = self.t - w.reshape(-1) @ self.z
+        if not want_hess:
+            return ll, g
+        wz = w.reshape(-1, 1) * self.z
+        zbar = wz.reshape(*w.shape, -1).sum(axis=0)      # N_s times mean row
+        h = (zbar.T / self.n) @ zbar - self.z.T @ wz
+        return ll, g, h
 
 
 def log_likelihood(beta, lik: ConditionalLikelihood) -> float:
     """Conditional log-likelihood at ``beta`` (original covariate scale)."""
     beta = _check_beta(beta, lik)
-    return _group_ll(lik._groups, beta)
+    return lik._strata.log_likelihood(beta)
 
 
 def gradient(beta, lik: ConditionalLikelihood) -> np.ndarray:
     """Score vector: sum over sets of (x_case - softmax-weighted row mean)."""
     beta = _check_beta(beta, lik)
-    _, g = _group_grad_hess(lik._groups, beta, want_hess=False)
+    _, g = lik._strata.derivatives(beta, want_hess=False)
     return g
 
 
@@ -188,7 +255,7 @@ def hessian(beta, lik: ConditionalLikelihood) -> np.ndarray:
     matrices of the rows under softmax weights (symmetric, negative
     semidefinite)."""
     beta = _check_beta(beta, lik)
-    _, _, h = _group_grad_hess(lik._groups, beta)
+    _, _, h = lik._strata.derivatives(beta)
     return h
 
 
@@ -217,6 +284,7 @@ class BayesDiagnostics:
     mcse: np.ndarray
     acceptance_rate: float
     converged: bool
+    fallback: str | None = None    # PRIOR_START when chains started from the prior
 
 
 @dataclass
@@ -311,7 +379,7 @@ def _scales(lik: ConditionalLikelihood) -> np.ndarray:
 
 
 def _newton(
-    groups,
+    strata: _Strata,
     lik: ConditionalLikelihood,
     tolerance: float,
     max_iter: int,
@@ -327,7 +395,7 @@ def _newton(
     """
     dim = lik.dimension
     beta = np.zeros(dim)
-    ll, g, h = _group_grad_hess(groups, beta)
+    ll, g, h = strata.derivatives(beta)
     gnorm = float(np.abs(g).max())
     ridge_used = False
 
@@ -353,7 +421,7 @@ def _newton(
         improved = False
         for _ in range(40):
             cand = beta + lam * step
-            cand_ll = _group_ll(groups, cand)
+            cand_ll = strata.log_likelihood(cand)
             # a full step that leaves the likelihood flat at floating-point
             # resolution is the Newton endgame, not a failure
             flat_ok = lam == 1.0 and cand_ll >= ll - 1e-12 * max(1.0, abs(ll))
@@ -364,7 +432,7 @@ def _newton(
             lam *= 0.5
         if not improved:
             break
-        ll, g, h = _group_grad_hess(groups, beta)
+        ll, g, h = strata.derivatives(beta)
         gnorm = float(np.abs(g).max())
         if gnorm <= tolerance:
             converged = True
@@ -414,8 +482,8 @@ def fit_mle(
     back-transformed to the original scale.
     """
     scale = _scales(lik)
-    groups = lik.scaled_groups(1.0 / scale)
-    beta_std, cov_std, diag = _newton(groups, lik, tolerance, max_iter, separation_bound)
+    strata = lik.scaled(1.0 / scale)
+    beta_std, cov_std, diag = _newton(strata, lik, tolerance, max_iter, separation_bound)
     point = beta_std / scale
     cov = None
     if cov_std is not None:
@@ -438,29 +506,32 @@ def fit_bayes(
     """Posterior sampling for likelihood + Gaussian prior.
 
     Chains start overdispersed around the MLE (or the prior center when the
-    MLE is unavailable) and adapt only during warmup. Runs with identical
-    seeds and configs are bit-identical. Non-convergence (any split-Rhat
-    above 1.05) is recorded on the diagnostics, not raised.
+    MLE is unavailable, recorded as ``diagnostics.fallback``) and adapt only
+    during warmup. Runs with identical seeds and configs are bit-identical.
+    Non-convergence (any split-Rhat above 1.05) is recorded on the
+    diagnostics and logged as a warning, not raised.
     """
     scale = _scales(lik)
-    groups = lik.scaled_groups(1.0 / scale)
+    strata = lik.scaled(1.0 / scale)
     # prior is declared on the original scale; standardizing a column by s
     # multiplies its coefficient, hence its prior sd, by s
     prior_sd_std = prior.column_sds(lik) * scale
     prior_var = prior_sd_std**2
 
     def log_post(beta_std: np.ndarray) -> float:
-        return _group_ll(groups, beta_std) - 0.5 * float((beta_std**2 / prior_var).sum())
+        return strata.log_likelihood(beta_std) - 0.5 * float((beta_std**2 / prior_var).sum())
 
     center = np.zeros(lik.dimension)
     init_cov = np.diag(prior_var)
+    fallback = None
     try:
-        beta_std, cov_std, _ = _newton(groups, lik, 1e-8, 200, 50.0)
+        beta_std, cov_std, _ = _newton(strata, lik, 1e-8, 200, 50.0)
         center = beta_std
         if cov_std is not None:
             init_cov = cov_std
-    except (SeparationError, ConvergenceError):
-        pass
+    except (SeparationError, ConvergenceError) as exc:
+        fallback = PRIOR_START
+        log.warning("MLE failed (%s); chains start from the prior (fallback %s)", exc, fallback)
 
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     chol0 = np.linalg.cholesky(init_cov + 1e-12 * np.eye(lik.dimension))
@@ -492,7 +563,13 @@ def fit_bayes(
         mcse=mcse,
         acceptance_rate=float(np.mean(accept)),
         converged=bool(np.all(rhat <= RHAT_WARN)),
+        fallback=fallback,
     )
+    if not diag.converged:
+        log.warning(
+            "sampler did not converge: max split-Rhat %.4f > %.2f",
+            float(rhat.max()), RHAT_WARN,
+        )
     return FitResult(
         mode="bayes",
         point=draws.mean(axis=0),

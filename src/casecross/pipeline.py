@@ -111,8 +111,9 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
     io.write_draws(out / "draws.csv", lik.labels, fit.draws)
     _write_diagnostics(out / "diagnostics.txt", lik.labels, mle, fit)
     log.info(
-        "fit %d coefficients; max rhat %.3f; acceptance %.2f",
-        lik.dimension, float(fit.diagnostics.rhat.max()), fit.diagnostics.acceptance_rate,
+        "fit %d coefficients to %d sets in %d strata; max rhat %.3f; acceptance %.2f",
+        lik.dimension, lik.n_sets, lik.n_strata, float(fit.diagnostics.rhat.max()),
+        fit.diagnostics.acceptance_rate,
     )
     if depth == 2:
         _write_manifest(cfg, verbatim, artifacts, policy=policy, model=model)
@@ -200,6 +201,7 @@ def _write_diagnostics(path, labels, mle, fit):
     b = fit.diagnostics
     lines.append(f"converged (all rhat <= 1.05): {b.converged}")
     lines.append(f"acceptance_rate: {float(b.acceptance_rate)!r}")
+    lines.append(f"fallback: {b.fallback}")
     lines.append("")
     lines.append("label rhat ess mcse")
     for j, lab in enumerate(labels):

@@ -145,6 +145,8 @@ class TestRunAll:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "point", "lo95", "hi95", "extrapolated"]
         assert [r[0] for r in rows[1:]] == ["OR10", "OR01", "OR11", "RERI", "mult_interaction"]
+        head, _ = (out / "diagnostics.txt").read_text().split("label rhat ess mcse\n")
+        assert "fallback: None\n" in head
 
     def test_rerun_from_manifest_is_bit_identical(self, tmp_path):
         data_dir = make_dataset(tmp_path)

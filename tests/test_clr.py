@@ -214,17 +214,20 @@ class TestFitBayes:
         sd = fit.draws.std(axis=0, ddof=1)
         assert np.all(np.abs(sd - 1.0) < 0.1)
 
-    def test_posterior_close_to_mle_on_sharp_likelihood(self):
+    def test_posterior_close_to_mle_on_sharp_likelihood(self, caplog):
         lik = self._sharp_likelihood()
         mle = fit_mle(lik)
-        fit = fit_bayes(
-            lik,
-            PriorSpec.for_model("linear_interaction"),
-            SamplerConfig(chains=4, warmup=600, draws=800, seed=77),
-        )
+        with caplog.at_level("WARNING", logger="casecross.clr"):
+            fit = fit_bayes(
+                lik,
+                PriorSpec.for_model("linear_interaction"),
+                SamplerConfig(chains=4, warmup=600, draws=800, seed=77),
+            )
         assert np.all(np.abs(fit.point - mle.point) < 0.5 * mle.sd)
         assert np.all(fit.diagnostics.rhat <= 1.05)
         assert fit.diagnostics.converged
+        assert fit.diagnostics.fallback is None
+        assert not caplog.records
 
     def test_same_seed_bit_identical(self):
         lik = self._sharp_likelihood()
@@ -250,6 +253,24 @@ class TestFitBayes:
             SamplerConfig(chains=2, warmup=500, draws=500, seed=9),
         )
         assert 0.15 <= fit.diagnostics.acceptance_rate <= 0.5
+
+    def test_mle_failure_recorded_and_logged_as_fallback(self, caplog):
+        sets = [(np.array([1.0, 0.3]), np.array([[0.0, 0.3]]))] * 4
+        cfg = SamplerConfig(chains=2, warmup=50, draws=50, seed=3)
+        with caplog.at_level("WARNING", logger="casecross.clr"):
+            fit = fit_bayes(ConditionalLikelihood(sets), PriorSpec(), cfg)
+        assert fit.diagnostics.fallback == "mle_failed_prior_start"
+        assert any("mle_failed_prior_start" in r.message for r in caplog.records)
+
+    def test_non_convergence_logged_with_max_rhat(self, caplog):
+        cfg = SamplerConfig(chains=2, warmup=10, draws=10, seed=1)
+        with caplog.at_level("WARNING", logger="casecross.clr"):
+            fit = fit_bayes(self._sharp_likelihood(), PriorSpec.for_model("linear_interaction"), cfg)
+        d = fit.diagnostics
+        assert not d.converged and d.fallback is None
+        [record] = [r for r in caplog.records if "did not converge" in r.message]
+        assert record.levelname == "WARNING"
+        assert f"{float(d.rhat.max()):.4f}" in record.message
 
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,195 @@
+"""The count-weighted stratum likelihood against the per-set form.
+
+Matched sets that hold the same rows and differ only in which row is the
+case are collapsed into strata. These tests check that the collapse is exact:
+on the shipped configurations against a plain per-set softmax reference, and
+on generated instances through the properties of the collapse key.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from casecross import io
+from casecross.clr import ConditionalLikelihood, fit_mle, gradient, hessian, log_likelihood
+from casecross.config import load_config
+from casecross.design import TrimPolicy, apply_trimming, build_matched_sets
+from casecross.exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
+from casecross.simulate import brute_force_set_probability
+from casecross.splines import design_matrix, fit_model_basis
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = ("main", "temp3day", "trim99", "tensor")
+
+
+def shipped_design(name):
+    """The design matrix of a shipped config, as ``run-all`` builds it."""
+    cfg, _ = load_config(REPO / "configs" / f"{name}.json")
+    cells = io.read_grid_cells(cfg.grid)
+    zones = io.read_zones(cfg.zones, io.read_membership(cfg.membership))
+    sets, _ = build_matched_sets(
+        io.read_events(cfg.events),
+        link_temperature(cells, zones, io.read_daily_field(cfg.temperature_field)),
+        link_pm25(cells, zones, io.read_daily_field(cfg.pm25_field)),
+        WindowSpec(TEMPERATURE, cfg.temperature_window_days, "mean"),
+        WindowSpec(PM25, cfg.pm25_window_days, "mean"),
+        season_months=cfg.season_months,
+    )
+    sets, _, _ = apply_trimming(sets, TrimPolicy(cfg.trim_quantile))
+    model = fit_model_basis(sets, cfg.model_kind, cfg.temperature_df, cfg.pm25_df)
+    return design_matrix(sets, model)
+
+
+def per_set_reference(beta, dm):
+    """Log-likelihood, score and Hessian summed set by set with a plain
+    softmax; score and Hessian each with the sum of its terms' magnitudes,
+    the scale against which summation in another order may differ."""
+    dim = beta.size
+    ll = 0.0
+    g, g_scale = np.zeros(dim), np.zeros(dim)
+    h, h_scale = np.zeros((dim, dim)), np.zeros((dim, dim))
+    bounds = np.flatnonzero(np.diff(dm.set_index)) + 1
+    for rows, case in zip(np.split(dm.values, bounds), np.split(dm.is_case, bounds)):
+        e = rows @ beta
+        e -= e.max()
+        p = np.exp(e) / np.exp(e).sum()
+        term = float(np.log(p[case][0]))
+        mean = p @ rows
+        score = rows[case][0] - mean
+        centred = rows - mean
+        info = (centred * p[:, np.newaxis]).T @ centred
+        ll += term
+        g += score
+        h -= info
+        g_scale += np.abs(score)
+        h_scale += np.abs(info)
+    return ll, (g, g_scale), (h, h_scale)
+
+
+@pytest.fixture(scope="module", params=CONFIGS)
+def shipped(request):
+    dm = shipped_design(request.param)
+    lik = ConditionalLikelihood.from_design_matrix(dm)
+    return request.param, dm, lik, fit_mle(lik)
+
+
+class TestShippedConfigs:
+    def test_collapse_counts(self, shipped):
+        name, dm, lik, _ = shipped
+        assert lik.n_sets == np.unique(dm.set_index).size
+        assert lik.n_rows == dm.values.shape[0]
+        assert lik.n_strata < lik.n_sets, name
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.5])
+    def test_matches_per_set_reference(self, shipped, perturb):
+        name, dm, lik, mle = shipped
+        beta = mle.point + perturb * mle.sd * np.linspace(-1.0, 1.0, mle.point.size)
+        ll, (g, g_scale), (h, h_scale) = per_set_reference(beta, dm)
+        assert abs(log_likelihood(beta, lik) - ll) <= 1e-12 * abs(ll), name
+        assert np.all(np.abs(gradient(beta, lik) - g) <= 1e-12 * g_scale), name
+        assert np.all(np.abs(hessian(beta, lik) - h) <= 1e-12 * h_scale), name
+
+    def test_reference_newton_step_from_collapsed_mle(self, shipped):
+        name, dm, _, mle = shipped
+        _, (g, _), (h, _) = per_set_reference(mle.point, dm)
+        step = np.linalg.solve(-h, g)
+        assert np.all(np.abs(step) <= 1e-10 * np.abs(mle.point)), name
+
+
+# ------------------------------------------------------------ collapse key
+
+def oracle_log_likelihood(beta, sets):
+    return sum(
+        float(np.log(brute_force_set_probability(beta, case, ctrl)[0]))
+        for case, ctrl in sets
+    )
+
+
+@st.composite
+def duplicated_instances(draw):
+    """Dyadic sets, each repeated 1-4 times with the case moved to another
+    row, in shuffled order; a coefficient vector; the number of distinct
+    sets drawn; and the generator, for further draws."""
+    dim = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sets = []
+    n_distinct = draw(st.integers(1, 8))
+    for _ in range(n_distinct):
+        m = int(rng.integers(2, 6))
+        rows = rng.integers(-512, 512, size=(m, dim)) / 64.0
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(m))
+            sets.append((rows[k], np.delete(rows, k, axis=0)))
+    order = rng.permutation(len(sets))
+    return [sets[i] for i in order], rng.normal(size=dim), n_distinct, rng
+
+
+class TestCollapseKey:
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_instances())
+    def test_duplicates_collapse_exactly(self, instance):
+        sets, beta, n_distinct, _ = instance
+        lik = ConditionalLikelihood(sets)
+        assert lik.n_sets == len(sets)
+        assert lik.n_rows == sum(1 + len(ctrl) for _, ctrl in sets)
+        assert lik.n_strata <= n_distinct
+        assert log_likelihood(beta, lik) == pytest.approx(
+            oracle_log_likelihood(beta, sets), rel=1e-12
+        )
+
+    def test_repeated_set_is_one_stratum(self):
+        rows = np.array([[0.5, 1.0], [0.25, -2.0], [1.5, 0.0], [-1.0, 0.75]])
+        sets = [(rows[k], np.delete(rows, k, axis=0)) for k in (0, 1, 1, 3, 2, 0)]
+        lik = ConditionalLikelihood(sets)
+        assert (lik.n_sets, lik.n_strata) == (6, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_instances())
+    def test_dyadic_shift_per_set_bit_identical(self, instance):
+        sets, beta, _, rng = instance
+        shifted = []
+        for case, ctrl in sets:
+            c = rng.integers(-512, 512, size=beta.size) / 64.0
+            shifted.append((case + c, ctrl + c))
+        lik, lik_shifted = ConditionalLikelihood(sets), ConditionalLikelihood(shifted)
+        assert lik.n_strata == lik_shifted.n_strata
+        assert log_likelihood(beta, lik) == log_likelihood(beta, lik_shifted)
+
+    @settings(max_examples=30, deadline=None)
+    @given(duplicated_instances())
+    def test_building_twice_bit_identical(self, instance):
+        sets, beta, _, _ = instance
+        a, b = ConditionalLikelihood(sets), ConditionalLikelihood(sets)
+        assert a.n_strata == b.n_strata
+        assert log_likelihood(beta, a) == log_likelihood(beta, b)
+        assert np.array_equal(gradient(beta, a), gradient(beta, b))
+        assert np.array_equal(hessian(beta, a), hessian(beta, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_instances(), st.integers(0, 2**32 - 1))
+    def test_set_permutation(self, instance, seed):
+        sets, beta, _, _ = instance
+        rng = np.random.default_rng(seed)
+        # non-dyadic rows, so that the stratum's reference set matters
+        sets = [(case + 0.1, ctrl + 0.1) for case, ctrl in sets]
+        perm = [sets[i] for i in rng.permutation(len(sets))]
+        l1 = log_likelihood(beta, ConditionalLikelihood(sets))
+        l2 = log_likelihood(beta, ConditionalLikelihood(perm))
+        assert l1 == pytest.approx(l2, rel=1e-13)
+
+    def test_design_matrix_rows_in_any_order(self, shipped):
+        _, dm, lik, mle = shipped
+        order = np.random.default_rng(0).permutation(dm.set_index.size)
+        shuffled = replace(
+            dm, values=dm.values[order], set_index=dm.set_index[order], is_case=dm.is_case[order]
+        )
+        other = ConditionalLikelihood.from_design_matrix(shuffled)
+        assert (other.n_sets, other.n_strata) == (lik.n_sets, lik.n_strata)
+        assert log_likelihood(mle.point, other) == pytest.approx(
+            log_likelihood(mle.point, lik), rel=1e-13
+        )
