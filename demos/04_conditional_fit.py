@@ -3,7 +3,8 @@
 # DEMO 4 - Conditional logistic regression, two ways
 #
 #   * Newton maximum likelihood with analytic derivatives
-#   * adaptive Metropolis posterior sampling with diagnostics
+#   * posterior sampling: independence Metropolis with a t proposal
+#     at the posterior mode, checked by its Pareto k-hat
 #   * both recover a known generating truth
 # ============================================================
 
@@ -60,7 +61,10 @@ fit = fit_bayes(
     SamplerConfig(chains=4, warmup=800, draws=1000, seed=2024),
 )
 b = fit.diagnostics
-print(f"\nacceptance rate: {b.acceptance_rate:.2f}   max rhat: {b.rhat.max():.4f}")
+print(
+    f"\nacceptance rate: {b.acceptance_rate:.2f}   max rhat: {b.rhat.max():.4f}   "
+    f"pareto k-hat: {b.pareto_k:.3f} (proposal fits when <= 0.7)"
+)
 print(f"\n{'label':10s} {'post mean':>10s} {'post sd':>9s} {'rhat':>7s} {'ess':>7s}")
 for j, lab in enumerate(lik.labels):
     print(

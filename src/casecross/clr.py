@@ -27,18 +27,22 @@ data; what it saves depends on their density. With sets that are all
 distinct, every stratum holds one event and the cost is that of the per-set
 form. The strata are stored as one padded tensor of row differences, one
 slice per row position up to the largest set size, and one kernel evaluates
-the likelihood, its gradient and its Hessian.
+the likelihood, its gradient and its Hessian; the likelihood also at a batch
+of coefficient vectors in one pass.
 
-Fitting is by Newton iteration with step halving (maximum likelihood) or by
-adaptive random-walk Metropolis over the same likelihood plus a per-block
-Gaussian prior (posterior sampling). Both paths standardize columns by their
-pooled standard deviation internally and return coefficients on the original
-scale.
+Maximum likelihood is Newton iteration with step halving. Posterior sampling
+over the same likelihood plus a per-block Gaussian prior runs the same Newton
+iteration, with the prior precision added, to the posterior mode, and then
+independence Metropolis chains whose multivariate t proposal is centred
+there and scaled by the inverse negative Hessian (see ``mcmc``). Both paths
+standardize columns by their pooled standard deviation internally and return
+coefficients on the original scale.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -63,7 +67,6 @@ __all__ = [
 ]
 
 RHAT_WARN = 1.05
-PRIOR_START = "mle_failed_prior_start"
 
 log = logging.getLogger(__name__)
 
@@ -214,11 +217,18 @@ class _Strata:
     n: np.ndarray
     t: np.ndarray
 
-    def log_likelihood(self, beta: np.ndarray) -> float:
-        e = (self.z @ beta).reshape(self.pad.shape) + self.pad
+    def log_likelihood(self, beta: np.ndarray):
+        """Log-likelihood at one (dim,) vector, as a float, or at each row of
+        a (k, dim) array, as a (k,) array, through one (width, strata, k)
+        buffer."""
+        cols = np.atleast_2d(beta)
+        e = (self.z @ cols.T).reshape(*self.pad.shape, -1)
+        e += self.pad[..., np.newaxis]
         mx = e.max(axis=0)
-        lse = mx + np.log(np.exp(e - mx).sum(axis=0))
-        return float(self.t @ beta - self.n @ lse)
+        e -= mx
+        np.exp(e, out=e)
+        ll = cols @ self.t - self.n @ (mx + np.log(e.sum(axis=0)))
+        return float(ll[0]) if np.ndim(beta) == 1 else ll
 
     def derivatives(self, beta: np.ndarray, want_hess: bool = True):
         """Log-likelihood, gradient and (optionally) Hessian in one pass."""
@@ -282,9 +292,12 @@ class BayesDiagnostics:
     rhat: np.ndarray
     ess: np.ndarray
     mcse: np.ndarray
-    acceptance_rate: float
-    converged: bool
-    fallback: str | None = None    # PRIOR_START when chains started from the prior
+    acceptance_rate: float          # mean over chains
+    converged: bool                 # every split-Rhat <= RHAT_WARN
+    pareto_k: float                 # PSIS k-hat of the proposal's weights
+    acceptance_per_chain: tuple[float, ...]
+    log_post_evals: int             # points at which the log posterior was evaluated
+    sampler_s: float                # wall time of the mode search and the chains
 
 
 @dataclass
@@ -361,7 +374,6 @@ class SamplerConfig:
     warmup: int = 1000
     draws: int = 1000          # per chain, post-warmup
     seed: int | None = None
-    target_accept: float = 0.3
 
     def __post_init__(self):
         if self.chains < 2:
@@ -384,22 +396,36 @@ def _newton(
     tolerance: float,
     max_iter: int,
     separation_bound: float,
+    precision: np.ndarray | None = None,
 ):
-    """Newton iteration in the standardized parameterization.
+    """Newton iteration in the standardized parameterization, from zero.
 
-    Returns (beta, covariance or None, diagnostics); raises on separation or
-    persistent failure. Separation is flagged either when the coefficient
-    sup-norm passes ``separation_bound`` while the gradient has not
-    converged, or when the likelihood converges onto its supremum of zero
-    (every case predicted perfectly).
+    Maximizes the log-likelihood or, given the diagonal ``precision`` of a
+    zero-centred Gaussian prior, the log-posterior. Returns (beta,
+    covariance or None, diagnostics); raises on separation or persistent
+    failure. Separation, checked for the likelihood alone, is flagged either
+    when the coefficient sup-norm passes ``separation_bound`` while the
+    gradient has not converged, or when the likelihood converges onto its
+    supremum of zero (every case predicted perfectly).
     """
     dim = lik.dimension
+    mle = precision is None
+    if mle:
+        precision = np.zeros(dim)   # the likelihood alone
+
+    def objective(beta):
+        return strata.log_likelihood(beta) - 0.5 * float(precision @ beta**2)
+
+    def derivatives(beta):
+        ll, g, h = strata.derivatives(beta)
+        return ll - 0.5 * float(precision @ beta**2), g - precision * beta, h - np.diag(precision)
+
     beta = np.zeros(dim)
-    ll, g, h = strata.derivatives(beta)
+    ll, g, h = derivatives(beta)
     gnorm = float(np.abs(g).max())
     ridge_used = False
 
-    if gnorm <= tolerance and float(np.abs(h).max()) < 1e-12:
+    if mle and gnorm <= tolerance and float(np.abs(h).max()) < 1e-12:
         diag = MleDiagnostics(True, 0, gnorm, zero_information=True)
         return beta, None, diag
 
@@ -421,7 +447,7 @@ def _newton(
         improved = False
         for _ in range(40):
             cand = beta + lam * step
-            cand_ll = strata.log_likelihood(cand)
+            cand_ll = objective(cand)
             # a full step that leaves the likelihood flat at floating-point
             # resolution is the Newton endgame, not a failure
             flat_ok = lam == 1.0 and cand_ll >= ll - 1e-12 * max(1.0, abs(ll))
@@ -432,11 +458,11 @@ def _newton(
             lam *= 0.5
         if not improved:
             break
-        ll, g, h = strata.derivatives(beta)
+        ll, g, h = derivatives(beta)
         gnorm = float(np.abs(g).max())
         if gnorm <= tolerance:
             converged = True
-        elif float(np.abs(beta).max()) > separation_bound:
+        elif mle and float(np.abs(beta).max()) > separation_bound:
             worst = int(np.abs(beta).argmax())
             raise SeparationError(
                 f"coefficient sup-norm exceeded {separation_bound} (standardized) "
@@ -448,7 +474,7 @@ def _newton(
         raise ConvergenceError(
             f"Newton did not converge in {iterations} iterations (gradient norm {gnorm:.3g})"
         )
-    if ll > -1e-6 * lik.n_sets:
+    if mle and ll > -1e-6 * lik.n_sets:
         worst = int(np.abs(beta).argmax())
         raise SeparationError(
             "log-likelihood converged onto its supremum of zero (each case day "
@@ -505,70 +531,63 @@ def fit_bayes(
 ) -> FitResult:
     """Posterior sampling for likelihood + Gaussian prior.
 
-    Chains start overdispersed around the MLE (or the prior center when the
-    MLE is unavailable, recorded as ``diagnostics.fallback``) and adapt only
-    during warmup. Runs with identical seeds and configs are bit-identical.
-    Non-convergence (any split-Rhat above 1.05) is recorded on the
-    diagnostics and logged as a warning, not raised.
+    Newton iteration finds the posterior mode, which exists and is unique
+    because the Gaussian prior makes the log-posterior strictly concave.
+    Each chain then runs independence Metropolis with a multivariate t
+    proposal centred at the mode, with the inverse negative Hessian there as
+    its scale matrix, from its own generator spawned from ``config.seed``.
+    Runs with identical seeds and configs are bit-identical. Non-convergence
+    (any split-Rhat above 1.05) and a proposal whose Pareto k-hat exceeds
+    0.7 are recorded on the diagnostics and logged as warnings, not raised.
     """
+    start = time.perf_counter()
     scale = _scales(lik)
     strata = lik.scaled(1.0 / scale)
     # prior is declared on the original scale; standardizing a column by s
     # multiplies its coefficient, hence its prior sd, by s
-    prior_sd_std = prior.column_sds(lik) * scale
-    prior_var = prior_sd_std**2
+    precision = 1.0 / (prior.column_sds(lik) * scale) ** 2
 
-    def log_post(beta_std: np.ndarray) -> float:
-        return strata.log_likelihood(beta_std) - 0.5 * float((beta_std**2 / prior_var).sum())
+    def log_post(beta_std: np.ndarray) -> np.ndarray:
+        return strata.log_likelihood(beta_std) - 0.5 * (beta_std**2 @ precision)
 
-    center = np.zeros(lik.dimension)
-    init_cov = np.diag(prior_var)
-    fallback = None
-    try:
-        beta_std, cov_std, _ = _newton(strata, lik, 1e-8, 200, 50.0)
-        center = beta_std
-        if cov_std is not None:
-            init_cov = cov_std
-    except (SeparationError, ConvergenceError) as exc:
-        fallback = PRIOR_START
-        log.warning("MLE failed (%s); chains start from the prior (fallback %s)", exc, fallback)
-
+    mode, cov, _ = _newton(strata, lik, 1e-8, 200, 50.0, precision)
+    chol = np.linalg.cholesky(cov)
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    chol0 = np.linalg.cholesky(init_cov + 1e-12 * np.eye(lik.dimension))
-    chains = []
-    accept = []
-    for c in range(config.chains):
-        rng = np.random.default_rng(seeds[c])
-        start = center + chol0 @ rng.standard_normal(lik.dimension)
-        result = mcmc.run_chain(
-            log_post,
-            start,
-            rng,
-            warmup=config.warmup,
-            draws=config.draws,
-            init_cov=init_cov,
-            target_accept=config.target_accept,
+    results = [
+        mcmc.run_chain(
+            log_post, mode, chol, np.random.default_rng(seed),
+            warmup=config.warmup, draws=config.draws,
         )
-        chains.append(result.draws)
-        accept.append(result.acceptance_rate)
+        for seed in seeds
+    ]
+    sampler_s = time.perf_counter() - start
 
-    std_draws = np.stack(chains)                      # (C, N, dim)
+    std_draws = np.stack([r.draws for r in results])      # (C, N, dim)
     rhat = mcmc.split_rhat(std_draws)
     ess = mcmc.effective_sample_size(std_draws)
     draws = (std_draws / scale).reshape(-1, lik.dimension)
-    mcse = mcmc.mcse_mean(std_draws) / scale
+    mcse = mcmc.mcse_mean(std_draws, ess) / scale
+    accept = tuple(r.acceptance_rate for r in results)
     diag = BayesDiagnostics(
         rhat=rhat,
         ess=ess,
         mcse=mcse,
         acceptance_rate=float(np.mean(accept)),
         converged=bool(np.all(rhat <= RHAT_WARN)),
-        fallback=fallback,
+        pareto_k=mcmc.pareto_k(np.concatenate([r.log_weights for r in results])),
+        acceptance_per_chain=accept,
+        log_post_evals=sum(r.log_weights.size for r in results),
+        sampler_s=sampler_s,
     )
     if not diag.converged:
         log.warning(
             "sampler did not converge: max split-Rhat %.4f > %.2f",
             float(rhat.max()), RHAT_WARN,
+        )
+    if diag.pareto_k > mcmc.PARETO_K_WARN:
+        log.warning(
+            "proposal fits the posterior poorly: Pareto k-hat %.3f > %.1f",
+            diag.pareto_k, mcmc.PARETO_K_WARN,
         )
     return FitResult(
         mode="bayes",

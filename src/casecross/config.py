@@ -19,6 +19,10 @@ __all__ = ["AnalysisConfig", "load_config", "validate_config"]
 MODEL_KINDS = ("spline_linear", "spline_tensor")
 
 _INPUT_KEYS = ("events", "grid", "zones", "membership", "temperature_field", "pm25_field")
+_INT_KEYS = (
+    "temperature_window_days", "pm25_window_days", "temperature_df", "pm25_df",
+    "chains", "warmup", "draws", "curve_points", "surface_points", "seed",
+)
 
 
 @dataclass
@@ -60,6 +64,11 @@ class AnalysisConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key in _INT_KEYS:
+            value = raw.get(key, 0)
+            # bool is a subclass of int, and JSON true is no count
+            if type(value) is not int and not (key == "seed" and value is None):
+                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
         kwargs = dict(raw)
         if "season_months" in kwargs:
             kwargs["season_months"] = tuple(kwargs["season_months"])
@@ -90,10 +99,13 @@ def load_config(path) -> tuple[AnalysisConfig, dict]:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
-    if "resolved_config" in raw:  # manifest from an earlier run
-        cfg = AnalysisConfig.from_dict(raw["resolved_config"])
+    manifest = "resolved_config" in raw     # from an earlier run
+    try:
+        cfg = AnalysisConfig.from_dict(raw["resolved_config"] if manifest else raw)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    if manifest:
         return cfg, raw.get("config", raw["resolved_config"])
-    cfg = AnalysisConfig.from_dict(raw)
     return cfg.resolve_paths(path.parent), raw
 
 

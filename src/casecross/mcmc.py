@@ -1,17 +1,28 @@
-"""Adaptive random-walk Metropolis sampling and convergence diagnostics.
+"""Independence Metropolis sampling and convergence diagnostics.
 
-The kernel proposes jointly from a multivariate normal whose covariance is
-adapted during warmup only: the proposal shape tracks the running empirical
-covariance of the chain and a Robbins-Monro recursion tunes the global scale
-toward a target acceptance rate. After warmup the kernel is frozen, so the
-post-warmup draws target the correct stationary distribution. Everything is
-driven by a caller-supplied ``numpy.random.Generator``; identical generators
-give bit-identical chains.
+The kernel is independence Metropolis (Tierney 1994, Ann. Statist.
+22:1701): every proposal is drawn from one fixed multivariate t with ``DF``
+degrees of freedom, centred at the posterior mode and scaled by the inverse
+negative Hessian there (the Laplace approximation), and is accepted with
+probability min(1, w'/w), where w = pi/q is the importance weight of a
+point. Because proposals do not depend on the chain state, a chain draws all
+of its proposals, mixing variables and uniforms up front, evaluates the log
+posterior on them ``K`` at a time, and then runs a scalar accept/reject
+sweep over the weights. ``K`` is fixed rather than configurable because a
+batched evaluation's rounding depends on the batch shape, and a seed must
+pin every draw bit for bit. Everything is driven by a caller-supplied
+``numpy.random.Generator``; identical generators give bit-identical chains.
 
-Diagnostics are the classic split-chain potential scale reduction factor
-(R-hat), autocorrelation-based effective sample size with Geyer's initial
-monotone positive-pair truncation, and the Monte Carlo standard error of the
-posterior mean.
+The same weights check the proposal at no extra evaluations: ``pareto_k``
+is the shape estimate of a generalized Pareto fit to their upper tail, the
+diagnostic of Pareto-smoothed importance sampling (Vehtari, Simpson, Gelman,
+Yao & Gabry 2024, JMLR 25(72)); above 0.7 the proposal's tails are too
+light for the target.
+
+Convergence diagnostics are the split-chain potential scale reduction
+factor (R-hat), autocorrelation-based effective sample size with Geyer's
+initial monotone positive-pair truncation, and the Monte Carlo standard
+error of the posterior mean.
 """
 
 from __future__ import annotations
@@ -24,102 +35,100 @@ import numpy as np
 __all__ = [
     "ChainResult",
     "run_chain",
+    "pareto_k",
     "split_rhat",
     "effective_sample_size",
     "mcse_mean",
 ]
+
+K = 16      # proposals per log-posterior call
+DF = 5      # degrees of freedom of the t proposal
+PARETO_K_WARN = 0.7
 
 
 @dataclass
 class ChainResult:
     draws: np.ndarray          # (n_draws, dim), post-warmup only
     acceptance_rate: float     # post-warmup acceptance fraction
-    proposal_scale: float      # frozen log step scale multiplier exp()
-    proposal_cov: np.ndarray   # frozen proposal covariance
+    log_weights: np.ndarray    # log pi - log q (up to a constant) of every proposal
 
 
 def run_chain(
-    log_post: Callable[[np.ndarray], float],
-    start: np.ndarray,
+    log_post: Callable[[np.ndarray], np.ndarray],
+    center: np.ndarray,
+    chol: np.ndarray,
     rng: np.random.Generator,
     warmup: int,
     draws: int,
-    init_cov: np.ndarray | None = None,
-    target_accept: float = 0.3,
 ) -> ChainResult:
-    """Run one adaptive random-walk Metropolis chain.
+    """Run one independence Metropolis chain.
 
-    ``init_cov`` seeds the proposal covariance (e.g. an inverse-information
-    estimate); the identity is used when absent. Covariance re-estimation
-    from the chain history starts after 100 warmup iterations and the scale
-    adaptation decays as iteration^-0.7, both stopping dead at the end of
-    warmup.
+    Proposals are multivariate t(``DF``) with location ``center`` and scale
+    matrix ``chol @ chol.T``. ``log_post`` maps a (k, dim) array of points,
+    k <= ``K``, to their k log densities. The chain starts at the first of
+    its ``warmup + draws + 1`` proposals; the next ``warmup`` iterations
+    are discarded and the ``draws`` after them are returned.
     """
-    x = np.asarray(start, dtype=float).copy()
-    dim = x.size
-    if init_cov is None:
-        init_cov = np.eye(dim)
-    # classic d-dimensional random-walk scaling
-    log_scale = np.log(2.38**2 / dim)
-    cov = np.array(init_cov, dtype=float)
-    chol = _safe_cholesky(cov)
-
-    lp = float(log_post(x))
-    if not np.isfinite(lp):
+    center = np.asarray(center, dtype=float)
+    dim = center.size
+    n = warmup + draws + 1
+    normal = rng.standard_normal((n, dim))
+    chi2 = rng.chisquare(DF, n)
+    log_u = np.log(rng.uniform(size=n - 1))
+    points = center + np.sqrt(DF / chi2)[:, np.newaxis] * (normal @ chol.T)
+    # t log density up to a constant: the squared Mahalanobis distance of a
+    # point is DF |normal|^2 / chi2
+    log_q = -0.5 * (DF + dim) * np.log1p((normal**2).sum(axis=1) / chi2)
+    log_p = np.empty(n)
+    for i in range(0, n, K):
+        log_p[i:i + K] = log_post(points[i:i + K])
+    log_w = log_p - log_q
+    if not np.isfinite(log_w[0]):
         raise ValueError("log posterior is not finite at the chain start")
 
-    # Welford accumulators for the running covariance of warmup states
-    mean = np.zeros(dim)
-    m2 = np.zeros((dim, dim))
-    count = 0
-
-    out = np.empty((draws, dim))
-    accepted_post = 0
-    total = warmup + draws
-    for it in range(total):
-        step = np.exp(0.5 * log_scale) * (chol @ rng.standard_normal(dim))
-        prop = x + step
-        lp_prop = float(log_post(prop))
-        log_ratio = lp_prop - lp
-        accept = np.log(rng.uniform()) < log_ratio
-        if accept:
-            x = prop
-            lp = lp_prop
-
-        if it < warmup:
-            alpha = min(1.0, np.exp(min(log_ratio, 0.0)))
-            gamma = min(0.2, (it + 1) ** -0.7)
-            log_scale += gamma * (alpha - target_accept)
-            log_scale = min(max(log_scale, -15.0), 5.0)
-            count += 1
-            delta = x - mean
-            mean += delta / count
-            m2 += np.outer(delta, x - mean)
-            if it >= 100 and (it + 1) % 25 == 0:
-                emp = m2 / (count - 1)
-                cov = emp + 1e-9 * np.eye(dim) * max(1.0, np.trace(emp) / dim)
-                chol = _safe_cholesky(cov)
-        else:
-            out[it - warmup] = x
-            accepted_post += bool(accept)
-
+    state = np.empty(n, dtype=np.intp)
+    current = state[0] = 0
+    for i in range(1, n):
+        if log_u[i - 1] < log_w[i] - log_w[current]:
+            current = i
+        state[i] = current
+    moved = state[warmup + 1:] != state[warmup:-1]
     return ChainResult(
-        draws=out,
-        acceptance_rate=accepted_post / max(draws, 1),
-        proposal_scale=float(np.exp(0.5 * log_scale)),
-        proposal_cov=cov,
+        draws=points[state[warmup + 1:]],
+        acceptance_rate=float(moved.mean()) if draws else 0.0,
+        log_weights=log_w,
     )
 
 
-def _safe_cholesky(cov: np.ndarray) -> np.ndarray:
-    jitter = 0.0
-    scale = max(float(np.trace(cov)) / cov.shape[0], 1e-12)
-    for _ in range(8):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * scale)
-    raise np.linalg.LinAlgError("proposal covariance is not positive definite")
+def pareto_k(log_weights: np.ndarray) -> float:
+    """Pareto k-hat of importance weights given as logs (any constant shift).
+
+    The largest min(S/5, 3 sqrt(S)) weights, less the next largest, are fit
+    with a generalized Pareto distribution by the profile-likelihood
+    posterior mean of Zhang & Stephens (2009, Technometrics 51:316), with
+    the weak prior toward 0.5 of the PSIS paper. Non-finite log weights
+    (proposals of zero target density) are left out.
+    """
+    lw = np.sort(np.asarray(log_weights, dtype=float).ravel())
+    lw = lw[np.isfinite(lw)]
+    m = int(np.ceil(min(0.2 * lw.size, 3.0 * np.sqrt(lw.size))))
+    # ascending exceedances over the largest weight outside the tail,
+    # scaled by the largest weight
+    x = np.exp(lw[-m:] - lw[-1]) - np.exp(lw[-m - 1] - lw[-1])
+    x = x[x > 0.0]
+    n = x.size
+    if n < 5:
+        return float("inf")     # too few distinct tail weights to fit
+    grid = 30 + int(np.sqrt(n))
+    theta = 1.0 / x[-1] + (1.0 - np.sqrt(grid / (np.arange(1, grid + 1) - 0.5))) / (
+        3.0 * x[int(n / 4 + 0.5) - 1]
+    )
+    k = np.log1p(-theta[:, np.newaxis] * x).mean(axis=1)
+    profile = n * (np.log(-theta / k) - k - 1.0)
+    weight = 1.0 / np.exp(profile - profile[:, np.newaxis]).sum(axis=1)
+    theta_hat = float(weight @ theta / weight.sum())
+    k_hat = float(np.log1p(-theta_hat * x).mean())
+    return (n * k_hat + 10 * 0.5) / (n + 10)
 
 
 def _split(chains: np.ndarray) -> np.ndarray:
@@ -193,9 +202,9 @@ def _autocov(x: np.ndarray) -> np.ndarray:
     return acov / n
 
 
-def mcse_mean(chains: np.ndarray) -> np.ndarray:
-    """Monte Carlo standard error of the posterior mean per column."""
+def mcse_mean(chains: np.ndarray, ess: np.ndarray) -> np.ndarray:
+    """Monte Carlo standard error of the posterior mean per column, given
+    the columns' effective sample sizes."""
     chains = np.asarray(chains, dtype=float)
     flat = chains.reshape(-1, chains.shape[-1])
-    sd = flat.std(axis=0, ddof=1)
-    return sd / np.sqrt(effective_sample_size(chains))
+    return flat.std(axis=0, ddof=1) / np.sqrt(ess)

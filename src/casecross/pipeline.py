@@ -111,9 +111,10 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
     io.write_draws(out / "draws.csv", lik.labels, fit.draws)
     _write_diagnostics(out / "diagnostics.txt", lik.labels, mle, fit)
     log.info(
-        "fit %d coefficients to %d sets in %d strata; max rhat %.3f; acceptance %.2f",
+        "fit %d coefficients to %d sets in %d strata; max rhat %.3f; acceptance %.2f; "
+        "pareto k %.3f",
         lik.dimension, lik.n_sets, lik.n_strata, float(fit.diagnostics.rhat.max()),
-        fit.diagnostics.acceptance_rate,
+        fit.diagnostics.acceptance_rate, fit.diagnostics.pareto_k,
     )
     if depth == 2:
         _write_manifest(cfg, verbatim, artifacts, policy=policy, model=model)
@@ -201,7 +202,11 @@ def _write_diagnostics(path, labels, mle, fit):
     b = fit.diagnostics
     lines.append(f"converged (all rhat <= 1.05): {b.converged}")
     lines.append(f"acceptance_rate: {float(b.acceptance_rate)!r}")
-    lines.append(f"fallback: {b.fallback}")
+    lines.append(f"pareto_k: {float(b.pareto_k)!r}")
+    lines.append(f"log_post_evals: {b.log_post_evals}")
+    lines.append("acceptance_per_chain: " + " ".join(repr(float(a)) for a in b.acceptance_per_chain))
+    lines.append(f"sampler_s: {b.sampler_s!r}")
+    lines.append(f"min_ess_per_s: {float(b.ess.min()) / b.sampler_s!r}")
     lines.append("")
     lines.append("label rhat ess mcse")
     for j, lab in enumerate(labels):

@@ -80,6 +80,18 @@ class TestValidate:
         assert main(["-q", "validate", "--config", str(cfg)]) == EXIT_INPUT_ERROR
         assert "problem" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value", [
+        ("chains", "4"), ("draws", 1500.0), ("draws", 2.5), ("seed", "20120601"),
+        ("warmup", True), ("pm25_window_days", 3.0), ("temperature_df", "3"),
+        ("curve_points", None),
+    ])
+    def test_mistyped_integer_field_exits_2(self, tmp_path, capsys, key, value):
+        # the type check comes before any input file is opened
+        cfg = make_config(tmp_path, tmp_path / "no_data", **{key: value})
+        assert main(["-q", "run-all", "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err and "integer" in err
+
     def test_trim_quantile_zero_rejected_before_computation(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=50, zones=4)
         cfg = make_config(tmp_path, data_dir, trim_quantile=0.0)
@@ -146,7 +158,12 @@ class TestRunAll:
         assert rows[0] == ["name", "point", "lo95", "hi95", "extrapolated"]
         assert [r[0] for r in rows[1:]] == ["OR10", "OR01", "OR11", "RERI", "mult_interaction"]
         head, _ = (out / "diagnostics.txt").read_text().split("label rhat ess mcse\n")
-        assert "fallback: None\n" in head
+        fields = dict(line.split(": ", 1) for line in head.splitlines() if ": " in line)
+        assert float(fields["pareto_k"]) <= 0.7
+        assert int(fields["log_post_evals"]) == 2 * (300 + 300 + 1)
+        assert len(fields["acceptance_per_chain"].split()) == 2
+        assert float(fields["sampler_s"]) > 0
+        assert float(fields["min_ess_per_s"]) > 0
 
     def test_rerun_from_manifest_is_bit_identical(self, tmp_path):
         data_dir = make_dataset(tmp_path)

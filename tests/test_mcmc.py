@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from casecross.mcmc import effective_sample_size, mcse_mean, run_chain, split_rhat
+from casecross.mcmc import K, effective_sample_size, mcse_mean, pareto_k, run_chain, split_rhat
 
 
 def _std_normal_logpost(x):
-    return -0.5 * float(x @ x)
+    return -0.5 * (x**2).sum(axis=-1)
 
 
 class TestDiagnostics:
@@ -59,7 +59,7 @@ class TestDiagnostics:
 
         def mcse_at(n, seed):
             chains = np.random.default_rng(seed).normal(size=(4, n, 1))
-            return mcse_mean(chains)[0]
+            return mcse_mean(chains, effective_sample_size(chains))[0]
 
         ratios = [mcse_at(4000, 10 + k) / mcse_at(1000, 20 + k) for k in range(5)]
         mean_ratio = float(np.mean(ratios))
@@ -73,43 +73,86 @@ class TestDiagnostics:
 
 class TestRunChain:
     def test_samples_standard_normal(self):
-        rng = np.random.default_rng(6)
+        # proposal off-centre and too wide: the accept step must correct it
         chains = []
         for seed in (1, 2, 3, 4):
             r = run_chain(
                 _std_normal_logpost,
-                start=np.random.default_rng(seed).normal(size=3),
+                center=np.full(3, 0.3),
+                chol=1.5 * np.eye(3),
                 rng=np.random.default_rng(100 + seed),
-                warmup=1500,
+                warmup=500,
                 draws=2500,
             )
             chains.append(r.draws)
-            assert 0.1 < r.acceptance_rate < 0.6
+            assert 0.3 < r.acceptance_rate < 0.9
         draws = np.stack(chains)
         assert np.all(split_rhat(draws) < 1.05)
         flat = draws.reshape(-1, 3)
-        mcse = mcse_mean(draws)
+        mcse = mcse_mean(draws, effective_sample_size(draws))
         assert np.all(np.abs(flat.mean(axis=0)) < 4 * mcse)
         assert np.all(np.abs(flat.std(axis=0, ddof=1) - 1.0) < 0.1)
 
     def test_deterministic_under_generator_state(self):
         a = run_chain(
-            _std_normal_logpost, np.zeros(2), np.random.default_rng(9), warmup=200, draws=300
+            _std_normal_logpost, np.zeros(2), np.eye(2), np.random.default_rng(9), warmup=200, draws=300
         )
         b = run_chain(
-            _std_normal_logpost, np.zeros(2), np.random.default_rng(9), warmup=200, draws=300
+            _std_normal_logpost, np.zeros(2), np.eye(2), np.random.default_rng(9), warmup=200, draws=300
         )
         assert np.array_equal(a.draws, b.draws)
+        assert np.array_equal(a.log_weights, b.log_weights)
 
-    def test_adaptation_freezes_after_warmup(self):
-        # identical generators, different warmup tails would diverge if the
-        # kernel kept adapting post-warmup; the frozen scale is recorded
-        r = run_chain(
-            _std_normal_logpost, np.zeros(2), np.random.default_rng(10), warmup=300, draws=100
+    def test_warmup_discards_leading_iterations(self):
+        # the same generator draws the same proposals whatever the split
+        # between warmup and draws, and warmup adapts nothing
+        short = run_chain(
+            _std_normal_logpost, np.zeros(2), np.eye(2), np.random.default_rng(10), warmup=300, draws=100
         )
-        assert r.proposal_scale > 0
-        assert r.proposal_cov.shape == (2, 2)
+        long = run_chain(
+            _std_normal_logpost, np.zeros(2), np.eye(2), np.random.default_rng(10), warmup=0, draws=400
+        )
+        assert np.array_equal(short.draws, long.draws[300:])
+        assert short.log_weights.size == 401
+
+    def test_log_post_sees_batches_of_k(self):
+        sizes = []
+
+        def log_post(x):
+            sizes.append(x.shape[0])
+            return _std_normal_logpost(x)
+
+        run_chain(log_post, np.zeros(2), np.eye(2), np.random.default_rng(11), warmup=20, draws=30)
+        assert sizes == [K] * (51 // K) + [51 % K]
 
     def test_rejects_nonfinite_start(self):
         with pytest.raises(ValueError):
-            run_chain(lambda x: float("nan"), np.zeros(1), np.random.default_rng(1), 50, 50)
+            run_chain(
+                lambda x: np.full(x.shape[0], np.nan), np.zeros(1), np.eye(1),
+                np.random.default_rng(1), 50, 50,
+            )
+
+
+class TestParetoK:
+    def test_recovers_generalized_pareto_shape(self):
+        # weights with a generalized Pareto tail of shape xi
+        u = np.random.default_rng(12).uniform(size=20000)
+        for xi in (0.2, 0.5, 0.9):
+            weights = (u**-xi - 1.0) / xi
+            assert abs(pareto_k(np.log(weights)) - xi) < 0.1
+
+    def test_light_and_heavy_proposals(self):
+        # a t proposal wider than the normal target gives bounded weights;
+        # one much narrower than it gives heavy-tailed weights
+        wide = run_chain(
+            _std_normal_logpost, np.zeros(3), 1.2 * np.eye(3), np.random.default_rng(13), 1000, 3000
+        )
+        narrow = run_chain(
+            _std_normal_logpost, np.zeros(3), 0.2 * np.eye(3), np.random.default_rng(13), 1000, 3000
+        )
+        assert pareto_k(wide.log_weights) < 0.5
+        assert pareto_k(narrow.log_weights) > 0.7
+
+    def test_invariant_to_constant_shift(self):
+        lw = np.random.default_rng(14).standard_t(4, size=4000)
+        assert pareto_k(lw) == pytest.approx(pareto_k(lw - 1234.5), abs=1e-9)

@@ -3,7 +3,9 @@
 Matched sets that hold the same rows and differ only in which row is the
 case are collapsed into strata. These tests check that the collapse is exact:
 on the shipped configurations against a plain per-set softmax reference, and
-on generated instances through the properties of the collapse key.
+on generated instances through the properties of the collapse key. The
+batched evaluation, one pass over several coefficient vectors, is checked
+against one evaluation per vector.
 """
 
 from dataclasses import replace
@@ -92,6 +94,15 @@ class TestShippedConfigs:
         assert abs(log_likelihood(beta, lik) - ll) <= 1e-12 * abs(ll), name
         assert np.all(np.abs(gradient(beta, lik) - g) <= 1e-12 * g_scale), name
         assert np.all(np.abs(hessian(beta, lik) - h) <= 1e-12 * h_scale), name
+
+    def test_batched_log_likelihood_matches_per_column(self, shipped):
+        name, _, lik, mle = shipped
+        rng = np.random.default_rng(0)
+        betas = mle.point + mle.sd * rng.standard_normal((16, mle.point.size))
+        batched = lik._strata.log_likelihood(betas)
+        assert batched.shape == (16,)
+        for beta, ll in zip(betas, batched):
+            assert ll == pytest.approx(log_likelihood(beta, lik), rel=1e-12), name
 
     def test_reference_newton_step_from_collapsed_mle(self, shipped):
         name, dm, _, mle = shipped
