@@ -59,7 +59,7 @@ print("=" * 60)
 print("2. Windowed exposures")
 print("=" * 60)
 
-spec3 = WindowSpec(PM25, window_days=3, aggregator="mean")
+spec3 = WindowSpec(PM25, window_days=3)
 target = date(2012, 6, 5)
 val = windowed_exposure(pm_series[0], target, spec3)
 manual = np.mean([pm_series[0].values[target - timedelta(days=k)] for k in (2, 1, 0)])

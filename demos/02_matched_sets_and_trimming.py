@@ -3,7 +3,8 @@
 # DEMO 2 - Time-stratified referent selection and trimming
 #
 #   * referent days: same month, same weekday, case excluded
-#   * matched-set construction with windowed exposures
+#   * matched-set construction with windowed exposures, as one
+#     columnar table (one array per day-row field)
 #   * pooled-quantile trimming of extreme pm25 windows
 # ============================================================
 
@@ -34,15 +35,18 @@ sets, drops = build_matched_sets(
     data.events,
     data.temperature_series,
     data.pm25_series,
-    WindowSpec(TEMPERATURE, 1, "mean"),
-    WindowSpec(PM25, 3, "mean"),
+    WindowSpec(TEMPERATURE, 1),
+    WindowSpec(PM25, 3),
 )
 print(f"\nevents in: {len(data.events)}  sets out: {len(sets)}  dropped: {len(drops)}")
-example = sets[0]
-print(f"\nset for subject {example.subject_id}:")
+print(f"day rows: {sets.day.size} (set_index, day, is_case, temperature, pm25_window)")
+first = sets.set_index == 0
+print(f"\nset 0, subject {sets.subject_id[0]}:")
 print(f"  {'date':12s} {'case':5s} {'temp':>7s} {'pm25(3d)':>9s}")
-for row in example.rows:
-    print(f"  {row.date!s:12s} {str(row.is_case):5s} {row.temperature:7.2f} {row.pm25_window:9.2f}")
+for day, is_case, t, a in zip(
+    sets.day[first], sets.is_case[first], sets.temperature[first], sets.pm25_window[first]
+):
+    print(f"  {day!s:12s} {str(is_case):5s} {t:7.2f} {a:9.2f}")
 
 print()
 print("=" * 60)
@@ -50,13 +54,10 @@ print("3. Trimming at the pooled 95th percentile")
 print("=" * 60)
 
 kept, policy, trim_drops = apply_trimming(sets, TrimPolicy(0.95))
-pooled = [r.pm25_window for s in sets for r in s.rows]
-print(f"\npooled rows: {len(pooled)}")
+print(f"\npooled rows: {sets.pm25_window.size}")
 print(f"computed threshold (pm25 ug/m3): {policy.computed_threshold:.3f}")
 print(f"sets kept: {len(kept)}   sets discarded in trimming: {len(trim_drops)}")
-rows_before = sum(len(s.rows) for s in sets)
-rows_after = sum(len(s.rows) for s in kept)
-print(f"day rows: {rows_before} -> {rows_after}")
+print(f"day rows: {sets.day.size} -> {kept.day.size}")
 reasons = {}
 for d in trim_drops:
     reasons[d.reason] = reasons.get(d.reason, 0) + 1

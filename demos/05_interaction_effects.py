@@ -11,6 +11,7 @@ import numpy as np
 
 from casecross import (
     ConditionalLikelihood,
+    MatchedRows,
     PriorSpec,
     SamplerConfig,
     case_day_levels,
@@ -32,8 +33,9 @@ print("=" * 60)
 
 truth = linear_truth(0.06, 0.02, 0.002, n_zones=25, seed=99)
 data = generate(truth, 3000)
-model = fit_model_basis(data.sets, "spline_linear", temperature_df=3, pm25_df=3)
-lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+rows = MatchedRows.from_sets(data.sets)   # the generator's sets as one table
+model = fit_model_basis(rows, "spline_linear", temperature_df=3, pm25_df=3)
+lik = ConditionalLikelihood.from_design_matrix(design_matrix(rows, model))
 fit = fit_bayes(
     lik,
     PriorSpec.for_model("linear_interaction"),
@@ -41,7 +43,7 @@ fit = fit_bayes(
 )
 print(f"\nfit {lik.dimension} coefficients, max rhat {fit.diagnostics.rhat.max():.3f}")
 
-levels = case_day_levels(data.sets)
+levels = case_day_levels(rows)
 print(f"\ncase-day contrast levels ({levels.provenance}):")
 print(f"  temperature: median {levels.t0:.2f} C -> p95 {levels.t1:.2f} C")
 print(f"  pm25 window: median {levels.a0:.2f}  -> p95 {levels.a1:.2f} ug/m3")
@@ -69,19 +71,17 @@ print("=" * 60)
 print("3. Plot-ready tables")
 print("=" * 60)
 
-temps = [r.temperature for s in data.sets for r in s.rows]
-grid = np.linspace(min(temps), max(temps), 7)
+grid = np.linspace(rows.temperature.min(), rows.temperature.max(), 7)
 curve = response_curve(fit, model, "temperature_max", levels.a0, grid, reference=levels.t0)
 print(f"\ntemperature response at pm25 = {levels.a0:.2f} (reference t = {levels.t0:.2f}):")
 print(f"  {'t':>7s} {'or':>8s} {'lo95':>8s} {'hi95':>8s}")
 for row in curve:
     print(f"  {row['t']:7.2f} {row['or']:8.4f} {row['lo95']:8.4f} {row['hi95']:8.4f}")
 
-pms = [r.pm25_window for s in data.sets for r in s.rows]
 surface = risk_surface(
     fit, model,
-    np.linspace(min(temps), max(temps), 4),
-    np.linspace(min(pms), max(pms), 3),
+    np.linspace(rows.temperature.min(), rows.temperature.max(), 4),
+    np.linspace(rows.pm25_window.min(), rows.pm25_window.max(), 3),
     reference=(levels.t0, levels.a0),
 )
 print(f"\njoint surface vs reference ({levels.t0:.2f}, {levels.a0:.2f}), {len(surface)} cells:")

@@ -23,6 +23,7 @@ from .config import AnalysisConfig, load_config, validate_config
 from .design import (
     DayRecord,
     Event,
+    MatchedRows,
     MatchedSet,
     TrimPolicy,
     apply_trimming,
@@ -93,6 +94,7 @@ __all__ = [
     "FitResult",
     "GridCell",
     "InteractionSpec",
+    "MatchedRows",
     "MatchedSet",
     "MissingDataError",
     "ModelBasis",

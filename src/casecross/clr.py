@@ -331,22 +331,16 @@ class FitResult:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Independent Gaussian priors, one standard deviation per block.
+    """Independent zero-mean Gaussian priors, one standard deviation per block.
 
     ``sd`` maps block names to prior standard deviations; ``default_sd``
     covers columns outside any named block.
     """
 
-    family: str = "gaussian"
-    mean: float = 0.0
     sd: Mapping[str, float] = field(default_factory=dict)
     default_sd: float = 10.0
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported prior family {self.family!r}")
-        if self.mean != 0.0:
-            raise ValueError("priors are centered at zero")
         for name, s in self.sd.items():
             if s <= 0:
                 raise ValueError(f"prior sd for block {name!r} must be positive")

@@ -5,22 +5,33 @@ the case day, which yields 3 or 4 referents per case. Each event becomes one
 matched set with windowed exposures attached; sets touching a missing
 exposure are dropped (and counted), never patched. A pooled-quantile trim
 then removes extreme pollution days.
+
+Matched sets travel as one columnar table, ``MatchedRows``, which knots, the
+design matrix, contrast levels, grids and the writer all read. ``MatchedSet``
+and ``DayRecord`` remain as checked constructors for hand-built sets, which
+``MatchedRows.from_sets`` turns into the table wherever a function takes
+``sets``. Exposure windows come from a dense zone-by-day array (NaN for
+gaps) summed left to right by shifted adds: bit for bit the
+``windowed_exposure`` value of every row, where differences of cumulative
+sums would differ in the last bit.
 """
 
 from __future__ import annotations
 
-import calendar
 from dataclasses import dataclass, replace
-from datetime import date as Date
+from datetime import date as Date, timedelta
 
-from .errors import ConfigurationError, EmptyAnalysisError, MissingDataError
-from .exposure import ExposureSeries, WindowSpec, windowed_exposure
+import numpy as np
+
+from .errors import ConfigurationError, EmptyAnalysisError
+from .exposure import ExposureSeries, WindowSpec, trailing_mean
 from .quantiles import type1_quantile
 
 __all__ = [
     "Event",
     "DayRecord",
     "MatchedSet",
+    "MatchedRows",
     "TrimPolicy",
     "DroppedEvent",
     "REASON_OUTSIDE_SEASON",
@@ -40,6 +51,9 @@ REASON_UNKNOWN_ZONE = "unknown_zone"
 REASON_MISSING_EXPOSURE = "missing_exposure"
 REASON_CASE_TRIMMED = "case_trimmed"
 REASON_NO_CONTROLS = "no_controls"
+
+# case day + 7k for these k covers every same-weekday day of any month
+_WEEKS = 7 * np.arange(-4, 5)
 
 
 @dataclass(frozen=True)
@@ -80,18 +94,14 @@ class MatchedSet:
             raise ConfigurationError(
                 f"set {self.subject_id}: expected exactly one case row, got {len(cases)}"
             )
-        case = cases[0]
         dates = [r.date for r in self.rows]
         if len(set(dates)) != len(dates):
             raise ConfigurationError(f"set {self.subject_id}: duplicate dates")
-        for r in self.rows:
-            if (r.date.year, r.date.month) != (case.date.year, case.date.month):
+        allowed = {cases[0].date, *select_referents(cases[0].date)}
+        for d in dates:
+            if d not in allowed:
                 raise ConfigurationError(
-                    f"set {self.subject_id}: {r.date} not in the case month"
-                )
-            if r.date.weekday() != case.date.weekday():
-                raise ConfigurationError(
-                    f"set {self.subject_id}: {r.date} not on the case weekday"
+                    f"set {self.subject_id}: {d} not in the case month on the case weekday"
                 )
         n_controls = len(self.rows) - 1
         if not 1 <= n_controls <= 4:
@@ -99,13 +109,49 @@ class MatchedSet:
                 f"set {self.subject_id}: {n_controls} control rows (must be 1..4)"
             )
 
-    @property
-    def case_row(self) -> DayRecord:
-        return next(r for r in self.rows if r.is_case)
 
-    @property
-    def control_rows(self) -> list[DayRecord]:
-        return [r for r in self.rows if not r.is_case]
+@dataclass(frozen=True, eq=False)
+class MatchedRows:
+    """Matched sets as columns: the rows of a set are contiguous, sets in order.
+
+    Row columns are ``set_index`` (int), ``day`` (``datetime64[D]``),
+    ``is_case`` (bool, one per set), ``temperature`` and ``pm25_window``;
+    ``subject_id`` has one entry per set, and ``len()`` counts sets.
+    """
+
+    subject_id: np.ndarray
+    set_index: np.ndarray
+    day: np.ndarray
+    is_case: np.ndarray
+    temperature: np.ndarray
+    pm25_window: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.subject_id)
+
+    @classmethod
+    def from_sets(cls, sets) -> "MatchedRows":
+        """The table of a sequence of ``MatchedSet``; a table is returned as is."""
+        if isinstance(sets, MatchedRows):
+            return sets
+        sets = list(sets)
+        rows = [r for s in sets for r in s.rows]
+        return cls(
+            subject_id=np.array([s.subject_id for s in sets], dtype=object),
+            set_index=np.repeat(np.arange(len(sets)), [len(s.rows) for s in sets]),
+            day=np.array([r.date for r in rows], dtype="datetime64[D]"),
+            is_case=np.array([r.is_case for r in rows], dtype=bool),
+            temperature=np.array([r.temperature for r in rows], dtype=float),
+            pm25_window=np.array([r.pm25_window for r in rows], dtype=float),
+        )
+
+    def select(self, rows: np.ndarray, sets: np.ndarray) -> "MatchedRows":
+        """The sets under mask ``sets``, renumbered, with their rows under mask ``rows``."""
+        renumber = np.cumsum(sets) - 1
+        columns = (self.day, self.is_case, self.temperature, self.pm25_window)
+        return MatchedRows(
+            self.subject_id[sets], renumber[self.set_index[rows]], *(c[rows] for c in columns)
+        )
 
 
 @dataclass
@@ -126,14 +172,8 @@ def select_referents(case_date: Date) -> list[Date]:
     A weekday occurs 4 or 5 times in any Gregorian month, so the result has
     3 or 4 dates and never includes ``case_date`` itself.
     """
-    n_days = calendar.monthrange(case_date.year, case_date.month)[1]
-    wanted = case_date.weekday()
-    out = []
-    for day in range(1, n_days + 1):
-        d = Date(case_date.year, case_date.month, day)
-        if d.weekday() == wanted and d != case_date:
-            out.append(d)
-    return out
+    days = (case_date + timedelta(days=int(k)) for k in _WEEKS if k)
+    return [d for d in days if d.month == case_date.month]
 
 
 def build_matched_sets(
@@ -143,90 +183,100 @@ def build_matched_sets(
     temperature_window: WindowSpec,
     pm25_window: WindowSpec,
     season_months: tuple[int, int] = (6, 9),
-) -> tuple[list[MatchedSet], list[DroppedEvent]]:
+) -> tuple[MatchedRows, list[DroppedEvent]]:
     """Join events to windowed exposures, one matched set per retained event.
 
-    Every input event is accounted for: it either yields a set or appears in
-    the returned drop list with a reason code. Only a subject's first event
-    (earliest case date) is kept.
+    Every input event is accounted for: it either yields a set or appears,
+    in event order, in the returned drop list with the first reason that
+    applies of duplicate subject, outside season, unknown zone and missing
+    exposure. Only a subject's first event (earliest case date, then first
+    listed) is kept. Sets keep event order and their days are ascending.
     """
     lo, hi = season_months
     if not (1 <= lo <= hi <= 12):
         raise ConfigurationError(f"invalid season months {season_months}")
     temp_by_zone = _series_index(temperature_series)
     pm_by_zone = _series_index(pm25_series)
+    known = {z: k for k, z in enumerate(z for z in temp_by_zone if z in pm_by_zone)}
 
-    first: dict[str, Event] = {}
-    for ev in events:
-        prev = first.get(ev.subject_id)
-        if prev is None or ev.case_date < prev.case_date:
-            first[ev.subject_id] = ev
+    n = len(events)
+    subject = np.array([ev.subject_id for ev in events], dtype=object)
+    case_day = np.array([ev.case_date for ev in events], dtype="datetime64[D]")
+    zone = np.array([known.get(ev.zone_id, -1) for ev in events], dtype=int)
+    month = case_day.astype("datetime64[M]")
+    month_of_year = month.astype(int) % 12 + 1
 
-    sets: list[MatchedSet] = []
-    dropped: list[DroppedEvent] = []
-    for ev in events:
-        if first[ev.subject_id] is not ev:
-            dropped.append(DroppedEvent(ev.subject_id, REASON_DUPLICATE_SUBJECT))
-            continue
-        if not lo <= ev.case_date.month <= hi:
-            dropped.append(DroppedEvent(ev.subject_id, REASON_OUTSIDE_SEASON))
-            continue
-        temp = temp_by_zone.get(ev.zone_id)
-        pm = pm_by_zone.get(ev.zone_id)
-        if temp is None or pm is None:
-            dropped.append(DroppedEvent(ev.subject_id, REASON_UNKNOWN_ZONE))
-            continue
-        days = sorted(select_referents(ev.case_date) + [ev.case_date])
-        try:
-            rows = [
-                DayRecord(
-                    date=d,
-                    is_case=(d == ev.case_date),
-                    temperature=windowed_exposure(temp, d, temperature_window),
-                    pm25_window=windowed_exposure(pm, d, pm25_window),
-                )
-                for d in days
-            ]
-        except MissingDataError:
-            dropped.append(DroppedEvent(ev.subject_id, REASON_MISSING_EXPOSURE))
-            continue
-        sets.append(MatchedSet(ev.subject_id, rows))
-    return sets, dropped
+    _, subj = np.unique(subject, return_inverse=True)
+    order = np.lexsort((np.arange(n), case_day, subj))
+    first = np.zeros(n, dtype=bool)
+    first[order[np.diff(subj[order], prepend=-1) != 0]] = True
+
+    reason = np.select(  # the first reason that applies
+        [~first, (month_of_year < lo) | (month_of_year > hi), zone < 0],
+        [REASON_DUPLICATE_SUBJECT, REASON_OUTSIDE_SEASON, REASON_UNKNOWN_ZONE],
+        "",
+    ).astype(object)
+
+    cand = np.flatnonzero(reason == "")
+    days = case_day[cand, np.newaxis] + _WEEKS
+    set_of_row, week = np.nonzero(days.astype("datetime64[M]") == month[cand, np.newaxis])
+    row_zone, row_day = zone[cand][set_of_row], days[set_of_row, week]
+    t = _windowed(temp_by_zone, known, temperature_window, row_zone, row_day)
+    a = _windowed(pm_by_zone, known, pm25_window, row_zone, row_day)
+    missing = np.bincount(set_of_row, weights=np.isnan(t) | np.isnan(a), minlength=cand.size) > 0
+    reason[cand[missing]] = REASON_MISSING_EXPOSURE
+    dropped = [DroppedEvent(subject[i], reason[i]) for i in np.flatnonzero(reason != "")]
+    rows = MatchedRows(subject[cand], set_of_row, row_day, _WEEKS[week] == 0, t, a)
+    return rows.select(~missing[set_of_row], ~missing), dropped
 
 
-def apply_trimming(
-    sets: list[MatchedSet],
-    policy: TrimPolicy,
-) -> tuple[list[MatchedSet], TrimPolicy, list[DroppedEvent]]:
+def _windowed(by_zone, known, spec: WindowSpec, zone: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Windowed exposure on each (zone, day) row, NaN where the window has a gap.
+
+    The dense zone-by-day array spans the rows' days and the window's lead-in
+    and is windowed row-major: windows that wrap into the next zone are unread.
+    """
+    if not day.size:
+        return np.empty(0)
+    start = day.min() - (spec.window_days - 1)
+    dense = np.full((len(known), (day.max() - start).astype(int) + 1), np.nan)
+    for k, zone_id in enumerate(known):
+        series = by_zone[zone_id]
+        if series.exposure_kind != spec.exposure_kind:
+            raise ConfigurationError(
+                f"window spec is for {spec.exposure_kind}, series holds {series.exposure_kind}"
+            )
+        pos = (np.array(list(series.values), dtype="datetime64[D]") - start).astype(int)
+        inside = (pos >= 0) & (pos < dense.shape[1])
+        dense[k, pos[inside]] = np.fromiter(series.values.values(), float, pos.size)[inside]
+    windows = trailing_mean(dense.ravel(), spec.window_days).reshape(dense.shape)
+    return windows[zone, (day - start).astype(int)]
+
+
+def apply_trimming(sets, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, list[DroppedEvent]]:
     """Remove day rows whose pm25 window exceeds the pooled quantile threshold.
 
     The threshold is the type-1 quantile of ``pm25_window`` pooled over all
     case AND control rows before any exclusion. Rows are trimmed
     individually; a set whose case row is trimmed dies, as does a set left
-    without controls. Discarded sets are returned as drops.
+    without controls. Discarded sets are returned as drops, in set order.
     """
-    if not sets:
+    rows = MatchedRows.from_sets(sets)
+    if not len(rows):
         raise EmptyAnalysisError("no matched sets to trim")
-    pooled = [r.pm25_window for s in sets for r in s.rows]
-    threshold = type1_quantile(pooled, policy.quantile)
+    threshold = type1_quantile(rows.pm25_window, policy.quantile)
     fitted = replace(policy, computed_threshold=threshold)
 
-    kept: list[MatchedSet] = []
-    dropped: list[DroppedEvent] = []
-    for s in sets:
-        if s.case_row.pm25_window > threshold:
-            dropped.append(DroppedEvent(s.subject_id, REASON_CASE_TRIMMED))
-            continue
-        rows = [r for r in s.rows if r.pm25_window <= threshold]
-        if len(rows) < 2:
-            dropped.append(DroppedEvent(s.subject_id, REASON_NO_CONTROLS))
-            continue
-        kept.append(MatchedSet(s.subject_id, rows))
-    if not kept:
+    kept = rows.pm25_window <= threshold
+    case_kept = np.bincount(rows.set_index, weights=kept & rows.is_case, minlength=len(rows)) > 0
+    survives = case_kept & (np.bincount(rows.set_index, weights=kept, minlength=len(rows)) >= 2)
+    why = np.where(case_kept, REASON_NO_CONTROLS, REASON_CASE_TRIMMED).astype(object)
+    dropped = [DroppedEvent(rows.subject_id[i], why[i]) for i in np.flatnonzero(~survives)]
+    if not survives.any():
         raise EmptyAnalysisError(
             f"trimming at quantile {policy.quantile} (threshold {threshold}) discarded every set"
         )
-    return kept, fitted, dropped
+    return rows.select(kept & survives[rows.set_index], survives), fitted, dropped
 
 
 def _series_index(series) -> dict[str, ExposureSeries]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clr import FitResult
-from .design import MatchedSet
+from .design import MatchedRows
 from .errors import EmptyAnalysisError, UnsupportedModelError
 from .quantiles import type1_index, type1_quantile
 from .splines import LINEAR_INTERACTION, ModelBasis
@@ -56,17 +56,18 @@ class EffectEstimate:
     extrapolated: bool = False
 
 
-def case_day_levels(sets: list[MatchedSet], quantiles=(0.5, 0.95)) -> ContrastLevels:
-    """Contrast levels from the case-day exposure distributions.
+def case_day_levels(sets, quantiles=(0.5, 0.95)) -> ContrastLevels:
+    """Contrast levels from the case-day exposure distributions of ``sets``.
 
     Quantiles are computed over case rows only, with the package-wide
     order-statistic rule.
     """
-    if not sets:
+    rows = MatchedRows.from_sets(sets)
+    if not len(rows):
         raise EmptyAnalysisError("no matched sets to take case-day levels from")
     lo_q, hi_q = quantiles
-    temps = [s.case_row.temperature for s in sets]
-    pms = [s.case_row.pm25_window for s in sets]
+    temps = rows.temperature[rows.is_case]
+    pms = rows.pm25_window[rows.is_case]
     return ContrastLevels(
         t0=type1_quantile(temps, lo_q),
         t1=type1_quantile(temps, hi_q),
@@ -160,15 +161,7 @@ def reri(fit: FitResult, model: ModelBasis, levels: ContrastLevels) -> EffectEst
             _or_draws(fit, model, "01", levels),
             _or_draws(fit, model, "11", levels),
         )
-        s = per_draw.size
-        srt = np.sort(per_draw, kind="stable")
-        return EffectEstimate(
-            name="RERI",
-            point=float(per_draw.mean()),
-            interval=(float(srt[type1_index(s, 0.025)]), float(srt[type1_index(s, 0.975)])),
-            per_draw=per_draw,
-            extrapolated=flag,
-        )
+        return _summarize("RERI", per_draw, flag)
     # delta method around the MLE: d RERI / d beta = sum_k sign_k OR_k c_k
     rows = {w: _contrast_row(model, *_SCENARIOS[w](levels)) for w in ("10", "01", "11")}
     ors = {w: float(np.exp(rows[w] @ fit.point)) for w in rows}
@@ -201,7 +194,8 @@ def mult_interaction(fit: FitResult) -> EffectEstimate:
 def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tuple[float, float]):
     """OR of each (t, a) scenario versus the reference pair, summarized.
 
-    ``pairs_hi`` has shape (n, 2). Returns (point, lo, hi) arrays.
+    ``pairs_hi`` has shape (n, 2). Returns one plot-ready row per scenario,
+    which carries the full (t, a) pair.
     """
     rows = model.rows(pairs_hi[:, 0], pairs_hi[:, 1]) - model.rows(ref[0], ref[1])
     if fit.mode == "bayes":
@@ -209,13 +203,18 @@ def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tupl
         s = per_draw.shape[0]
         k_lo, k_hi = type1_index(s, 0.025), type1_index(s, 0.975)
         part = np.partition(per_draw, (k_lo, k_hi), axis=0)
-        return per_draw.mean(axis=0), part[k_lo], part[k_hi]
-    log_or = rows @ fit.point
-    if fit.covariance is not None:
-        se = np.sqrt(np.einsum("nd,de,ne->n", rows, fit.covariance, rows))
+        summary = (per_draw.mean(axis=0), part[k_lo], part[k_hi])
     else:
-        se = np.full(rows.shape[0], np.nan)
-    return np.exp(log_or), np.exp(log_or - Z975 * se), np.exp(log_or + Z975 * se)
+        log_or = rows @ fit.point
+        if fit.covariance is not None:
+            se = np.sqrt(np.einsum("nd,de,ne->n", rows, fit.covariance, rows))
+        else:
+            se = np.full(rows.shape[0], np.nan)
+        summary = (np.exp(log_or), np.exp(log_or - Z975 * se), np.exp(log_or + Z975 * se))
+    return [
+        {"t": t, "a": a, "or": point, "lo95": lo, "hi95": hi}
+        for (t, a), point, lo, hi in zip(pairs_hi.tolist(), *(x.tolist() for x in summary))
+    ]
 
 
 def response_curve(
@@ -227,10 +226,7 @@ def response_curve(
     reference: float,
 ) -> list[dict]:
     """Exposure-response table: OR at each grid value of one exposure versus
-    its reference level, the other exposure held at ``fixed_level``.
-
-    Rows carry the full (t, a) scenario so the table is plot-ready.
-    """
+    its reference level, the other exposure held at ``fixed_level``."""
     grid = np.asarray(grid, dtype=float)
     if vary == "temperature_max":
         pairs = np.column_stack([grid, np.full(grid.size, fixed_level)])
@@ -240,12 +236,7 @@ def response_curve(
         ref = (fixed_level, reference)
     else:
         raise ValueError(f"unknown exposure kind {vary!r}")
-    point, lo, hi = _or_table(fit, model, pairs, ref)
-    return [
-        {"t": float(pairs[i, 0]), "a": float(pairs[i, 1]),
-         "or": float(point[i]), "lo95": float(lo[i]), "hi95": float(hi[i])}
-        for i in range(grid.size)
-    ]
+    return _or_table(fit, model, pairs, ref)
 
 
 def risk_surface(
@@ -261,9 +252,4 @@ def risk_surface(
     a_grid = np.asarray(a_grid, dtype=float)
     tt, aa = np.meshgrid(t_grid, a_grid, indexing="ij")
     pairs = np.column_stack([tt.ravel(), aa.ravel()])
-    point, lo, hi = _or_table(fit, model, pairs, reference)
-    return [
-        {"t": float(pairs[i, 0]), "a": float(pairs[i, 1]),
-         "or": float(point[i]), "lo95": float(lo[i]), "hi95": float(hi[i])}
-        for i in range(pairs.shape[0])
-    ]
+    return _or_table(fit, model, pairs, reference)

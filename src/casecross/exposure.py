@@ -35,6 +35,7 @@ __all__ = [
     "link_temperature",
     "link_pm25",
     "windowed_exposure",
+    "trailing_mean",
 ]
 
 log = logging.getLogger(__name__)
@@ -120,13 +121,10 @@ class WindowSpec:
 
     exposure_kind: str
     window_days: int = 1
-    aggregator: str = "mean"
 
     def __post_init__(self):
         if self.window_days < 1:
             raise ConfigurationError(f"window_days must be >= 1, got {self.window_days}")
-        if self.aggregator not in ("mean", "max"):
-            raise ConfigurationError(f"unknown aggregator {self.aggregator!r}")
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -220,7 +218,7 @@ def link_pm25(
 
 
 def windowed_exposure(series: ExposureSeries, day: Date, spec: WindowSpec) -> float:
-    """Aggregate the series over the window ending on ``day``.
+    """Mean of the series over the window ending on ``day``, summed oldest first.
 
     Raises ``MissingDataError`` naming the first gap date if any date in the
     window is absent.
@@ -241,6 +239,19 @@ def windowed_exposure(series: ExposureSeries, day: Date, spec: WindowSpec) -> fl
                 gap_date=d,
             )
         vals.append(v)
-    if spec.aggregator == "max":
-        return max(vals)
     return sum(vals) / len(vals)
+
+
+def trailing_mean(values, window_days: int) -> np.ndarray:
+    """Mean of the ``window_days`` values ending at each position, NaN for the
+    first ``window_days - 1`` and for windows touching a NaN. Shifted adds sum
+    left to right, so each entry equals ``windowed_exposure`` bit for bit."""
+    values = np.asarray(values, dtype=float)
+    out = np.full(values.size, np.nan)
+    n = values.size - window_days + 1
+    if n > 0:
+        acc = values[:n] + 0.0      # as sum() starts from 0: -0.0 turns 0.0
+        for k in range(1, window_days):
+            acc += values[k : k + n]
+        out[window_days - 1 :] = acc / window_days
+    return out

@@ -1,8 +1,9 @@
 """CSV and JSON readers/writers for every file format the pipeline touches.
 
-Floats are serialized with ``repr`` (shortest round-trip form) and files are
-written with ``\\n`` line endings, so identical analyses produce
-byte-identical artifacts.
+``csv.writer`` writes floats with ``repr`` (shortest round-trip form),
+booleans are passed as 0/1 and lines end in ``\\n``, so identical analyses
+produce byte-identical artifacts. Readers name the file and line of a value
+they cannot parse.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 from datetime import date as Date
 from pathlib import Path
 
-from .design import DroppedEvent, Event, MatchedSet
+import numpy as np
+
+from .design import DroppedEvent, Event, MatchedRows
 from .errors import ConfigurationError
 from .exposure import ExposureSeries, GridCell, Zone
 
@@ -34,27 +37,20 @@ __all__ = [
 ]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _open_reader(path, expected: list[str]):
+def _read(path, expected: list[str], parse) -> list:
+    """``parse`` of each row after the header, naming the line of a bad value."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"input file not found: {path}")
-    handle = path.open(newline="")
-    reader = csv.reader(handle)
-    header = next(reader, None)
-    if header != expected:
-        handle.close()
-        raise ConfigurationError(
-            f"{path}: expected header {expected}, got {header}"
-        )
-    return handle, reader
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != expected:
+            raise ConfigurationError(f"{path}: expected header {expected}, got {header}")
+        try:
+            return [parse(r) for r in reader]
+        except (ValueError, IndexError) as exc:
+            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def write_rows(path, header: list[str], rows) -> None:
@@ -63,51 +59,43 @@ def write_rows(path, header: list[str], rows) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 def read_grid_cells(path) -> list[GridCell]:
-    handle, reader = _open_reader(path, ["cell_id", "lat", "lon"])
-    with handle:
-        return [GridCell(r[0], float(r[1]), float(r[2])) for r in reader]
+    return _read(path, ["cell_id", "lat", "lon"], lambda r: GridCell(r[0], float(r[1]), float(r[2])))
 
 
 def read_zones(path, membership: dict[str, set[str]] | None = None) -> list[Zone]:
-    handle, reader = _open_reader(path, ["zone_id", "lat", "lon"])
     membership = membership or {}
-    with handle:
-        return [
-            Zone(r[0], float(r[1]), float(r[2]), frozenset(membership.get(r[0], set())))
-            for r in reader
-        ]
+    return _read(
+        path, ["zone_id", "lat", "lon"],
+        lambda r: Zone(r[0], float(r[1]), float(r[2]), frozenset(membership.get(r[0], set()))),
+    )
 
 
 def read_membership(path) -> dict[str, set[str]]:
-    handle, reader = _open_reader(path, ["zone_id", "cell_id"])
     out: dict[str, set[str]] = {}
-    with handle:
-        for r in reader:
-            out.setdefault(r[0], set()).add(r[1])
+    for zone_id, cell_id in _read(path, ["zone_id", "cell_id"], lambda r: (r[0], r[1])):
+        out.setdefault(zone_id, set()).add(cell_id)
     return out
 
 
 def read_daily_field(path) -> dict[tuple[str, Date], float]:
-    handle, reader = _open_reader(path, ["cell_id", "date", "value"])
     out: dict[tuple[str, Date], float] = {}
-    with handle:
-        for r in reader:
-            key = (r[0], Date.fromisoformat(r[1]))
-            if key in out:
-                raise ConfigurationError(f"{path}: duplicate value for {key}")
-            out[key] = float(r[2])
+    header = ["cell_id", "date", "value"]
+    for key, value in _read(path, header, lambda r: ((r[0], Date.fromisoformat(r[1])), float(r[2]))):
+        if key in out:
+            raise ConfigurationError(f"{path}: duplicate value for {key}")
+        out[key] = value
     return out
 
 
 def read_events(path) -> list[Event]:
-    handle, reader = _open_reader(path, ["subject_id", "zone_id", "case_date"])
-    with handle:
-        return [Event(r[0], r[1], Date.fromisoformat(r[2])) for r in reader]
+    return _read(
+        path, ["subject_id", "zone_id", "case_date"],
+        lambda r: Event(r[0], r[1], Date.fromisoformat(r[2])),
+    )
 
 
 def write_series(path, series: list[ExposureSeries]) -> None:
@@ -118,13 +106,12 @@ def write_series(path, series: list[ExposureSeries]) -> None:
     write_rows(path, ["zone_id", "date", "exposure_kind", "value"], rows)
 
 
-def write_matched_sets(path, sets: list[MatchedSet]) -> None:
-    rows = [
-        (s.subject_id, r.date.isoformat(), r.is_case, r.temperature, r.pm25_window)
-        for s in sets
-        for r in s.rows
-    ]
-    write_rows(path, ["subject_id", "date", "is_case", "temperature", "pm25_window"], rows)
+def write_matched_sets(path, sets) -> None:
+    m = MatchedRows.from_sets(sets)
+    columns = (m.subject_id[m.set_index], np.datetime_as_string(m.day), m.is_case.astype(int))
+    columns += (m.temperature, m.pm25_window)
+    header = ["subject_id", "date", "is_case", "temperature", "pm25_window"]
+    write_rows(path, header, zip(*(c.tolist() for c in columns)))
 
 
 def write_drop_log(path, drops: list[DroppedEvent]) -> None:
@@ -137,12 +124,12 @@ def write_coefficients(path, labels, estimates, sds) -> None:
 
 
 def write_draws(path, labels, draws) -> None:
-    write_rows(path, list(labels), ([float(v) for v in row] for row in draws))
+    write_rows(path, list(labels), (row.tolist() for row in np.asarray(draws, dtype=float)))
 
 
 def write_contrasts(path, estimates) -> None:
     rows = [
-        (e.name, e.point, e.interval[0], e.interval[1], e.extrapolated)
+        (e.name, e.point, e.interval[0], e.interval[1], int(e.extrapolated))
         for e in estimates
     ]
     write_rows(path, ["name", "point", "lo95", "hi95", "extrapolated"], rows)

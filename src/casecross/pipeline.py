@@ -77,11 +77,11 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         events,
         temp_series,
         pm_series,
-        WindowSpec(TEMPERATURE, cfg.temperature_window_days, "mean"),
-        WindowSpec(PM25, cfg.pm25_window_days, "mean"),
+        WindowSpec(TEMPERATURE, cfg.temperature_window_days),
+        WindowSpec(PM25, cfg.pm25_window_days),
         season_months=cfg.season_months,
     )
-    if not sets:
+    if not len(sets):
         io.write_drop_log(out / "drop_log.csv", drops)
         raise EmptyAnalysisError("no events survived the exposure join")
     sets, policy, trim_drops = apply_trimming(sets, TrimPolicy(cfg.trim_quantile))
@@ -132,10 +132,9 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         contrasts.append(mult_interaction(fit))
     io.write_contrasts(out / "contrasts.csv", contrasts)
 
-    temps = [r.temperature for s in sets for r in s.rows]
-    pms = [r.pm25_window for s in sets for r in s.rows]
-    t_grid = np.linspace(min(temps), max(temps), cfg.curve_points)
-    a_grid = np.linspace(min(pms), max(pms), cfg.curve_points)
+    t, a = sets.temperature, sets.pm25_window
+    t_grid = np.linspace(t.min(), t.max(), cfg.curve_points)
+    a_grid = np.linspace(a.min(), a.max(), cfg.curve_points)
     io.write_effect_table(
         out / "curve_temperature.csv",
         response_curve(fit, model, TEMPERATURE, levels.a0, t_grid, levels.t0),
@@ -144,8 +143,8 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         out / "curve_pm25.csv",
         response_curve(fit, model, PM25, levels.t0, a_grid, levels.a0),
     )
-    t_surf = np.union1d(np.linspace(min(temps), max(temps), cfg.surface_points), [levels.t0])
-    a_surf = np.union1d(np.linspace(min(pms), max(pms), cfg.surface_points), [levels.a0])
+    t_surf = np.union1d(np.linspace(t.min(), t.max(), cfg.surface_points), [levels.t0])
+    a_surf = np.union1d(np.linspace(a.min(), a.max(), cfg.surface_points), [levels.a0])
     io.write_effect_table(
         out / "surface.csv",
         risk_surface(fit, model, t_surf, a_surf, (levels.t0, levels.a0)),

@@ -13,6 +13,7 @@ check the stabilized likelihood.
 
 from __future__ import annotations
 
+import calendar
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from typing import Callable
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DayRecord, Event, MatchedSet
-from .exposure import PM25, TEMPERATURE, ExposureSeries, GridCell, WindowSpec, Zone
+from .exposure import PM25, TEMPERATURE, ExposureSeries, GridCell, WindowSpec, Zone, trailing_mean
 
 __all__ = [
     "TruthSpec",
@@ -45,7 +46,7 @@ class TruthSpec:
 
     f: Callable = _zero
     g: Callable = _zero
-    h: Callable = lambda t, a: 0.0 * np.asarray(t, dtype=float)
+    h: Callable = _zero
     n_zones: int = 40
     years: tuple[int, ...] = (2012,)
     season_months: tuple[int, int] = (6, 9)
@@ -77,8 +78,8 @@ class SyntheticData:
     cells: list[GridCell]
     zones: list[Zone]
     membership: list[tuple[str, str]] = field(default_factory=list)
-    temperature_window: WindowSpec = WindowSpec(TEMPERATURE, 1, "mean")
-    pm25_window: WindowSpec = WindowSpec(PM25, 3, "mean")
+    temperature_window: WindowSpec = WindowSpec(TEMPERATURE, 1)
+    pm25_window: WindowSpec = WindowSpec(PM25, 3)
 
 
 def linear_truth(slope_t: float, slope_a: float, gamma: float, **kwargs) -> TruthSpec:
@@ -93,13 +94,8 @@ def linear_truth(slope_t: float, slope_a: float, gamma: float, **kwargs) -> Trut
 
 def _season_dates(year: int, months: tuple[int, int], lookback: int) -> list[Date]:
     start = Date(year, months[0], 1) - timedelta(days=lookback)
-    last_month = months[1]
-    if last_month == 12:
-        end = Date(year, 12, 31)
-    else:
-        end = Date(year, last_month + 1, 1) - timedelta(days=1)
-    n = (end - start).days + 1
-    return [start + timedelta(days=k) for k in range(n)]
+    end = Date(year, months[1], calendar.monthrange(year, months[1])[1])
+    return [start + timedelta(days=k) for k in range((end - start).days + 1)]
 
 
 def _simulate_series(truth: TruthSpec, rng: np.random.Generator, dates: list[Date]):
@@ -146,24 +142,22 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     lookback = max(truth.temperature_window_days, truth.pm25_window_days) + 3
     temp_series: dict[str, ExposureSeries] = {}
     pm_series: dict[str, ExposureSeries] = {}
-    per_zone_values: dict[str, tuple[list[Date], np.ndarray, np.ndarray]] = {}
+    per_zone_windows: dict[str, tuple[list[Date], np.ndarray, np.ndarray]] = {}
     for zid in zone_ids:
-        dates_all: list[Date] = []
-        temps_all: list[float] = []
-        pms_all: list[float] = []
-        for year in truth.years:
-            dates = _season_dates(year, truth.season_months, lookback)
-            temp, pm = _simulate_series(truth, rng, dates)
-            dates_all.extend(dates)
-            temps_all.extend(temp.tolist())
-            pms_all.extend(pm.tolist())
-        temps_arr = np.array(temps_all)
-        pms_arr = np.array(pms_all)
-        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, dict(zip(dates_all, temps_arr.tolist())))
-        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates_all, pms_arr.tolist())))
-        per_zone_values[zid] = (dates_all, temps_arr, pms_arr)
+        seasons = [_season_dates(year, truth.season_months, lookback) for year in truth.years]
+        temps, pms = zip(*(_simulate_series(truth, rng, dates) for dates in seasons))
+        dates_all = [d for dates in seasons for d in dates]
+        temp = dict(zip(dates_all, np.concatenate(temps).tolist()))
+        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, temp)
+        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates_all, np.concatenate(pms).tolist())))
+        # one season's days are contiguous; windows never span two seasons
+        per_zone_windows[zid] = (
+            dates_all,
+            np.concatenate([trailing_mean(t, truth.temperature_window_days) for t in temps]),
+            np.concatenate([trailing_mean(a, truth.pm25_window_days) for a in pms]),
+        )
 
-    strata = _enumerate_strata(truth, zone_ids, per_zone_values)
+    strata = _enumerate_strata(truth, zone_ids, per_zone_windows)
     cums = [np.cumsum(s["probs"]) for s in strata]
 
     events: list[Event] = []
@@ -197,20 +191,18 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
         cells=cells,
         zones=zones,
         membership=membership,
-        temperature_window=WindowSpec(TEMPERATURE, truth.temperature_window_days, "mean"),
-        pm25_window=WindowSpec(PM25, truth.pm25_window_days, "mean"),
+        temperature_window=WindowSpec(TEMPERATURE, truth.temperature_window_days),
+        pm25_window=WindowSpec(PM25, truth.pm25_window_days),
     )
 
 
-def _enumerate_strata(truth: TruthSpec, zone_ids, per_zone_values):
+def _enumerate_strata(truth: TruthSpec, zone_ids, per_zone_windows):
     """All (zone, year, month, weekday) strata with windowed covariates and
     case-day selection probabilities."""
     strata = []
     for zid in zone_ids:
-        dates_all, temps, pms = per_zone_values[zid]
+        dates_all, t_win, a_win = per_zone_windows[zid]
         index = {d: k for k, d in enumerate(dates_all)}
-        t_win = _windowed_all(temps, dates_all, index, truth.temperature_window_days)
-        a_win = _windowed_all(pms, dates_all, index, truth.pm25_window_days)
         for year in truth.years:
             for month in range(truth.season_months[0], truth.season_months[1] + 1):
                 for weekday in range(7):
@@ -240,15 +232,6 @@ def _enumerate_strata(truth: TruthSpec, zone_ids, per_zone_values):
     if not strata:
         raise ValueError("no usable strata: every month-weekday cell is degenerate")
     return strata
-
-
-def _windowed_all(values: np.ndarray, dates: list[Date], index, window: int) -> np.ndarray:
-    out = np.full(values.size, np.nan)
-    for k, d in enumerate(dates):
-        lo = index.get(d - timedelta(days=window - 1))
-        if lo is not None and lo == k - window + 1:
-            out[k] = values[lo : k + 1].mean()
-    return out
 
 
 def brute_force_set_probability(beta, case_row, control_rows) -> np.ndarray:

@@ -19,16 +19,14 @@ product of two marginal natural cubic bases (tensor product).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .design import MatchedSet
+from .design import MatchedRows
 from .errors import ConfigurationError, DegenerateDataError
 from .quantiles import type1_quantile
 
 __all__ = [
-    "NATURAL_CUBIC",
     "LINEAR_INTERACTION",
     "TENSOR_PRODUCT",
     "BasisSpec",
@@ -42,7 +40,6 @@ __all__ = [
     "design_matrix",
 ]
 
-NATURAL_CUBIC = "natural_cubic"
 LINEAR_INTERACTION = "linear_interaction"
 TENSOR_PRODUCT = "tensor_product"
 
@@ -51,14 +48,11 @@ TENSOR_PRODUCT = "tensor_product"
 class BasisSpec:
     """Declarative description of one natural cubic spline basis."""
 
-    kind: str
     df: int
     interior_knots: tuple[float, ...]
     boundary_knots: tuple[float, float]
 
     def __post_init__(self):
-        if self.kind != NATURAL_CUBIC:
-            raise ConfigurationError(f"unknown basis kind {self.kind!r}")
         if self.df < 1:
             raise ConfigurationError(f"df must be >= 1, got {self.df}")
         lo, hi = self.boundary_knots
@@ -100,7 +94,7 @@ def fit_knots(values, df: int) -> BasisSpec:
         raise DegenerateDataError(
             f"sample too concentrated: quantile knots {ks} are not strictly increasing"
         )
-    return BasisSpec(NATURAL_CUBIC, df, interior, (lo, hi))
+    return BasisSpec(df, interior, (lo, hi))
 
 
 def eval_natural_cubic(spec: BasisSpec, x) -> np.ndarray:
@@ -217,7 +211,7 @@ class ModelBasis:
 
 
 def fit_model_basis(
-    sets: Iterable[MatchedSet],
+    sets,
     kind: str = "spline_linear",
     temperature_df: int = 3,
     pm25_df: int = 3,
@@ -228,12 +222,11 @@ def fit_model_basis(
     or ``spline_tensor`` (splines plus a tensor-product interaction sharing
     the marginal knots).
     """
-    temps = [r.temperature for s in sets for r in s.rows]
-    pms = [r.pm25_window for s in sets for r in s.rows]
-    if not temps:
+    rows = MatchedRows.from_sets(sets)
+    if not rows.temperature.size:
         raise DegenerateDataError("no rows to fit knots on")
-    t_spec = fit_knots(temps, temperature_df)
-    a_spec = fit_knots(pms, pm25_df)
+    t_spec = fit_knots(rows.temperature, temperature_df)
+    a_spec = fit_knots(rows.pm25_window, pm25_df)
     if kind == "spline_linear":
         inter = InteractionSpec(LINEAR_INTERACTION)
     elif kind == "spline_tensor":
@@ -252,7 +245,6 @@ class DesignMatrix:
     blocks: tuple[tuple[str, slice], ...]
     set_index: np.ndarray
     is_case: np.ndarray
-    subject_ids: tuple[str, ...]
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -261,17 +253,13 @@ class DesignMatrix:
             raise ConfigurationError("column label count does not match matrix width")
 
 
-def design_matrix(sets: list[MatchedSet], model: ModelBasis) -> DesignMatrix:
-    """Assemble the design matrix, one row per day record, in set order."""
-    t = np.array([r.temperature for s in sets for r in s.rows])
-    a = np.array([r.pm25_window for s in sets for r in s.rows])
-    set_index = np.array([i for i, s in enumerate(sets) for _ in s.rows], dtype=int)
-    is_case = np.array([r.is_case for s in sets for r in s.rows], dtype=bool)
+def design_matrix(sets, model: ModelBasis) -> DesignMatrix:
+    """Assemble the design matrix, one row per day row, in set order."""
+    rows = MatchedRows.from_sets(sets)
     return DesignMatrix(
-        values=model.rows(t, a),
+        values=model.rows(rows.temperature, rows.pm25_window),
         column_labels=model.column_labels,
         blocks=model.blocks,
-        set_index=set_index,
-        is_case=is_case,
-        subject_ids=tuple(s.subject_id for s in sets),
+        set_index=rows.set_index,
+        is_case=rows.is_case,
     )

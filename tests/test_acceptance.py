@@ -30,7 +30,6 @@ from casecross.splines import (
     BasisSpec,
     InteractionSpec,
     LINEAR_INTERACTION,
-    NATURAL_CUBIC,
     ModelBasis,
     design_matrix,
     eval_natural_cubic,
@@ -165,8 +164,8 @@ def test_05_bayes_mle_agreement():
 
 def test_06_reri_identities():
     with criterion(6, "RERI identities", 60.0):
-        t_spec = BasisSpec(NATURAL_CUBIC, 1, (), (10.0, 45.0))
-        a_spec = BasisSpec(NATURAL_CUBIC, 1, (), (0.0, 25.0))
+        t_spec = BasisSpec(1, (), (10.0, 45.0))
+        a_spec = BasisSpec(1, (), (0.0, 25.0))
         model = ModelBasis(t_spec, a_spec, InteractionSpec(LINEAR_INTERACTION))
         levels = ContrastLevels(t0=25.0, t1=35.0, a0=8.0, a1=16.0, provenance="user")
         rng = np.random.default_rng(606)
@@ -263,7 +262,7 @@ def test_09_trimming_rule():
             sets.append(MatchedSet(f"s{k:03d}", rows))
         kept, policy, drops = apply_trimming(sets, TrimPolicy(0.95))
         assert policy.computed_threshold == 950.0
-        surviving = sorted(r.pm25_window for s in kept for r in s.rows)
+        surviving = sorted(kept.pm25_window.tolist())
         # sets whose case row (value 4k+1) exceeds 950 die whole: k >= 238;
         # the set holding 949..952 only loses its rows above the threshold
         assert surviving == [float(v) for v in range(1, 951)]
@@ -273,7 +272,7 @@ def test_09_trimming_rule():
 
 def test_10_spline_properties():
     with criterion(10, "spline properties", 30.0):
-        spec = BasisSpec(NATURAL_CUBIC, 3, (12.0, 24.0), (5.0, 40.0))
+        spec = BasisSpec(3, (12.0, 24.0), (5.0, 40.0))
 
         def fd2(x, h):
             return (

@@ -66,6 +66,17 @@ class TestSynth:
         assert rows[0] == ["subject_id", "zone_id", "case_date"]
         assert len(rows) == 61
 
+    def test_regenerates_shipped_data_byte_for_byte(self, tmp_path):
+        shipped = Path(__file__).resolve().parent.parent / "data" / "synth"
+        assert main([
+            "-q", "synth", "--out", str(tmp_path), "--seed", "20120601",
+            "--events", "1500", "--zones", "40",
+        ]) == EXIT_OK
+        names = sorted(p.name for p in shipped.iterdir())
+        assert names == sorted(p.name for p in tmp_path.iterdir())
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
 
 class TestValidate:
     def test_valid_config(self, tmp_path, capsys):
@@ -91,6 +102,26 @@ class TestValidate:
         assert main(["-q", "run-all", "--config", str(cfg)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err and "integer" in err
+
+    @pytest.mark.parametrize("command, file, line, bad", [
+        ("link", "temperature_field.csv", 3, "abc"),
+        ("link", "pm25_field.csv", 2, "1.0.0"),
+        ("link", "grid.csv", 4, "north"),
+        ("link", "zones.csv", 2, ""),
+        ("match", "events.csv", 5, "2012-13-45"),
+    ])
+    def test_unparseable_input_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, command, file, line, bad
+    ):
+        data_dir = make_dataset(tmp_path, events=50, zones=4)
+        path = data_dir / file
+        rows = list(csv.reader(path.open()))
+        rows[line - 1][-1] = bad
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        cfg = make_config(tmp_path, data_dir)
+        assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        assert f"{path}:{line}:" in capsys.readouterr().err
 
     def test_trim_quantile_zero_rejected_before_computation(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=50, zones=4)
@@ -180,6 +211,17 @@ class TestRunAll:
             "curve_temperature.csv", "curve_pm25.csv", "surface.csv",
         ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_pipeline_builds_no_per_row_objects(self, tmp_path, monkeypatch):
+        from casecross import design
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the pipeline path")
+
+        monkeypatch.setattr(design.MatchedSet, "__init__", refuse)
+        monkeypatch.setattr(design.DayRecord, "__init__", refuse)
+        config = Path(__file__).resolve().parent.parent / "configs" / "main.json"
+        assert main(["-q", "run-all", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_unknown_zone_events_logged_not_fatal(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=60, zones=4)

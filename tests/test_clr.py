@@ -320,5 +320,3 @@ class TestFitBayes:
     def test_prior_spec_validation(self):
         with pytest.raises(ValueError):
             PriorSpec(sd={"temperature": -1.0})
-        with pytest.raises(ValueError):
-            PriorSpec(family="cauchy")

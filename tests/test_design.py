@@ -1,5 +1,6 @@
 import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +15,25 @@ from casecross.design import (
     DayRecord,
     DroppedEvent,
     Event,
+    MatchedRows,
     MatchedSet,
     TrimPolicy,
     apply_trimming,
     build_matched_sets,
     select_referents,
 )
-from casecross.errors import ConfigurationError, EmptyAnalysisError
-from casecross.exposure import PM25, TEMPERATURE, ExposureSeries, WindowSpec
+from casecross import io
+from casecross.errors import ConfigurationError, EmptyAnalysisError, MissingDataError
+from casecross.exposure import (
+    PM25,
+    TEMPERATURE,
+    ExposureSeries,
+    WindowSpec,
+    link_pm25,
+    link_temperature,
+    windowed_exposure,
+)
+from casecross.simulate import TruthSpec, generate
 
 
 def _series(zone, kind, start, values):
@@ -39,8 +51,8 @@ def _covered_series(zone, start=date(2012, 5, 25), n=130, t0=25.0, a0=8.0):
     )
 
 
-TEMP_W = WindowSpec(TEMPERATURE, 1, "mean")
-PM_W = WindowSpec(PM25, 3, "mean")
+TEMP_W = WindowSpec(TEMPERATURE, 1)
+PM_W = WindowSpec(PM25, 3)
 
 
 class TestSelectReferents:
@@ -87,18 +99,18 @@ class TestBuildMatchedSets:
         events = [Event("s1", "z1", date(2012, 7, 18))]
         sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
         assert drops == []
-        (ms,) = sets
-        assert sum(r.is_case for r in ms.rows) == 1
-        assert len(ms.rows) in (4, 5)
-        case = ms.case_row
-        assert case.date == date(2012, 7, 18)
-        assert case.temperature == temp.values[case.date]
+        assert sets.subject_id.tolist() == ["s1"]
+        assert sets.is_case.sum() == 1
+        assert sets.day.size in (4, 5)
+        (case,) = sets.day[sets.is_case].tolist()
+        assert case == date(2012, 7, 18)
+        assert sets.temperature[sets.is_case][0] == temp.values[case]
         expected_pm = (
-            pm.values[case.date]
-            + pm.values[case.date - timedelta(days=1)]
-            + pm.values[case.date - timedelta(days=2)]
+            pm.values[case]
+            + pm.values[case - timedelta(days=1)]
+            + pm.values[case - timedelta(days=2)]
         ) / 3
-        assert case.pm25_window == expected_pm
+        assert sets.pm25_window[sets.is_case][0] == expected_pm
 
     def test_window_gap_drops_event(self):
         temp, pm = _covered_series("z1")
@@ -108,20 +120,20 @@ class TestBuildMatchedSets:
         pm_gappy = ExposureSeries("z1", PM25, pm_vals)
         events = [Event("s1", "z1", date(2012, 7, 18))]
         sets, drops = build_matched_sets(events, [temp], [pm_gappy], TEMP_W, PM_W)
-        assert sets == []
+        assert len(sets) == 0
         assert drops == [DroppedEvent("s1", REASON_MISSING_EXPOSURE)]
 
     def test_unknown_zone_drops_event(self):
         temp, pm = _covered_series("z1")
         events = [Event("s1", "nowhere", date(2012, 7, 18))]
         sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
-        assert sets == [] and drops[0].reason == REASON_UNKNOWN_ZONE
+        assert len(sets) == 0 and drops[0].reason == REASON_UNKNOWN_ZONE
 
     def test_outside_season_dropped(self):
         temp, pm = _covered_series("z1")
         events = [Event("s1", "z1", date(2012, 3, 7))]
         sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
-        assert sets == [] and drops[0].reason == REASON_OUTSIDE_SEASON
+        assert len(sets) == 0 and drops[0].reason == REASON_OUTSIDE_SEASON
 
     def test_duplicate_subject_keeps_first_event(self):
         temp, pm = _covered_series("z1")
@@ -132,7 +144,7 @@ class TestBuildMatchedSets:
         ]
         sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
         assert len(sets) == 1
-        assert sets[0].case_row.date == date(2012, 7, 18)
+        assert sets.day[sets.is_case].tolist() == [date(2012, 7, 18)]
         assert sorted(d.reason for d in drops) == [REASON_DUPLICATE_SUBJECT] * 2
 
     def test_rejoin_oracle_50_events(self):
@@ -151,22 +163,22 @@ class TestBuildMatchedSets:
             events.append(Event(f"s{k:02d}", zones[k % 5], date(2012, month, day)))
         sets, drops = build_matched_sets(events, temp, pm, TEMP_W, PM_W)
         assert len(sets) + len(drops) == 50
-        by_subject = {s.subject_id: s for s in sets}
+        by_subject = {sid: k for k, sid in enumerate(sets.subject_id)}
         for ev in events:
             if ev.subject_id not in by_subject:
                 continue
-            ms = by_subject[ev.subject_id]
+            rows = sets.set_index == by_subject[ev.subject_id]
             days = sorted(select_referents(ev.case_date) + [ev.case_date])
-            assert [r.date for r in ms.rows] == days
-            for r in ms.rows:
-                assert r.temperature == temp[ev.zone_id].values[r.date]
+            assert sets.day[rows].tolist() == days
+            for d, t, a in zip(days, sets.temperature[rows], sets.pm25_window[rows]):
+                assert t == temp[ev.zone_id].values[d]
                 # windows aggregate chronologically (oldest day first)
                 wanted = (
-                    pm[ev.zone_id].values[r.date - timedelta(days=2)]
-                    + pm[ev.zone_id].values[r.date - timedelta(days=1)]
-                    + pm[ev.zone_id].values[r.date]
+                    pm[ev.zone_id].values[d - timedelta(days=2)]
+                    + pm[ev.zone_id].values[d - timedelta(days=1)]
+                    + pm[ev.zone_id].values[d]
                 ) / 3
-                assert r.pm25_window == wanted
+                assert a == wanted
 
     def test_no_silent_loss(self):
         temp, pm = _covered_series("z1")
@@ -219,8 +231,8 @@ class TestTrimming:
     def test_quantile_one_changes_nothing(self):
         sets = [_set_with_pm(f"s{k}", [5 + k, 6, 7, 8]) for k in range(4)]
         kept, policy, drops = apply_trimming(sets, TrimPolicy(1.0))
-        assert [s.subject_id for s in kept] == [s.subject_id for s in sets]
-        assert all(len(a.rows) == len(b.rows) for a, b in zip(kept, sets))
+        assert kept.subject_id.tolist() == [s.subject_id for s in sets]
+        assert np.bincount(kept.set_index).tolist() == [len(s.rows) for s in sets]
         assert drops == []
         assert policy.computed_threshold == max(r.pm25_window for s in sets for r in s.rows)
 
@@ -230,7 +242,7 @@ class TestTrimming:
         sets = [_set_with_pm(f"s{k:02d}", values[k]) for k in range(25)]
         kept, policy, drops = apply_trimming(sets, TrimPolicy(0.95))
         assert policy.computed_threshold == 95.0
-        surviving = [r.pm25_window for s in kept for r in s.rows]
+        surviving = kept.pm25_window.tolist()
         assert max(surviving) <= 95.0
         dropped_rows = 100 - len(surviving) - sum(
             len(s.rows) for s in sets if s.subject_id in {d.subject_id for d in drops}
@@ -249,7 +261,7 @@ class TestTrimming:
         ]
         kept, policy, drops = apply_trimming(sets, TrimPolicy(0.8))
         assert policy.computed_threshold == 7.0
-        assert [s.subject_id for s in kept] == ["ok"]
+        assert kept.subject_id.tolist() == ["ok"]
         assert drops[0].subject_id == "high_case"
         assert drops[0].reason == REASON_CASE_TRIMMED
 
@@ -261,7 +273,7 @@ class TestTrimming:
         ]
         kept, policy, drops = apply_trimming(sets, TrimPolicy(0.8))
         assert policy.computed_threshold == 5.0
-        assert [s.subject_id for s in kept] == ["ok"]
+        assert kept.subject_id.tolist() == ["ok"]
         assert drops[0].reason == REASON_NO_CONTROLS
 
     def test_threshold_invariant_to_order(self):
@@ -300,3 +312,138 @@ def _thr(sets, q):
     from casecross.quantiles import type1_quantile
 
     return type1_quantile([r.pm25_window for s in sets for r in s.rows], q)
+
+
+def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
+    """The join event by event and day by day, through ``select_referents``
+    and ``windowed_exposure``: columns as lists, and the drop log."""
+    first = {}
+    for ev in events:
+        prev = first.get(ev.subject_id)
+        if prev is None or ev.case_date < prev.case_date:
+            first[ev.subject_id] = ev
+    cols = {k: [] for k in ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window")}
+    drops = []
+    for ev in events:
+        if first[ev.subject_id] is not ev:
+            drops.append(DroppedEvent(ev.subject_id, REASON_DUPLICATE_SUBJECT))
+            continue
+        if not season[0] <= ev.case_date.month <= season[1]:
+            drops.append(DroppedEvent(ev.subject_id, REASON_OUTSIDE_SEASON))
+            continue
+        if ev.zone_id not in temp or ev.zone_id not in pm:
+            drops.append(DroppedEvent(ev.subject_id, REASON_UNKNOWN_ZONE))
+            continue
+        days = sorted(select_referents(ev.case_date) + [ev.case_date])
+        try:
+            values = [
+                (windowed_exposure(temp[ev.zone_id], d, temp_w), windowed_exposure(pm[ev.zone_id], d, pm_w))
+                for d in days
+            ]
+        except MissingDataError:
+            drops.append(DroppedEvent(ev.subject_id, REASON_MISSING_EXPOSURE))
+            continue
+        for d, (t, a) in zip(days, values):
+            cols["set_index"].append(len(cols["subject_id"]))
+            cols["day"].append(d)
+            cols["is_case"].append(d == ev.case_date)
+            cols["temperature"].append(t)
+            cols["pm25_window"].append(a)
+        cols["subject_id"].append(ev.subject_id)
+    return cols, drops
+
+
+def _assert_exact(events, temp, pm, temp_w, pm_w, season=(6, 9)):
+    rows, drops = build_matched_sets(events, temp, pm, temp_w, pm_w, season_months=season)
+    cols, ref_drops = _reference_join(events, temp, pm, temp_w, pm_w, season)
+    assert rows.subject_id.tolist() == cols["subject_id"]
+    assert rows.set_index.tolist() == cols["set_index"]
+    assert rows.day.dtype == np.dtype("datetime64[D]")
+    assert rows.day.tolist() == cols["day"]
+    assert rows.is_case.tolist() == cols["is_case"]
+    for name in ("temperature", "pm25_window"):
+        # bit for bit, signed zeros included
+        assert getattr(rows, name).tobytes() == np.array(cols[name], dtype=float).tobytes(), name
+    assert drops == ref_drops
+    return rows, drops
+
+
+class TestMatchedRowsExactness:
+    """``build_matched_sets`` against a per-day reference built in the test."""
+
+    @pytest.mark.parametrize("temp_days, pm_days", [(1, 1), (1, 3), (3, 1), (3, 3)])
+    def test_shipped_data(self, temp_days, pm_days):
+        data = Path(__file__).resolve().parent.parent / "data" / "synth"
+        cells = io.read_grid_cells(data / "grid.csv")
+        zones = io.read_zones(data / "zones.csv", io.read_membership(data / "membership.csv"))
+        temp = {s.zone_id: s for s in link_temperature(cells, zones, io.read_daily_field(data / "temperature_field.csv"))}
+        pm = {s.zone_id: s for s in link_pm25(cells, zones, io.read_daily_field(data / "pm25_field.csv"))}
+        events = io.read_events(data / "events.csv")
+        rows, drops = _assert_exact(
+            events, temp, pm, WindowSpec(TEMPERATURE, temp_days), WindowSpec(PM25, pm_days)
+        )
+        assert len(rows) + len(drops) == len(events)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_generated_data_with_every_drop_reason(self, window):
+        data = generate(TruthSpec(n_zones=6, seed=11), 300)
+        rng = np.random.default_rng(window)
+        temp = dict(data.temperature_series)
+        pm = dict(data.pm25_series)
+        # gaps: drop scattered days from two zones' series, one of each kind
+        for series, zone_id in ((temp, "z001"), (pm, "z004")):
+            values = dict(series[zone_id].values)
+            for day in rng.choice(sorted(values), size=6, replace=False):
+                del values[day]
+            series[zone_id] = ExposureSeries(zone_id, series[zone_id].exposure_kind, values)
+        # a series that starts on July 1: windows of early July reach before it
+        temp["z003"] = ExposureSeries(
+            "z003", TEMPERATURE, {d: v for d, v in temp["z003"].values.items() if d >= date(2012, 7, 1)}
+        )
+        del pm["z005"]                    # known to temperature only
+        pm["z000"] = ExposureSeries("z000", PM25, {})       # no pm25 data at all
+        events = list(data.events[:200])
+        events += [
+            Event("u1", "nowhere", date(2012, 7, 18)),
+            Event("u2", "z005", date(2012, 7, 18)),
+            Event("o1", "z002", date(2012, 5, 30)),
+            Event("o2", "z002", date(2012, 10, 3)),
+            Event("early", "z003", date(2012, 7, 2)),   # z003's second temperature day
+            Event(events[3].subject_id, "z002", date(2012, 9, 4)),  # later duplicate
+            Event(events[5].subject_id, "z001", date(2012, 6, 2)),  # earlier duplicate
+            Event("d1", "z002", date(2012, 5, 2)),      # first event out of season
+            Event("d1", "z002", date(2012, 8, 2)),
+            Event("d2", "z003", date(2012, 8, 9)),      # same-day duplicate: first kept
+            Event("d2", "z002", date(2012, 8, 9)),
+        ]
+        order = rng.permutation(len(events))
+        events = [events[k] for k in order]
+        rows, drops = _assert_exact(
+            events, temp, pm, WindowSpec(TEMPERATURE, window), WindowSpec(PM25, window)
+        )
+        reasons = {d.reason for d in drops}
+        assert reasons == {
+            REASON_DUPLICATE_SUBJECT, REASON_OUTSIDE_SEASON, REASON_UNKNOWN_ZONE, REASON_MISSING_EXPOSURE,
+        }
+        assert len(rows) + len(drops) == len(events)
+
+    def test_no_events(self):
+        temp, pm = _covered_series("z1")
+        rows, drops = _assert_exact([], [temp], [pm], TEMP_W, PM_W)
+        assert len(rows) == 0 and drops == []
+
+    def test_from_sets_matches_the_build(self):
+        temp, pm = _covered_series("z1")
+        events = [Event(f"s{k}", "z1", date(2012, 7, 2 + k)) for k in range(20)]
+        rows, _ = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        sets = [
+            MatchedSet(ev.subject_id, [
+                DayRecord(d, d == ev.case_date, windowed_exposure(temp, d, TEMP_W), windowed_exposure(pm, d, PM_W))
+                for d in sorted(select_referents(ev.case_date) + [ev.case_date])
+            ])
+            for ev in events
+        ]
+        table = MatchedRows.from_sets(sets)
+        assert MatchedRows.from_sets(table) is table
+        for name in ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window"):
+            assert np.array_equal(getattr(table, name), getattr(rows, name)), name

@@ -18,7 +18,6 @@ from casecross.effects import (
 from casecross.errors import UnsupportedModelError
 from casecross.splines import (
     LINEAR_INTERACTION,
-    NATURAL_CUBIC,
     TENSOR_PRODUCT,
     BasisSpec,
     InteractionSpec,
@@ -29,14 +28,14 @@ LEVELS = ContrastLevels(t0=25.0, t1=35.0, a0=8.0, a1=16.0, provenance="user")
 
 
 def linear_model(t_range=(10.0, 45.0), a_range=(0.0, 25.0)):
-    t = BasisSpec(NATURAL_CUBIC, 1, (), t_range)
-    a = BasisSpec(NATURAL_CUBIC, 1, (), a_range)
+    t = BasisSpec(1, (), t_range)
+    a = BasisSpec(1, (), a_range)
     return ModelBasis(t, a, InteractionSpec(LINEAR_INTERACTION))
 
 
 def spline_model():
-    t = BasisSpec(NATURAL_CUBIC, 3, (20.0, 30.0), (10.0, 45.0))
-    a = BasisSpec(NATURAL_CUBIC, 3, (6.0, 12.0), (0.0, 25.0))
+    t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
+    a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
     return ModelBasis(t, a, InteractionSpec(LINEAR_INTERACTION))
 
 
@@ -236,8 +235,8 @@ class TestMultInteraction:
         assert est.interval == (est.point, est.point)
 
     def test_tensor_model_unsupported(self):
-        t = BasisSpec(NATURAL_CUBIC, 3, (20.0, 30.0), (10.0, 45.0))
-        a = BasisSpec(NATURAL_CUBIC, 3, (6.0, 12.0), (0.0, 25.0))
+        t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
+        a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
         model = ModelBasis(t, a, InteractionSpec(TENSOR_PRODUCT, t, a))
         fit = bayes_fit(model, np.zeros((50, model.dimension)))
         with pytest.raises(UnsupportedModelError):

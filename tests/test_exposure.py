@@ -14,6 +14,7 @@ from casecross.exposure import (
     Zone,
     link_pm25,
     link_temperature,
+    trailing_mean,
     nearest_cells,
     windowed_exposure,
 )
@@ -169,12 +170,12 @@ class TestWindowedExposure:
 
     def test_three_day_mean(self):
         series = self._series([10.0, 12.0, 14.0])
-        spec = WindowSpec(PM25, 3, "mean")
+        spec = WindowSpec(PM25, 3)
         assert windowed_exposure(series, D, spec) == 12.0
 
     def test_same_day_identity(self):
         series = self._series([10.0, 12.0, 14.0])
-        spec = WindowSpec(PM25, 1, "mean")
+        spec = WindowSpec(PM25, 1)
         for back, want in ((2, 10.0), (1, 12.0), (0, 14.0)):
             assert windowed_exposure(series, D - timedelta(days=back), spec) == want
 
@@ -183,17 +184,15 @@ class TestWindowedExposure:
         vals = [float(v) for v in rng.uniform(0, 40, size=60)]
         series = self._series(vals)
         days = sorted(series.values)
-        for agg in ("mean", "max"):
-            spec = WindowSpec(PM25, 3, agg)
-            for k in range(2, 60):
-                window = vals[k - 2 : k + 1]
-                want = max(window) if agg == "max" else sum(window) / 3
-                assert windowed_exposure(series, days[k], spec) == want
+        spec = WindowSpec(PM25, 3)
+        for k in range(2, 60):
+            window = vals[k - 2 : k + 1]
+            assert windowed_exposure(series, days[k], spec) == sum(window) / 3
 
     def test_gap_raises_and_names_the_date(self):
         series = ExposureSeries("z", PM25, {D: 5.0, D - timedelta(days=2): 4.0})
         with pytest.raises(MissingDataError) as err:
-            windowed_exposure(series, D, WindowSpec(PM25, 3, "mean"))
+            windowed_exposure(series, D, WindowSpec(PM25, 3))
         assert err.value.gap_date == D - timedelta(days=1)
         assert err.value.zone_id == "z"
 
@@ -201,14 +200,32 @@ class TestWindowedExposure:
         series = self._series([3.5] * 30)
         days = sorted(series.values)
         for window in (1, 2, 3, 7):
-            for agg in ("mean", "max"):
-                spec = WindowSpec(PM25, window, agg)
-                assert windowed_exposure(series, days[-1], spec) == 3.5
+            spec = WindowSpec(PM25, window)
+            assert windowed_exposure(series, days[-1], spec) == 3.5
+
+    @pytest.mark.parametrize("window", range(1, 9))
+    def test_trailing_mean_matches_per_day_windows(self, window):
+        rng = np.random.default_rng(window)
+        vals = rng.uniform(0, 40, size=80) * rng.uniform(0.1, 10, size=80)
+        vals[[0, 17, 40]] = -0.0
+        vals[[9, 55]] = np.nan
+        days = [D - timedelta(days=79 - j) for j in range(80)]
+        series = ExposureSeries(
+            "z", PM25, {d: v for d, v in zip(days, vals.tolist()) if not np.isnan(v)}
+        )
+        got = trailing_mean(vals, window)
+        for k, day in enumerate(days):
+            try:
+                want = windowed_exposure(series, day, WindowSpec(PM25, window))
+            except MissingDataError:
+                want = np.nan
+            # bit for bit, signed zeros included
+            assert np.array(got[k]).tobytes() == np.array(want).tobytes(), k
 
     def test_kind_mismatch(self):
         series = self._series([1.0, 2.0, 3.0])
         with pytest.raises(ConfigurationError):
-            windowed_exposure(series, D, WindowSpec(TEMPERATURE, 1, "mean"))
+            windowed_exposure(series, D, WindowSpec(TEMPERATURE, 1))
 
 
 class TestValidation:
@@ -228,6 +245,4 @@ class TestValidation:
 
     def test_window_spec_validation(self):
         with pytest.raises(ConfigurationError):
-            WindowSpec(PM25, 0, "mean")
-        with pytest.raises(ConfigurationError):
-            WindowSpec(PM25, 3, "median")
+            WindowSpec(PM25, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from casecross.clr import ConditionalLikelihood, fit_mle
-from casecross.design import build_matched_sets
+from casecross.design import MatchedRows, build_matched_sets
 from casecross.simulate import (
     TruthSpec,
     brute_force_set_probability,
@@ -60,14 +60,10 @@ class TestGenerate:
             data.temperature_window,
             data.pm25_window,
         )
-        by_subject = {s.subject_id: s for s in sets}
-        for pre in data.sets:
-            joined = by_subject[pre.subject_id]
-            assert [r.date for r in pre.rows] == [r.date for r in joined.rows]
-            for r1, r2 in zip(pre.rows, joined.rows):
-                assert r1.is_case == r2.is_case
-                assert r1.temperature == pytest.approx(r2.temperature, rel=1e-12)
-                assert r1.pm25_window == pytest.approx(r2.pm25_window, rel=1e-12)
+        # both sides window through exposure.trailing_mean: equal bit for bit
+        pre = MatchedRows.from_sets(data.sets)
+        for name in ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window"):
+            assert np.array_equal(getattr(pre, name), getattr(sets, name)), name
 
     def test_null_truth_uniform_case_position(self):
         data = generate(TruthSpec(n_zones=20, seed=6), 10000)

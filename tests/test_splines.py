@@ -7,7 +7,6 @@ from casecross.design import DayRecord, MatchedSet
 from casecross.errors import ConfigurationError, DegenerateDataError
 from casecross.splines import (
     LINEAR_INTERACTION,
-    NATURAL_CUBIC,
     TENSOR_PRODUCT,
     BasisSpec,
     InteractionSpec,
@@ -20,7 +19,7 @@ from casecross.splines import (
 
 
 def _spec(boundary=(0.0, 30.0), interior=(10.0, 20.0)):
-    return BasisSpec(NATURAL_CUBIC, len(interior) + 1, tuple(interior), boundary)
+    return BasisSpec(len(interior) + 1, tuple(interior), boundary)
 
 
 def fd_second_derivative(spec, x, h):
@@ -97,7 +96,7 @@ class TestSmoothness:
             lo = float(rng.uniform(-5, 0))
             hi = float(rng.uniform(20, 40))
             interior = tuple(sorted(rng.uniform(lo + 2, hi - 2, size=2)))
-            spec = BasisSpec(NATURAL_CUBIC, 3, interior, (lo, hi))
+            spec = BasisSpec(3, interior, (lo, hi))
             h = 1e-3 * (hi - lo)
             for knot in interior:
                 left = 2 * fd_second_derivative(spec, knot - 2 * h, h) - fd_second_derivative(
@@ -229,12 +228,12 @@ class TestDesignMatrix:
 class TestBasisSpecValidation:
     def test_boundary_ordering(self):
         with pytest.raises(ConfigurationError):
-            BasisSpec(NATURAL_CUBIC, 3, (1.0, 2.0), (5.0, 0.0))
+            BasisSpec(3, (1.0, 2.0), (5.0, 0.0))
 
     def test_knot_count_consistency(self):
         with pytest.raises(ConfigurationError):
-            BasisSpec(NATURAL_CUBIC, 3, (1.0,), (0.0, 5.0))
+            BasisSpec(3, (1.0,), (0.0, 5.0))
 
     def test_interior_strictly_inside(self):
         with pytest.raises(ConfigurationError):
-            BasisSpec(NATURAL_CUBIC, 3, (0.0, 2.0), (0.0, 5.0))
+            BasisSpec(3, (0.0, 2.0), (0.0, 5.0))

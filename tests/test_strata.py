@@ -37,8 +37,8 @@ def shipped_design(name):
         io.read_events(cfg.events),
         link_temperature(cells, zones, io.read_daily_field(cfg.temperature_field)),
         link_pm25(cells, zones, io.read_daily_field(cfg.pm25_field)),
-        WindowSpec(TEMPERATURE, cfg.temperature_window_days, "mean"),
-        WindowSpec(PM25, cfg.pm25_window_days, "mean"),
+        WindowSpec(TEMPERATURE, cfg.temperature_window_days),
+        WindowSpec(PM25, cfg.pm25_window_days),
         season_months=cfg.season_months,
     )
     sets, _, _ = apply_trimming(sets, TrimPolicy(cfg.trim_quantile))
