@@ -30,8 +30,8 @@ print("=" * 60)
 
 truth = linear_truth(*TRUTH.values(), n_zones=30, seed=11)
 data = generate(truth, 5000)
-model = fit_model_basis(data.sets, "spline_linear", temperature_df=1, pm25_df=1)
-lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+model = fit_model_basis(data.rows, "spline_linear", temperature_df=1, pm25_df=1)
+lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
 print(
     f"\nsets: {lik.n_sets}   strata: {lik.n_strata}   rows: {lik.n_rows}   "
     f"coefficients: {lik.dimension}"

@@ -11,7 +11,6 @@ import numpy as np
 
 from casecross import (
     ConditionalLikelihood,
-    MatchedRows,
     PriorSpec,
     SamplerConfig,
     case_day_levels,
@@ -33,7 +32,7 @@ print("=" * 60)
 
 truth = linear_truth(0.06, 0.02, 0.002, n_zones=25, seed=99)
 data = generate(truth, 3000)
-rows = MatchedRows.from_sets(data.sets)   # the generator's sets as one table
+rows = data.rows   # the generator's matched sets as one table
 model = fit_model_basis(rows, "spline_linear", temperature_df=3, pm25_df=3)
 lik = ConditionalLikelihood.from_design_matrix(design_matrix(rows, model))
 fit = fit_bayes(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -113,10 +114,18 @@ def _cmd_validate(args) -> int:
 def _cmd_synth(args) -> int:
     if args.seed is None:
         raise ConfigurationError("synth requires --seed")
-    truth = linear_truth(
-        args.slope_t, args.slope_a, args.gamma, n_zones=args.zones, seed=args.seed
-    )
-    data = generate(truth, args.events)
+    for flag, value, low in (("--events", args.events, 0), ("--zones", args.zones, 1)):
+        if value < low:
+            raise ConfigurationError(f"{flag} must be at least {low}, got {value}")
+    slopes = {"--slope-t": args.slope_t, "--slope-a": args.slope_a, "--gamma": args.gamma}
+    for flag, value in slopes.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value}")
+    truth = linear_truth(*slopes.values(), n_zones=args.zones, seed=args.seed)
+    try:
+        data = generate(truth, args.events)
+    except ValueError as exc:  # finite slopes whose log-odds overflow
+        raise ConfigurationError(f"{', '.join(slopes)}: {exc}") from None
     out = Path(args.out)
     io.write_rows(out / "grid.csv", ["cell_id", "lat", "lon"],
                   [(c.cell_id, c.lat, c.lon) for c in data.cells])

@@ -176,6 +176,14 @@ def select_referents(case_date: Date) -> list[Date]:
     return [d for d in days if d.month == case_date.month]
 
 
+def _stratum_days(anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each day ``anchor + 7k`` in its anchor's month, ascending per anchor, as
+    (anchor index, ``_WEEKS`` index, day): the referent rule of the design."""
+    days = anchor[:, np.newaxis] + _WEEKS
+    which, week = np.nonzero(days.astype("datetime64[M]") == anchor[:, np.newaxis].astype("datetime64[M]"))
+    return which, week, days[which, week]
+
+
 def build_matched_sets(
     events: list[Event],
     temperature_series: list[ExposureSeries] | dict[str, ExposureSeries],
@@ -203,8 +211,7 @@ def build_matched_sets(
     subject = np.array([ev.subject_id for ev in events], dtype=object)
     case_day = np.array([ev.case_date for ev in events], dtype="datetime64[D]")
     zone = np.array([known.get(ev.zone_id, -1) for ev in events], dtype=int)
-    month = case_day.astype("datetime64[M]")
-    month_of_year = month.astype(int) % 12 + 1
+    month_of_year = case_day.astype("datetime64[M]").astype(int) % 12 + 1
 
     _, subj = np.unique(subject, return_inverse=True)
     order = np.lexsort((np.arange(n), case_day, subj))
@@ -218,9 +225,8 @@ def build_matched_sets(
     ).astype(object)
 
     cand = np.flatnonzero(reason == "")
-    days = case_day[cand, np.newaxis] + _WEEKS
-    set_of_row, week = np.nonzero(days.astype("datetime64[M]") == month[cand, np.newaxis])
-    row_zone, row_day = zone[cand][set_of_row], days[set_of_row, week]
+    set_of_row, week, row_day = _stratum_days(case_day[cand])
+    row_zone = zone[cand][set_of_row]
     t = _windowed(temp_by_zone, known, temperature_window, row_zone, row_day)
     a = _windowed(pm_by_zone, known, pm25_window, row_zone, row_day)
     missing = np.bincount(set_of_row, weights=np.isnan(t) | np.isnan(a), minlength=cand.size) > 0

@@ -7,20 +7,23 @@ stratum with probability proportional to exp(f + g + h) evaluated on the
 windowed covariates - exactly the conditional model, so the stratified
 regression estimand equals the generating truth by construction.
 
+All strata, their days taken by the design's referent rule, form one padded
+array, and every case day is drawn at once into one ``MatchedRows`` table,
+``SyntheticData.rows``; ``.sets`` builds ``MatchedSet`` objects on first read.
+
 The module also houses the deliberately naive brute-force oracle used to
 check the stabilized likelihood.
 """
 
 from __future__ import annotations
 
-import calendar
 from dataclasses import dataclass, field
-from datetime import date as Date, timedelta
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .design import DayRecord, Event, MatchedSet
+from .design import DayRecord, Event, MatchedRows, MatchedSet, _stratum_days
 from .exposure import PM25, TEMPERATURE, ExposureSeries, GridCell, WindowSpec, Zone, trailing_mean
 
 __all__ = [
@@ -67,6 +70,13 @@ class TruthSpec:
             raise ValueError(f"cross correlation must be in (-1, 1), got {self.cross_corr}")
         if not (1 <= self.season_months[0] <= self.season_months[1] <= 12):
             raise ValueError(f"invalid season months {self.season_months}")
+        if self.n_zones < 1:
+            raise ValueError(f"n_zones must be at least 1, got {self.n_zones}")
+        years = sorted(self.years)
+        if not years or len(set(years)) < len(years):
+            raise ValueError(f"years must be non-empty and distinct, got {self.years}")
+        if any(_season_days(self, y)[0] <= _season_days(self, x)[-1] for x, y in zip(years, years[1:])):
+            raise ValueError(f"years {self.years}: a season's lookback reaches into an earlier season")
 
 
 @dataclass
@@ -74,12 +84,20 @@ class SyntheticData:
     events: list[Event]
     temperature_series: dict[str, ExposureSeries]
     pm25_series: dict[str, ExposureSeries]
-    sets: list[MatchedSet]
+    rows: MatchedRows
     cells: list[GridCell]
     zones: list[Zone]
     membership: list[tuple[str, str]] = field(default_factory=list)
     temperature_window: WindowSpec = WindowSpec(TEMPERATURE, 1)
     pm25_window: WindowSpec = WindowSpec(PM25, 3)
+
+    @cached_property
+    def sets(self) -> list[MatchedSet]:
+        """``rows`` as checked ``MatchedSet`` objects, built on first read."""
+        r = self.rows
+        records = list(map(DayRecord, *(c.tolist() for c in (r.day, r.is_case, r.temperature, r.pm25_window))))
+        ends = np.cumsum(np.bincount(r.set_index, minlength=len(r))).tolist()
+        return [MatchedSet(sid, records[b:e]) for sid, b, e in zip(r.subject_id.tolist(), [0, *ends], ends)]
 
 
 def linear_truth(slope_t: float, slope_a: float, gamma: float, **kwargs) -> TruthSpec:
@@ -92,16 +110,17 @@ def linear_truth(slope_t: float, slope_a: float, gamma: float, **kwargs) -> Trut
     )
 
 
-def _season_dates(year: int, months: tuple[int, int], lookback: int) -> list[Date]:
-    start = Date(year, months[0], 1) - timedelta(days=lookback)
-    end = Date(year, months[1], calendar.monthrange(year, months[1])[1])
-    return [start + timedelta(days=k) for k in range((end - start).days + 1)]
+def _season_days(truth: TruthSpec, year: int) -> np.ndarray:
+    """The days of ``year``'s season, led by a lookback of the longest window + 3 days."""
+    lo, hi = truth.season_months
+    lookback = max(truth.temperature_window_days, truth.pm25_window_days) + 3
+    return np.arange(np.datetime64(f"{year}-{lo:02d}-01") - lookback, np.datetime64(f"{year}-{hi:02d}") + 1)
 
 
-def _simulate_series(truth: TruthSpec, rng: np.random.Generator, dates: list[Date]):
-    """One zone's daily temperature and pm25 values over ``dates``."""
-    n = len(dates)
-    doy = np.array([d.timetuple().tm_yday for d in dates], dtype=float)
+def _simulate_series(truth: TruthSpec, rng: np.random.Generator, days: np.ndarray):
+    """One zone's daily temperature and pm25 values over ``days``."""
+    n = days.size
+    doy = (days - days.astype("datetime64[Y]")).astype(int) + 1.0
     # gentle mid-summer hump
     t_mu = truth.t_mean + truth.t_season_amp * np.sin((doy - 150.0) / 130.0 * np.pi)
     eps = rng.standard_normal((n, 2))
@@ -124,7 +143,7 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
 
     Deterministic for a given ``truth.seed``. Events are emitted alongside
     the series (and a one-cell-per-zone grid) in the shapes the linkage and
-    design modules consume, plus the already-joined matched sets.
+    design modules consume, plus the already-joined matched rows.
     """
     rng = np.random.default_rng(np.random.SeedSequence(truth.seed))
     zone_ids = [f"z{k:03d}" for k in range(truth.n_zones)]
@@ -139,99 +158,64 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
         zones.append(Zone(zid, lat, lon, frozenset({cid})))
         membership.append((zid, cid))
 
-    lookback = max(truth.temperature_window_days, truth.pm25_window_days) + 3
+    seasons = [_season_days(truth, year) for year in truth.years]
+    days = np.concatenate(seasons)
+    dates = days.tolist()
     temp_series: dict[str, ExposureSeries] = {}
     pm_series: dict[str, ExposureSeries] = {}
-    per_zone_windows: dict[str, tuple[list[Date], np.ndarray, np.ndarray]] = {}
+    t_win, a_win = [], []
     for zid in zone_ids:
-        seasons = [_season_dates(year, truth.season_months, lookback) for year in truth.years]
-        temps, pms = zip(*(_simulate_series(truth, rng, dates) for dates in seasons))
-        dates_all = [d for dates in seasons for d in dates]
-        temp = dict(zip(dates_all, np.concatenate(temps).tolist()))
-        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, temp)
-        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates_all, np.concatenate(pms).tolist())))
+        temps, pms = zip(*(_simulate_series(truth, rng, season) for season in seasons))
+        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, dict(zip(dates, np.concatenate(temps).tolist())))
+        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates, np.concatenate(pms).tolist())))
         # one season's days are contiguous; windows never span two seasons
-        per_zone_windows[zid] = (
-            dates_all,
-            np.concatenate([trailing_mean(t, truth.temperature_window_days) for t in temps]),
-            np.concatenate([trailing_mean(a, truth.pm25_window_days) for a in pms]),
-        )
+        t_win.append(np.concatenate([trailing_mean(t, truth.temperature_window_days) for t in temps]))
+        a_win.append(np.concatenate([trailing_mean(a, truth.pm25_window_days) for a in pms]))
 
-    strata = _enumerate_strata(truth, zone_ids, per_zone_windows)
-    cums = [np.cumsum(s["probs"]) for s in strata]
+    # strata in zone, year, month, weekday order: a stratum's anchor is the
+    # first of its weekday in the month, so its days are the anchor's weeks
+    lo, hi = truth.season_months
+    month = 12 * (np.array(truth.years)[:, np.newaxis] - 1970) + np.arange(lo - 1, hi)
+    first = month.ravel().astype("datetime64[M]").astype("datetime64[D]")[:, np.newaxis]
+    anchor = (first + (np.arange(7) - first.astype(int) - 3) % 7).ravel()  # 1970-01-01: Thursday
+    stratum, _, day = _stratum_days(anchor)
+    size = np.bincount(stratum, minlength=anchor.size)
+    valid = np.arange(size.max()) < size[:, np.newaxis]
+    padded = np.repeat(anchor[:, np.newaxis], size.max(), axis=1)
+    padded[valid] = day  # the padding repeats the anchor: in season, and no new maximum
+    order = np.argsort(days)
+    at = order[np.searchsorted(days, padded, sorter=order)]
 
-    events: list[Event] = []
-    sets: list[MatchedSet] = []
-    which = rng.integers(0, len(strata), size=n_events)
+    t, a = (np.take(np.stack(w), at, axis=1) for w in (t_win, a_win))  # (zones, strata, days)
+    lam = np.asarray(truth.f(t) + truth.g(a) + truth.h(t, a), dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("truth functions are not finite on the generated exposure range")
+    p = np.where(valid, np.exp(lam - lam.max(axis=2, keepdims=True)), 0.0)
+    cum = np.cumsum(p, axis=2).reshape(-1, size.max())
+
+    which = rng.integers(0, cum.shape[0], size=n_events)
     u = rng.uniform(size=n_events)
-    for i in range(n_events):
-        st = strata[int(which[i])]
-        cum = cums[int(which[i])]
-        pos = int(np.searchsorted(cum, u[i] * cum[-1], side="right"))
-        pos = min(pos, len(st["dates"]) - 1)
-        subject = f"s{i:06d}"
-        case_date = st["dates"][pos]
-        events.append(Event(subject, st["zone"], case_date))
-        rows = [
-            DayRecord(
-                date=st["dates"][j],
-                is_case=(j == pos),
-                temperature=float(st["t"][j]),
-                pm25_window=float(st["a"][j]),
-            )
-            for j in range(len(st["dates"]))
-        ]
-        sets.append(MatchedSet(subject, rows))
+    zone, s = np.divmod(which, anchor.size)
+    # searchsorted(side="right") of u * total in the stratum's cumulative sums
+    pos = np.minimum((cum[which] <= (u * cum[which, -1])[:, np.newaxis]).sum(axis=1), size[s] - 1)
 
+    subject = np.array([f"s{i:06d}" for i in range(n_events)], dtype=object)
+    set_index, col = np.nonzero(valid[s])
+    row_zone, row_s = zone[set_index], s[set_index]
+    rows = MatchedRows(subject, set_index, padded[row_s, col], col == pos[set_index],
+                       t[row_zone, row_s, col], a[row_zone, row_s, col])
+    events = list(map(Event, subject.tolist(), np.array(zone_ids)[zone].tolist(), padded[s, pos].tolist()))
     return SyntheticData(
         events=events,
         temperature_series=temp_series,
         pm25_series=pm_series,
-        sets=sets,
+        rows=rows,
         cells=cells,
         zones=zones,
         membership=membership,
         temperature_window=WindowSpec(TEMPERATURE, truth.temperature_window_days),
         pm25_window=WindowSpec(PM25, truth.pm25_window_days),
     )
-
-
-def _enumerate_strata(truth: TruthSpec, zone_ids, per_zone_windows):
-    """All (zone, year, month, weekday) strata with windowed covariates and
-    case-day selection probabilities."""
-    strata = []
-    for zid in zone_ids:
-        dates_all, t_win, a_win = per_zone_windows[zid]
-        index = {d: k for k, d in enumerate(dates_all)}
-        for year in truth.years:
-            for month in range(truth.season_months[0], truth.season_months[1] + 1):
-                for weekday in range(7):
-                    days = [
-                        d for d in dates_all
-                        if d.year == year and d.month == month and d.weekday() == weekday
-                    ]
-                    if len(days) < 2:
-                        continue
-                    idx = [index[d] for d in days]
-                    t = t_win[idx]
-                    a = a_win[idx]
-                    if np.any(np.isnan(t)) or np.any(np.isnan(a)):
-                        continue
-                    lam = (
-                        np.asarray(truth.f(t), dtype=float)
-                        + np.asarray(truth.g(a), dtype=float)
-                        + np.asarray(truth.h(t, a), dtype=float)
-                    )
-                    if not np.all(np.isfinite(lam)):
-                        raise ValueError(
-                            "truth functions are not finite on the generated exposure range"
-                        )
-                    lam = lam - lam.max()
-                    p = np.exp(lam)
-                    strata.append({"zone": zid, "dates": days, "t": t, "a": a, "probs": p})
-    if not strata:
-        raise ValueError("no usable strata: every month-weekday cell is degenerate")
-    return strata
 
 
 def brute_force_set_probability(beta, case_row, control_rows) -> np.ndarray:

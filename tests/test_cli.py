@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from casecross.cli import (
     main,
 )
 from casecross.config import AnalysisConfig
+from casecross.errors import ConvergenceError
 from casecross.pipeline import run
 
 
@@ -76,6 +78,60 @@ class TestSynth:
         assert names == sorted(p.name for p in tmp_path.iterdir())
         for name in names:
             assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+    def test_synth_builds_no_per_row_objects(self, tmp_path, monkeypatch):
+        from casecross import design
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the synth path")
+
+        monkeypatch.setattr(design.MatchedSet, "__init__", refuse)
+        monkeypatch.setattr(design.DayRecord, "__init__", refuse)
+        shipped = Path(__file__).resolve().parent.parent / "data" / "synth"
+        assert main([
+            "-q", "synth", "--out", str(tmp_path), "--seed", "20120601",
+            "--events", "1500", "--zones", "40",
+        ]) == EXIT_OK
+        for path in shipped.iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_benchmark_dataset_is_pinned(self, tmp_path):
+        # the synth30k benchmark workload analyses exactly this output
+        want = {
+            "events.csv": "f34624bb41aeba904951b2ed874e5d5db5f6464d441cff8360f1524efddb19d7",
+            "grid.csv": "51a7deee2f66da849fdc53db5ddca1fee982764504346f33cbe8d3362926a6f1",
+            "membership.csv": "91ff4cd09e2900ef4807fd4b9252d65f8955cd849dd04a12f86b1772991805ec",
+            "pm25_field.csv": "46a665aabf585ecbf8101e289c187b88124c27a14c5c553d17b3b710e5800035",
+            "temperature_field.csv": "8a95571b5737aeaff413546e624cd9c2eb535453e1eae2abde717584fff9de2f",
+            "zones.csv": "7bdc16e729d93a7cadcc2c7249e3fd2e0080b79291f01479f64054bdac52eeb1",
+        }
+        assert main([
+            "-q", "synth", "--out", str(tmp_path), "--seed", "7",
+            "--events", "30000", "--zones", "200",
+        ]) == EXIT_OK
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--events", "-1"),
+            ("--zones", "0"),
+            ("--gamma", "inf"),
+            ("--slope-t", "nan"),
+            ("--slope-a", "-inf"),
+            ("--gamma", "1e308"),
+        ],
+    )
+    def test_bad_number_exits_2_naming_flag(self, tmp_path, capsys, flag, value):
+        code = main(["-q", "synth", "--out", str(tmp_path / "d"), "--seed", "1",
+                     "--zones", "3", f"{flag}={value}"])
+        assert code == EXIT_INPUT_ERROR
+        assert flag in capsys.readouterr().err
+
+    def test_zero_events_exits_0(self, tmp_path):
+        assert main(["-q", "synth", "--out", str(tmp_path), "--seed", "1", "--events", "0"]) == EXIT_OK
+        assert (tmp_path / "events.csv").read_text() == "subject_id,zone_id,case_date\n"
 
 
 class TestValidate:
@@ -222,6 +278,18 @@ class TestRunAll:
         monkeypatch.setattr(design.DayRecord, "__init__", refuse)
         config = Path(__file__).resolve().parent.parent / "configs" / "main.json"
         assert main(["-q", "run-all", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_convergence_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        from casecross import pipeline
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("hessian is singular even after ridge restart")
+
+        monkeypatch.setattr(pipeline, "fit_mle", fail)
+        config = Path(__file__).resolve().parent.parent / "configs" / "main.json"
+        code = main(["-q", "run-all", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT_ERROR
+        assert "hessian is singular" in capsys.readouterr().err
 
     def test_unknown_zone_events_logged_not_fatal(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=60, zones=4)

@@ -151,8 +151,8 @@ class TestFitMle:
     def test_recovers_generating_slopes(self):
         truth = linear_truth(0.08, 0.03, 0.002, seed=11)
         data = generate(truth, 5000)
-        model = fit_model_basis(data.sets, "spline_linear", 1, 1)
-        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+        model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
         fit = fit_mle(lik)
         assert fit.diagnostics.converged
         want = np.array([0.08, 0.03, 0.002])
@@ -201,8 +201,8 @@ class TestFitBayes:
     def _sharp_likelihood(self):
         truth = linear_truth(0.08, 0.03, 0.002, seed=12)
         data = generate(truth, 5000)
-        model = fit_model_basis(data.sets, "spline_linear", 1, 1)
-        return ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+        model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+        return ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
 
     def test_flat_likelihood_recovers_prior(self):
         row = np.array([1.0, 2.0])

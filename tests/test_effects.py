@@ -266,8 +266,8 @@ class TestMultInteraction:
         gamma = 0.002
         truth = linear_truth(0.05, 0.02, gamma, n_zones=25, seed=41)
         data = generate(truth, 5000)
-        model = fit_model_basis(data.sets, "spline_linear", 1, 1)
-        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+        model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
         est = mult_interaction(fit_mle(lik))
         assert est.interval[0] < np.exp(gamma) < est.interval[1]
 

@@ -2,14 +2,70 @@ import numpy as np
 import pytest
 
 from casecross.clr import ConditionalLikelihood, fit_mle
-from casecross.design import MatchedRows, build_matched_sets
+from casecross.design import MatchedRows, MatchedSet, build_matched_sets
+from casecross.exposure import trailing_mean
 from casecross.simulate import (
     TruthSpec,
+    _season_days,
+    _simulate_series,
     brute_force_set_probability,
     generate,
     linear_truth,
 )
 from casecross.splines import design_matrix, fit_model_basis
+
+COLUMNS = ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window")
+
+
+def _identical(a, b):
+    """Same dtype and same values, floats compared bit for bit."""
+    same = a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+    return a.dtype == b.dtype and a.shape == b.shape and same
+
+
+def _per_stratum_reference(truth, n_events):
+    """The generator as a per-date scan: each (zone, year, month, weekday)
+    stratum collects its days from the zone's dates, and each event draws its
+    case day with ``searchsorted`` on the stratum's cumulative weights."""
+    rng = np.random.default_rng(np.random.SeedSequence(truth.seed))
+    seasons = [_season_days(truth, year).tolist() for year in truth.years]
+    dates = [d for season in seasons for d in season]
+    series, strata = {}, []
+    for k in range(truth.n_zones):
+        zid = f"z{k:03d}"
+        sims = [_simulate_series(truth, rng, np.array(s, dtype="datetime64[D]")) for s in seasons]
+        series[zid] = tuple(dict(zip(dates, np.concatenate(x).tolist())) for x in zip(*sims))
+        t_win = np.concatenate([trailing_mean(t, truth.temperature_window_days) for t, _ in sims])
+        a_win = np.concatenate([trailing_mean(a, truth.pm25_window_days) for _, a in sims])
+        for year in truth.years:
+            for month in range(truth.season_months[0], truth.season_months[1] + 1):
+                for weekday in range(7):
+                    idx = [
+                        j for j, d in enumerate(dates)
+                        if d.year == year and d.month == month and d.weekday() == weekday
+                    ]
+                    t, a = t_win[idx], a_win[idx]
+                    lam = truth.f(t) + truth.g(a) + truth.h(t, a)
+                    cum = np.cumsum(np.exp(lam - lam.max()))
+                    strata.append((zid, [dates[j] for j in idx], t, a, cum))
+    which = rng.integers(0, len(strata), size=n_events)
+    u = rng.uniform(size=n_events)
+    events, sets = [], []
+    for i in range(n_events):
+        zid, days, t, a, cum = strata[which[i]]
+        pos = min(int(np.searchsorted(cum, u[i] * cum[-1], side="right")), len(days) - 1)
+        events.append((f"s{i:06d}", zid, days[pos]))
+        sets.append([(days[j], j == pos, t[j], a[j]) for j in range(len(days))])
+    rows = [r for s in sets for r in s]
+    table = {
+        "subject_id": np.array([e[0] for e in events], dtype=object),
+        "set_index": np.repeat(np.arange(n_events), [len(s) for s in sets]),
+        "day": np.array([r[0] for r in rows], dtype="datetime64[D]"),
+        "is_case": np.array([r[1] for r in rows], dtype=bool),
+        "temperature": np.array([r[2] for r in rows], dtype=float),
+        "pm25_window": np.array([r[3] for r in rows], dtype=float),
+    }
+    return events, series, table
 
 
 class TestGenerate:
@@ -61,19 +117,16 @@ class TestGenerate:
             data.pm25_window,
         )
         # both sides window through exposure.trailing_mean: equal bit for bit
-        pre = MatchedRows.from_sets(data.sets)
-        for name in ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window"):
-            assert np.array_equal(getattr(pre, name), getattr(sets, name)), name
+        for name in COLUMNS:
+            assert np.array_equal(getattr(data.rows, name), getattr(sets, name)), name
 
     def test_null_truth_uniform_case_position(self):
-        data = generate(TruthSpec(n_zones=20, seed=6), 10000)
+        rows = generate(TruthSpec(n_zones=20, seed=6), 10000).rows
         # among 5-row sets the case should land on each position ~1/5
-        counts = np.zeros(5)
-        n5 = 0
-        for s in data.sets:
-            if len(s.rows) == 5:
-                n5 += 1
-                counts[[r.is_case for r in s.rows].index(True)] += 1
+        size = np.bincount(rows.set_index)
+        position = np.flatnonzero(rows.is_case) - (np.cumsum(size) - size)
+        counts = np.bincount(position[size == 5], minlength=5)
+        n5 = np.count_nonzero(size == 5)
         freq = counts / n5
         sd = np.sqrt(0.2 * 0.8 / n5)
         assert np.all(np.abs(freq - 0.2) < 3 * sd)
@@ -81,8 +134,8 @@ class TestGenerate:
     def test_linear_slope_recovered(self):
         truth = linear_truth(0.08, 0.0, 0.0, seed=7)
         data = generate(truth, 5000)
-        model = fit_model_basis(data.sets, "spline_linear", 1, 1)
-        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+        model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
         fit = fit_mle(lik)
         assert abs(fit.point[0] - 0.08) < 3 * fit.sd[0]
 
@@ -94,8 +147,8 @@ class TestGenerate:
             for rep in range(20):
                 truth = linear_truth(0.06, 0.02, 0.0015, seed=1000 + rep)
                 data = generate(truth, n)
-                model = fit_model_basis(data.sets, "spline_linear", 1, 1)
-                lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+                model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+                lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
                 fit = fit_mle(lik)
                 biases.append(np.abs(fit.point - np.array([0.06, 0.02, 0.0015])))
             med_bias[n] = np.median(np.stack(biases), axis=0)
@@ -104,6 +157,28 @@ class TestGenerate:
     def test_invalid_cross_correlation(self):
         with pytest.raises(ValueError):
             TruthSpec(cross_corr=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"years": ()}, "years"),
+            ({"years": (2012, 2012)}, "years"),
+            ({"years": (2012, 2011, 2012)}, "years"),
+            ({"season_months": (1, 12), "years": (2011, 2012)}, "years"),
+            ({"season_months": (2, 12), "years": (2011, 2012), "temperature_window_days": 40}, "years"),
+            ({"n_zones": 0}, "n_zones"),
+        ],
+    )
+    def test_rejects_truths_the_generator_cannot_serve(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TruthSpec(**kwargs)
+
+    def test_sets_are_checked_objects_of_the_rows(self):
+        data = generate(TruthSpec(n_zones=3, seed=5), 50)
+        assert isinstance(data.sets, list)
+        assert all(isinstance(s, MatchedSet) for s in data.sets)
+        assert data.sets is data.sets  # built once, on first read
+        assert all(s.rows for s in data.sets)
 
     def test_interaction_detected_when_true_reri_is_05(self):
         # analytic RERI from the truth functions: solve for the product-term
@@ -132,8 +207,8 @@ class TestGenerate:
             a_noise_sd=4.0, a_ar=0.35, t_noise_sd=3.5,
         )
         data = generate(truth, 30000)
-        model = fit_model_basis(data.sets, "spline_linear", 1, 1)
-        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.sets, model))
+        model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
         fit = fit_bayes(
             lik,
             PriorSpec.for_model("linear_interaction"),
@@ -142,6 +217,48 @@ class TestGenerate:
         levels = ContrastLevels(t0=t0, t1=t1, a0=a0, a1=a1, provenance="user")
         est = reri(fit, model, levels)
         assert float((est.per_draw > 0).mean()) > 0.9
+
+
+class TestGeneratorExactness:
+    """``generate`` equals the per-stratum scan bit for bit."""
+
+    @pytest.mark.parametrize(
+        "truth, n_events",
+        [
+            (TruthSpec(), 600),
+            (linear_truth(0.06, 0.02, 0.0015, n_zones=25, seed=50_000), 800),
+            (linear_truth(0.06, 0.02, 0.0015, n_zones=6, years=(2008, 2009, 2010), seed=3), 900),
+            (linear_truth(0.08, 0.03, 0.002, n_zones=5, temperature_window_days=1,
+                          pm25_window_days=1, seed=4), 300),
+            (linear_truth(0.08, 0.03, 0.002, n_zones=5, temperature_window_days=3,
+                          pm25_window_days=1, seed=5), 300),
+            (linear_truth(0.08, 0.03, 0.002, n_zones=5, temperature_window_days=7,
+                          pm25_window_days=7, seed=6), 300),
+            (TruthSpec(
+                f=lambda t: 0.5 * np.sin(t / 3.0),
+                g=lambda a: 0.3 * np.log1p(a),
+                h=lambda t, a: 0.01 * a * np.exp(-np.abs(t - 30.0) / 5.0),
+                n_zones=6, seed=7,
+            ), 500),
+            (linear_truth(0.06, 0.02, 0.0015, n_zones=3, season_months=(1, 12), seed=8), 500),
+            (linear_truth(0.06, 0.02, 0.0015, n_zones=4, seed=9), 0),
+        ],
+        ids=["default", "replicate", "three-seasons", "windows-1-1", "windows-3-1",
+             "windows-7-7", "nonlinear", "whole-year", "no-events"],
+    )
+    def test_matches_per_stratum_reference(self, truth, n_events):
+        data = generate(truth, n_events)
+        events, series, table = _per_stratum_reference(truth, n_events)
+        assert [(e.subject_id, e.zone_id, e.case_date) for e in data.events] == events
+        assert list(data.temperature_series) == list(series)
+        for zid, (temp, pm) in series.items():
+            assert data.temperature_series[zid].values == temp
+            assert data.pm25_series[zid].values == pm
+        for name in COLUMNS:
+            assert _identical(getattr(data.rows, name), table[name]), name
+        pre = MatchedRows.from_sets(data.sets)
+        for name in COLUMNS:
+            assert _identical(getattr(pre, name), getattr(data.rows, name)), name
 
 
 class TestBruteForceOracle:
