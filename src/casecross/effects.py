@@ -102,15 +102,27 @@ def _or_draws(fit: FitResult, model: ModelBasis, which: str, levels: ContrastLev
     return np.exp(fit.draws @ row)
 
 
+# Columns of the per-draw OR array that a table holds at once.
+CHUNK = 128
+
+
+def _posterior_summary(per_draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means and type-1 2.5 % and 97.5 % order statistics of a
+    (draws, k) block of per-draw values, which it partitions in place."""
+    s = per_draw.shape[0]
+    k = type1_index(s, 0.025), type1_index(s, 0.975)
+    mean = per_draw.mean(axis=0)
+    per_draw.partition(k, axis=0)
+    lo, hi = per_draw[list(k)]  # a copy: the block is freed on return
+    return mean, lo, hi
+
+
 def _summarize(name: str, per_draw: np.ndarray, extrapolated: bool) -> EffectEstimate:
-    s = per_draw.size
-    srt = np.sort(per_draw, kind="stable")
-    lo = float(srt[type1_index(s, 0.025)])
-    hi = float(srt[type1_index(s, 0.975)])
+    (point,), (lo,), (hi,) = _posterior_summary(per_draw[:, np.newaxis].copy())
     return EffectEstimate(
         name=name,
-        point=float(per_draw.mean()),
-        interval=(lo, hi),
+        point=float(point),
+        interval=(float(lo), float(hi)),
         per_draw=per_draw,
         extrapolated=extrapolated,
     )
@@ -199,11 +211,14 @@ def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tupl
     """
     rows = model.rows(pairs_hi[:, 0], pairs_hi[:, 1]) - model.rows(ref[0], ref[1])
     if fit.mode == "bayes":
-        per_draw = np.exp(fit.draws @ rows.T)          # (S, n)
-        s = per_draw.shape[0]
-        k_lo, k_hi = type1_index(s, 0.025), type1_index(s, 0.975)
-        part = np.partition(per_draw, (k_lo, k_hi), axis=0)
-        summary = (per_draw.mean(axis=0), part[k_lo], part[k_hi])
+        # The (draws, n) OR array is summarized CHUNK columns at a time. numpy
+        # sums a (draws, 1) block pairwise but wider ones row by row, so a last
+        # chunk of one column joins the one before it: each column's mean then
+        # does not depend on where the chunks fall.
+        n = rows.shape[0]
+        edges = [*range(0, max(n - 1, 1), CHUNK), n]
+        chunks = [_posterior_summary(np.exp(fit.draws @ rows[b:e].T)) for b, e in zip(edges, edges[1:])]
+        summary = [np.concatenate(c) for c in zip(*chunks)]
     else:
         log_or = rows @ fit.point
         if fit.covariance is not None:

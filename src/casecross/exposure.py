@@ -97,15 +97,17 @@ class ExposureSeries:
     def __post_init__(self):
         if self.exposure_kind not in EXPOSURE_KINDS:
             raise ConfigurationError(f"unknown exposure kind {self.exposure_kind!r}")
-        for d, v in self.values.items():
+        vals = np.fromiter(self.values.values(), dtype=float, count=len(self.values))
+        bad = ~np.isfinite(vals)
+        if self.exposure_kind == PM25:
+            bad |= vals < 0
+        if bad.any():
+            d, v = list(self.values.items())[bad.argmax()]
             if not np.isfinite(v):
                 raise ConfigurationError(
                     f"zone {self.zone_id}: non-finite {self.exposure_kind} value on {d}"
                 )
-            if self.exposure_kind == PM25 and v < 0:
-                raise ConfigurationError(
-                    f"zone {self.zone_id}: negative pm25 value {v} on {d}"
-                )
+            raise ConfigurationError(f"zone {self.zone_id}: negative pm25 value {v} on {d}")
 
     def get(self, day: Date) -> float | None:
         return self.values.get(day)

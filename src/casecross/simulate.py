@@ -187,7 +187,8 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     at = order[np.searchsorted(days, padded, sorter=order)]
 
     t, a = (np.take(np.stack(w), at, axis=1) for w in (t_win, a_win))  # (zones, strata, days)
-    lam = np.asarray(truth.f(t) + truth.g(a) + truth.h(t, a), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
+        lam = np.asarray(truth.f(t) + truth.g(a) + truth.h(t, a), dtype=float)
     if not np.all(np.isfinite(lam)):
         raise ValueError("truth functions are not finite on the generated exposure range")
     p = np.where(valid, np.exp(lam - lam.max(axis=2, keepdims=True)), 0.0)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,18 @@ class TestSynth:
                      "--zones", "3", f"{flag}={value}"])
         assert code == EXIT_INPUT_ERROR
         assert flag in capsys.readouterr().err
+
+    def test_overflowing_truth_exits_2_without_numpy_warning(self, tmp_path, capsys):
+        # the truth's log-odds overflow to inf; the generator's own check
+        # reports it, and numpy must not warn on the way there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["-q", "synth", "--out", str(tmp_path / "d"), "--seed", "1",
+                         "--zones", "3", "--gamma=1e308"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "--gamma" in err and "not finite" in err
+        assert "Warning" not in err and "numpy" not in err
 
     def test_zero_events_exits_0(self, tmp_path):
         assert main(["-q", "synth", "--out", str(tmp_path), "--seed", "1", "--events", "0"]) == EXIT_OK

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -16,6 +17,7 @@ from casecross.effects import (
     risk_surface,
 )
 from casecross.errors import UnsupportedModelError
+from casecross.quantiles import type1_index
 from casecross.splines import (
     LINEAR_INTERACTION,
     TENSOR_PRODUCT,
@@ -37,6 +39,12 @@ def spline_model():
     t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
     a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
     return ModelBasis(t, a, InteractionSpec(LINEAR_INTERACTION))
+
+
+def tensor_model():
+    t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
+    a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
+    return ModelBasis(t, a, InteractionSpec(TENSOR_PRODUCT, t, a))
 
 
 def bayes_fit(model, draws):
@@ -235,9 +243,7 @@ class TestMultInteraction:
         assert est.interval == (est.point, est.point)
 
     def test_tensor_model_unsupported(self):
-        t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
-        a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
-        model = ModelBasis(t, a, InteractionSpec(TENSOR_PRODUCT, t, a))
+        model = tensor_model()
         fit = bayes_fit(model, np.zeros((50, model.dimension)))
         with pytest.raises(UnsupportedModelError):
             mult_interaction(fit)
@@ -314,3 +320,81 @@ class TestTables:
             delta = model.rows(row["t"], row["a"]) - model.rows(25.0, 8.0)
             want = float(np.exp(fit.draws @ delta).mean())
             assert row["or"] == pytest.approx(want, rel=1e-12)
+
+
+# (model, draw scale): the tensor basis is products of cubic-scale columns
+TABLE_MODELS = {"spline_linear": (spline_model, 1e-3), "spline_tensor": (tensor_model, 1e-6)}
+
+
+def _table_fit(kind, n_draws, seed):
+    make, scale = TABLE_MODELS[kind]
+    model = make()
+    rng = np.random.default_rng(seed)
+    return model, bayes_fit(model, rng.normal(scale=scale, size=(n_draws, model.dimension)))
+
+
+def _full_matrix_table(fit, model, pairs, ref):
+    """The tables as summarized from the whole (draws, points) OR array."""
+    rows = model.rows(pairs[:, 0], pairs[:, 1]) - model.rows(ref[0], ref[1])
+    per_draw = np.exp(fit.draws @ rows.T)
+    s = per_draw.shape[0]
+    k_lo, k_hi = type1_index(s, 0.025), type1_index(s, 0.975)
+    part = np.partition(per_draw, (k_lo, k_hi), axis=0)
+    return {"or": per_draw.mean(axis=0), "lo95": part[k_lo], "hi95": part[k_hi]}
+
+
+class TestStreamedTables:
+    """The tables are summarized in column chunks; they must agree with the
+    full-matrix summary up to the last bits of the smaller matrix products."""
+
+    def _assert_matches(self, table, want):
+        for key, values in want.items():
+            got = np.array([row[key] for row in table])
+            np.testing.assert_allclose(got, values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_MODELS))
+    @pytest.mark.parametrize("n", [50, 2 * 128 + 1])  # under one chunk; k * chunk + 1
+    def test_curve_matches_full_matrix(self, kind, n):
+        model, fit = _table_fit(kind, 1000, seed=n)
+        grid = np.linspace(12.0, 42.0, n)
+        table = response_curve(fit, model, "temperature_max", 9.0, grid, reference=25.0)
+        pairs = np.column_stack([grid, np.full(n, 9.0)])
+        self._assert_matches(table, _full_matrix_table(fit, model, pairs, (25.0, 9.0)))
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_MODELS))
+    @pytest.mark.parametrize("shape", [(51, 51), (2 * 128 + 1, 1)])
+    def test_surface_matches_full_matrix(self, kind, shape):
+        model, fit = _table_fit(kind, 1000, seed=shape[0])
+        t_grid, a_grid = np.linspace(12.0, 42.0, shape[0]), np.linspace(1.0, 22.0, shape[1])
+        table = risk_surface(fit, model, t_grid, a_grid, reference=(25.0, 8.0))
+        tt, aa = np.meshgrid(t_grid, a_grid, indexing="ij")
+        pairs = np.column_stack([tt.ravel(), aa.ravel()])
+        assert len(table) == shape[0] * shape[1]
+        self._assert_matches(table, _full_matrix_table(fit, model, pairs, (25.0, 8.0)))
+
+    @pytest.mark.parametrize("n_draws", [999, 1000])
+    def test_contrasts_bit_equal_to_sorted_order_statistics(self, n_draws):
+        model, fit = _table_fit("spline_linear", n_draws, seed=n_draws)
+        fit.draws[:, -1] *= 100.0  # a visible interaction for mult_interaction
+        k_lo, k_hi = type1_index(n_draws, 0.025), type1_index(n_draws, 0.975)
+        ests = [or_contrast(fit, model, w, LEVELS) for w in ("10", "01", "11")]
+        ests += [reri(fit, model, LEVELS), mult_interaction(fit)]
+        for est in ests:
+            srt = np.sort(est.per_draw, kind="stable")
+            assert est.point == float(est.per_draw.mean()), est.name
+            assert est.interval == (float(srt[k_lo]), float(srt[k_hi])), est.name
+
+    def test_surface_peak_memory_is_about_one_chunk(self):
+        """``risk_surface`` over 6,000 draws and a 51 x 51 grid peaks at about
+        12.6 MB of traced allocations (one 6,000 x 128 chunk of log-ORs and its
+        exponential); summarizing the whole (6,000, 2,601) OR array took about
+        251 MB, the array and its partitioned copy."""
+        model, fit = _table_fit("spline_tensor", 6000, seed=0)
+        grid_t, grid_a = np.linspace(12.0, 42.0, 51), np.linspace(1.0, 22.0, 51)
+        tracemalloc.start()
+        try:
+            risk_surface(fit, model, grid_t, grid_a, reference=(25.0, 8.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

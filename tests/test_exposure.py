@@ -237,6 +237,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExposureSeries("z", TEMPERATURE, {D: float("nan")})
 
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [
+            # the first offending value in the mapping's order, not date order
+            (PM25, {3: 4.0, 2: -2.5, 1: float("nan")}, "negative pm25 value -2.5 on 2012-06-17"),
+            (PM25, {3: float("inf"), 2: -2.5}, "non-finite pm25 value on 2012-06-18"),
+            # -inf is both: the non-finite message wins
+            (PM25, {1: 4.0, 2: float("-inf")}, "non-finite pm25 value on 2012-06-17"),
+            # a negative temperature is valid
+            (TEMPERATURE, {1: -3.0, 3: float("nan"), 2: np.inf}, "non-finite temperature_max value on 2012-06-18"),
+        ],
+    )
+    def test_first_offending_value_named(self, kind, values, message):
+        with pytest.raises(ConfigurationError) as info:
+            ExposureSeries("z", kind, {D + timedelta(days=k): v for k, v in values.items()})
+        assert str(info.value) == f"zone z: {message}"
+
     def test_coordinate_ranges(self):
         with pytest.raises(ConfigurationError):
             GridCell("a", 91.0, 0.0)
