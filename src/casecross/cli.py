@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-t", type=float, default=0.06, dest="slope_t")
     p.add_argument("--slope-a", type=float, default=0.02, dest="slope_a")
     p.add_argument("--gamma", type=float, default=0.003)
+    p.add_argument("--years", default="2012", help="season years, YYYY or YYYY-YYYY (default 2012)")
     return parser
 
 
@@ -121,7 +123,7 @@ def _cmd_synth(args) -> int:
     for flag, value in slopes.items():
         if not math.isfinite(value):
             raise ConfigurationError(f"{flag} must be finite, got {value}")
-    truth = linear_truth(*slopes.values(), n_zones=args.zones, seed=args.seed)
+    truth = linear_truth(*slopes.values(), n_zones=args.zones, years=_years(args.years), seed=args.seed)
     try:
         data = generate(truth, args.events)
     except ValueError as exc:  # finite slopes whose log-odds overflow
@@ -146,6 +148,17 @@ def _cmd_synth(args) -> int:
     )
     log.info("wrote synthetic dataset (%d events, %d zones) to %s", args.events, args.zones, out)
     return EXIT_OK
+
+
+def _years(text: str) -> tuple[int, ...]:
+    """The years of a ``YYYY`` or ``YYYY-YYYY`` range, both ends included."""
+    m = re.fullmatch(r"([1-9]\d{3})(?:-([1-9]\d{3}))?", text)
+    if m is None:
+        raise ConfigurationError(f"--years must be YYYY or YYYY-YYYY, got {text!r}")
+    first, last = int(m[1]), int(m[2] or m[1])
+    if last < first:
+        raise ConfigurationError(f"--years {text} runs backwards")
+    return tuple(range(first, last + 1))
 
 
 def _field_rows(data, series_by_zone):

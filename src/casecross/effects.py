@@ -18,6 +18,7 @@ import numpy as np
 from .clr import FitResult
 from .design import MatchedRows
 from .errors import EmptyAnalysisError, UnsupportedModelError
+from .parallel import ordered_map
 from .quantiles import type1_index, type1_quantile
 from .splines import LINEAR_INTERACTION, ModelBasis
 
@@ -102,8 +103,8 @@ def _or_draws(fit: FitResult, model: ModelBasis, which: str, levels: ContrastLev
     return np.exp(fit.draws @ row)
 
 
-# Columns of the per-draw OR array that a table holds at once.
-CHUNK = 128
+# Columns of the per-draw OR array that one table job holds at once.
+CHUNK = 64
 
 
 def _posterior_summary(per_draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,13 +212,19 @@ def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tupl
     """
     rows = model.rows(pairs_hi[:, 0], pairs_hi[:, 1]) - model.rows(ref[0], ref[1])
     if fit.mode == "bayes":
-        # The (draws, n) OR array is summarized CHUNK columns at a time. numpy
-        # sums a (draws, 1) block pairwise but wider ones row by row, so a last
-        # chunk of one column joins the one before it: each column's mean then
-        # does not depend on where the chunks fall.
+        # The (draws, n) OR array is summarized CHUNK columns at a time, the
+        # chunks on a thread pool. numpy sums a (draws, 1) block pairwise but
+        # wider ones row by row, so a last chunk of one column joins the one
+        # before it: each column's mean then does not depend on where the
+        # chunks fall.
         n = rows.shape[0]
         edges = [*range(0, max(n - 1, 1), CHUNK), n]
-        chunks = [_posterior_summary(np.exp(fit.draws @ rows[b:e].T)) for b, e in zip(edges, edges[1:])]
+
+        def chunk(columns):
+            log_or = fit.draws @ rows[columns].T
+            return _posterior_summary(np.exp(log_or, out=log_or))
+
+        chunks = ordered_map(chunk, map(slice, edges, edges[1:]))
         summary = [np.concatenate(c) for c in zip(*chunks)]
     else:
         log_or = rows @ fit.point

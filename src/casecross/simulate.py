@@ -117,25 +117,37 @@ def _season_days(truth: TruthSpec, year: int) -> np.ndarray:
     return np.arange(np.datetime64(f"{year}-{lo:02d}-01") - lookback, np.datetime64(f"{year}-{hi:02d}") + 1)
 
 
-def _simulate_series(truth: TruthSpec, rng: np.random.Generator, days: np.ndarray):
-    """One zone's daily temperature and pm25 values over ``days``."""
-    n = days.size
-    doy = (days - days.astype("datetime64[Y]")).astype(int) + 1.0
-    # gentle mid-summer hump
-    t_mu = truth.t_mean + truth.t_season_amp * np.sin((doy - 150.0) / 130.0 * np.pi)
-    eps = rng.standard_normal((n, 2))
-    e_t = eps[:, 0]
-    e_a = truth.cross_corr * eps[:, 0] + np.sqrt(1.0 - truth.cross_corr**2) * eps[:, 1]
-    x_t = np.empty(n)
-    x_a = np.empty(n)
+def _simulate_series(truth: TruthSpec, rng: np.random.Generator, seasons: list[np.ndarray]):
+    """Every zone's daily temperature and pm25 values over ``seasons``, as two
+    lists of one (zones, days) array per season.
+
+    Innovations are drawn zone by zone, season by season, day by day; the
+    AR(1) recursions then step over days, on one value per (zone, season).
+    """
+    size = [season.size for season in seasons]
+    longest = max(size)
+    # (2, day, zone, season), each season padded to the longest
+    eps = np.zeros((2, longest, truth.n_zones, len(seasons)))
+    draws = rng.standard_normal((truth.n_zones, sum(size), 2))
+    for j, block in enumerate(np.split(draws, np.cumsum(size)[:-1], axis=1)):
+        eps[:, :size[j], :, j] = block.transpose(2, 1, 0)
+    e_t = eps[0]
+    e_a = truth.cross_corr * eps[0] + np.sqrt(1.0 - truth.cross_corr**2) * eps[1]
+    x_t = np.empty_like(e_t)
+    x_a = np.empty_like(e_a)
     x_t[0] = e_t[0] * truth.t_noise_sd / np.sqrt(1.0 - truth.t_ar**2)
     x_a[0] = e_a[0] * truth.a_noise_sd / np.sqrt(1.0 - truth.a_ar**2)
-    for k in range(1, n):
+    for k in range(1, longest):
         x_t[k] = truth.t_ar * x_t[k - 1] + truth.t_noise_sd * e_t[k]
         x_a[k] = truth.a_ar * x_a[k - 1] + truth.a_noise_sd * e_a[k]
-    temp = t_mu + x_t
-    pm = np.maximum(truth.a_mean + x_a, 0.0)
-    return temp, pm
+    temps, pms = [], []
+    for j, days in enumerate(seasons):
+        doy = (days - days.astype("datetime64[Y]")).astype(int) + 1.0
+        # gentle mid-summer hump
+        t_mu = truth.t_mean + truth.t_season_amp * np.sin((doy - 150.0) / 130.0 * np.pi)
+        temps.append(t_mu + x_t[:size[j], :, j].T)
+        pms.append(np.maximum(truth.a_mean + x_a[:size[j], :, j].T, 0.0))
+    return temps, pms
 
 
 def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
@@ -161,16 +173,17 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     seasons = [_season_days(truth, year) for year in truth.years]
     days = np.concatenate(seasons)
     dates = days.tolist()
+    temps, pms = _simulate_series(truth, rng, seasons)
+    temp, pm = np.concatenate(temps, axis=1), np.concatenate(pms, axis=1)
     temp_series: dict[str, ExposureSeries] = {}
     pm_series: dict[str, ExposureSeries] = {}
     t_win, a_win = [], []
-    for zid in zone_ids:
-        temps, pms = zip(*(_simulate_series(truth, rng, season) for season in seasons))
-        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, dict(zip(dates, np.concatenate(temps).tolist())))
-        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates, np.concatenate(pms).tolist())))
+    for z, zid in enumerate(zone_ids):
+        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, dict(zip(dates, temp[z].tolist())))
+        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates, pm[z].tolist())))
         # one season's days are contiguous; windows never span two seasons
-        t_win.append(np.concatenate([trailing_mean(t, truth.temperature_window_days) for t in temps]))
-        a_win.append(np.concatenate([trailing_mean(a, truth.pm25_window_days) for a in pms]))
+        t_win.append(np.concatenate([trailing_mean(t[z], truth.temperature_window_days) for t in temps]))
+        a_win.append(np.concatenate([trailing_mean(a[z], truth.pm25_window_days) for a in pms]))
 
     # strata in zone, year, month, weekday order: a stratum's anchor is the
     # first of its weekday in the month, so its days are the anchor's weeks

@@ -113,6 +113,27 @@ class TestSynth:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert got == want
 
+    def test_years_range_spans_every_season(self, tmp_path):
+        args = ["-q", "synth", "--seed", "3", "--events", "300", "--zones", "3"]
+        assert main([*args, "--out", str(tmp_path / "range"), "--years", "2008-2010"]) == EXIT_OK
+        for name, column in (("events.csv", "case_date"), ("temperature_field.csv", "date")):
+            with open(tmp_path / "range" / name) as fh:
+                years = {row[column][:4] for row in csv.DictReader(fh)}
+            assert years == {"2008", "2009", "2010"}, name
+        # one year named is the default
+        assert main([*args, "--out", str(tmp_path / "one"), "--years", "2012"]) == EXIT_OK
+        assert main([*args, "--out", str(tmp_path / "default")]) == EXIT_OK
+        for path in (tmp_path / "default").iterdir():
+            assert (tmp_path / "one" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("value", ["2016-2008", "2008:2016", "08-16", "2008-", "0999-2001", "abc", ""])
+    def test_bad_years_exit_2_naming_flag(self, tmp_path, capsys, value):
+        code = main(["-q", "synth", "--out", str(tmp_path / "d"), "--seed", "1",
+                     "--zones", "3", f"--years={value}"])
+        assert code == EXIT_INPUT_ERROR
+        assert "--years" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [

@@ -7,6 +7,7 @@ import pytest
 from casecross.clr import FitResult
 from casecross.design import DayRecord, MatchedSet
 from casecross.effects import (
+    CHUNK,
     ContrastLevels,
     case_day_levels,
     mult_interaction,
@@ -353,7 +354,7 @@ class TestStreamedTables:
             np.testing.assert_allclose(got, values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", sorted(TABLE_MODELS))
-    @pytest.mark.parametrize("n", [50, 2 * 128 + 1])  # under one chunk; k * chunk + 1
+    @pytest.mark.parametrize("n", [50, 2 * CHUNK + 1])  # under one chunk; k * chunk + 1
     def test_curve_matches_full_matrix(self, kind, n):
         model, fit = _table_fit(kind, 1000, seed=n)
         grid = np.linspace(12.0, 42.0, n)
@@ -362,7 +363,7 @@ class TestStreamedTables:
         self._assert_matches(table, _full_matrix_table(fit, model, pairs, (25.0, 9.0)))
 
     @pytest.mark.parametrize("kind", sorted(TABLE_MODELS))
-    @pytest.mark.parametrize("shape", [(51, 51), (2 * 128 + 1, 1)])
+    @pytest.mark.parametrize("shape", [(51, 51), (2 * CHUNK + 1, 1)])
     def test_surface_matches_full_matrix(self, kind, shape):
         model, fit = _table_fit(kind, 1000, seed=shape[0])
         t_grid, a_grid = np.linspace(12.0, 42.0, shape[0]), np.linspace(1.0, 22.0, shape[1])
@@ -386,9 +387,10 @@ class TestStreamedTables:
 
     def test_surface_peak_memory_is_about_one_chunk(self):
         """``risk_surface`` over 6,000 draws and a 51 x 51 grid peaks at about
-        12.6 MB of traced allocations (one 6,000 x 128 chunk of log-ORs and its
-        exponential); summarizing the whole (6,000, 2,601) OR array took about
-        251 MB, the array and its partitioned copy."""
+        6.7 MB of traced allocations on two threads (two 6,000 x 64 chunks of
+        ORs, each exponentiated in place; 3.6 MB on one thread); summarizing
+        the whole (6,000, 2,601) OR array took about 251 MB, the array and its
+        partitioned copy."""
         model, fit = _table_fit("spline_tensor", 6000, seed=0)
         grid_t, grid_a = np.linspace(12.0, 42.0, 51), np.linspace(1.0, 22.0, 51)
         tracemalloc.start()

@@ -7,7 +7,6 @@ from casecross.exposure import trailing_mean
 from casecross.simulate import (
     TruthSpec,
     _season_days,
-    _simulate_series,
     brute_force_set_probability,
     generate,
     linear_truth,
@@ -23,6 +22,25 @@ def _identical(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and same
 
 
+def _reference_series(truth, rng, days):
+    """One zone's series over one season, its AR(1) recursions stepped one
+    day at a time on scalars."""
+    n = days.size
+    doy = (days - days.astype("datetime64[Y]")).astype(int) + 1.0
+    t_mu = truth.t_mean + truth.t_season_amp * np.sin((doy - 150.0) / 130.0 * np.pi)
+    eps = rng.standard_normal((n, 2))
+    e_t = eps[:, 0]
+    e_a = truth.cross_corr * eps[:, 0] + np.sqrt(1.0 - truth.cross_corr**2) * eps[:, 1]
+    x_t = np.empty(n)
+    x_a = np.empty(n)
+    x_t[0] = e_t[0] * truth.t_noise_sd / np.sqrt(1.0 - truth.t_ar**2)
+    x_a[0] = e_a[0] * truth.a_noise_sd / np.sqrt(1.0 - truth.a_ar**2)
+    for k in range(1, n):
+        x_t[k] = truth.t_ar * x_t[k - 1] + truth.t_noise_sd * e_t[k]
+        x_a[k] = truth.a_ar * x_a[k - 1] + truth.a_noise_sd * e_a[k]
+    return t_mu + x_t, np.maximum(truth.a_mean + x_a, 0.0)
+
+
 def _per_stratum_reference(truth, n_events):
     """The generator as a per-date scan: each (zone, year, month, weekday)
     stratum collects its days from the zone's dates, and each event draws its
@@ -33,7 +51,7 @@ def _per_stratum_reference(truth, n_events):
     series, strata = {}, []
     for k in range(truth.n_zones):
         zid = f"z{k:03d}"
-        sims = [_simulate_series(truth, rng, np.array(s, dtype="datetime64[D]")) for s in seasons]
+        sims = [_reference_series(truth, rng, np.array(s, dtype="datetime64[D]")) for s in seasons]
         series[zid] = tuple(dict(zip(dates, np.concatenate(x).tolist())) for x in zip(*sims))
         t_win = np.concatenate([trailing_mean(t, truth.temperature_window_days) for t, _ in sims])
         a_win = np.concatenate([trailing_mean(a, truth.pm25_window_days) for _, a in sims])
