@@ -2,25 +2,20 @@
 # ============================================================
 # DEMO 1 - Linking gridded daily fields to zones
 #
+#   * a field and a zone series take one form: DailyTable, a
+#     dense (ids x days) array from a first day, NaN = missing
 #   * nearest-centroid assignment (temperature role)
 #   * zonal mean over member cells (pm25 role)
-#   * lagged window aggregation with explicit missing-data errors
+#   * lagged windows: a missing day drops the matched set
 # ============================================================
 
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
-from casecross import (
-    GridCell,
-    MissingDataError,
-    WindowSpec,
-    Zone,
-    link_pm25,
-    link_temperature,
-    windowed_exposure,
-)
-from casecross.exposure import PM25, TEMPERATURE
+from casecross import DailyTable, Event, GridCell, WindowSpec, Zone, build_matched_sets
+from casecross import link_pm25, link_temperature
+from casecross.exposure import PM25, TEMPERATURE, trailing_mean
 
 rng = np.random.default_rng(20120601)
 
@@ -38,40 +33,47 @@ zones = [
     Zone("uptown", 40.21, -73.82, member_cells=frozenset({"c21", "c22"})),
 ]
 
-days = [date(2012, 6, d) for d in range(1, 11)]
-temp_field = {(c.cell_id, d): 24.0 + 4 * np.sin(d.day / 3) + 0.5 * c.lat for c in cells for d in days}
-pm_field = {(c.cell_id, d): float(rng.uniform(4, 14)) for c in cells for d in days}
+# a field as read from cell_id,date,value rows: one row per cell (in
+# cell_id order), one column per day from June 1, 2012
+cell_ids = np.array([c.cell_id for c in cells], dtype=object)
+origin = np.datetime64("2012-06-01")
+day = np.arange(30)
+lat = np.array([c.lat for c in cells])
+temp_field = DailyTable(cell_ids, origin, 24.0 + 4 * np.sin((day + 1) / 3) + 5.0 * (lat[:, None] - 40.0))
+pm_field = DailyTable(cell_ids, origin, rng.uniform(4, 14, size=(len(cells), day.size)))
+print(f"\nfield: {temp_field.values.shape[0]} cells x {temp_field.values.shape[1]} days from {origin}")
+
+
+def show(table):
+    for zone_id, row in zip(table.ids, table.values):
+        print(f"  {zone_id:10s} {np.round(row[:3], 2).tolist()}")
+
 
 temp_series = link_temperature(cells, zones, temp_field)
 print("\nnearest-cell temperature series (first 3 days):")
-for s in temp_series:
-    head = {d.isoformat(): round(v, 2) for d, v in list(sorted(s.values.items()))[:3]}
-    print(f"  {s.zone_id:10s} {head}")
+show(temp_series)
 
 pm_series = link_pm25(cells, zones, pm_field)
 print("\nzonal-mean pm25 series (first 3 days):")
-for s in pm_series:
-    head = {d.isoformat(): round(v, 2) for d, v in list(sorted(s.values.items()))[:3]}
-    print(f"  {s.zone_id:10s} {head}")
+show(pm_series)
 
 print()
 print("=" * 60)
 print("2. Windowed exposures")
 print("=" * 60)
 
-spec3 = WindowSpec(PM25, window_days=3)
+# every row's 3-day windows at once, summed oldest day first
+windows = trailing_mean(pm_series.values, 3)
 target = date(2012, 6, 5)
-val = windowed_exposure(pm_series[0], target, spec3)
-manual = np.mean([pm_series[0].values[target - timedelta(days=k)] for k in (2, 1, 0)])
-print(f"\n3-day mean pm25 on {target} for downtown: {val:.3f} (manual recompute {manual:.3f})")
+col = (np.datetime64(target) - origin).astype(int)
+manual = sum(pm_series.values[0, col - 2 : col + 1].tolist()) / 3
+print(f"\n3-day mean pm25 on {target} for downtown: {windows[0, col]:.3f} (manual recompute {manual:.3f})")
 
-print("\nmissing data is an error, never an imputation:")
-gappy = dict(pm_series[0].values)
-del gappy[date(2012, 6, 4)]
-from casecross import ExposureSeries
-
-broken = ExposureSeries("downtown", PM25, gappy)
-try:
-    windowed_exposure(broken, target, spec3)
-except MissingDataError as err:
-    print(f"  MissingDataError: {err}")
+print("\nmissing data is NaN, never imputed: the set is dropped")
+gappy = pm_series.values.copy()
+gappy[0, (np.datetime64("2012-06-18") - origin).astype(int)] = np.nan
+broken = DailyTable(pm_series.ids, origin, gappy)
+events = [Event("s1", "downtown", date(2012, 6, 19)), Event("s2", "uptown", date(2012, 6, 19))]
+for name, pm in (("complete", pm_series), ("June 18 missing downtown", broken)):
+    sets, drops = build_matched_sets(events, temp_series, pm, WindowSpec(TEMPERATURE, 1), WindowSpec(PM25, 3))
+    print(f"  {name:25s} sets kept: {sets.subject_id.tolist()}  dropped: {[(d.subject_id, d.reason) for d in drops]}")

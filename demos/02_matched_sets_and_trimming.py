@@ -3,8 +3,9 @@
 # DEMO 2 - Time-stratified referent selection and trimming
 #
 #   * referent days: same month, same weekday, case excluded
-#   * matched-set construction with windowed exposures, as one
-#     columnar table (one array per day-row field)
+#   * matched-set construction from the two zone tables (one
+#     dense zones x days array per exposure) into one columnar
+#     table (one array per day-row field)
 #   * pooled-quantile trimming of extreme pm25 windows
 # ============================================================
 
@@ -31,6 +32,8 @@ print("=" * 60)
 
 truth = linear_truth(0.06, 0.02, 0.002, n_zones=12, seed=7)
 data = generate(truth, 400)
+temp = data.temperature_series
+print(f"\nzone tables: {temp.values.shape[0]} zones x {temp.values.shape[1]} days from {temp.origin}")
 sets, drops = build_matched_sets(
     data.events,
     data.temperature_series,

@@ -46,20 +46,18 @@ from .errors import (
     ConvergenceError,
     DegenerateDataError,
     EmptyAnalysisError,
-    MissingDataError,
     SeparationError,
     UnsupportedModelError,
 )
 from .exposure import (
     PM25,
     TEMPERATURE,
-    ExposureSeries,
+    DailyTable,
     GridCell,
     WindowSpec,
     Zone,
     link_pm25,
     link_temperature,
-    windowed_exposure,
 )
 from .quantiles import type1_quantile
 from .simulate import TruthSpec, brute_force_set_probability, generate, linear_truth
@@ -84,19 +82,18 @@ __all__ = [
     "ConfigurationError",
     "ContrastLevels",
     "ConvergenceError",
+    "DailyTable",
     "DayRecord",
     "DegenerateDataError",
     "DesignMatrix",
     "EffectEstimate",
     "EmptyAnalysisError",
     "Event",
-    "ExposureSeries",
     "FitResult",
     "GridCell",
     "InteractionSpec",
     "MatchedRows",
     "MatchedSet",
-    "MissingDataError",
     "ModelBasis",
     "PM25",
     "PriorSpec",
@@ -133,5 +130,4 @@ __all__ = [
     "select_referents",
     "type1_quantile",
     "validate_config",
-    "windowed_exposure",
 ]

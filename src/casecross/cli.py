@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .config import AnalysisConfig, load_config, validate_config
 from .errors import (
@@ -104,6 +106,14 @@ def _cmd_validate(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     problems = validate_config(cfg, need_seed=True)
+    if not problems:    # every input parses as the pipeline reads it
+        for read, path in ((io.read_events, cfg.events), (io.read_grid_cells, cfg.grid),
+                           (io.read_zones, cfg.zones), (io.read_membership, cfg.membership),
+                           (io.read_daily_field, cfg.temperature_field), (io.read_daily_field, cfg.pm25_field)):
+            try:
+                read(path)
+            except ConfigurationError as exc:
+                problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"problem: {p}")
@@ -134,14 +144,12 @@ def _cmd_synth(args) -> int:
     io.write_rows(out / "zones.csv", ["zone_id", "lat", "lon"],
                   [(z.zone_id, z.lat, z.lon) for z in data.zones])
     io.write_rows(out / "membership.csv", ["zone_id", "cell_id"], data.membership)
-    io.write_rows(
-        out / "temperature_field.csv", ["cell_id", "date", "value"],
-        _field_rows(data, data.temperature_series),
-    )
-    io.write_rows(
-        out / "pm25_field.csv", ["cell_id", "date", "value"],
-        _field_rows(data, data.pm25_series),
-    )
+    # each zone's series is its one cell's field, written in zone_id order
+    cell_of = dict(data.membership)
+    for name, table in (("temperature_field", data.temperature_series), ("pm25_field", data.pm25_series)):
+        order = np.argsort(table.ids)
+        cells = np.array([cell_of[z] for z in table.ids[order]], dtype=object)
+        io.write_field(out / f"{name}.csv", replace(table, ids=cells, values=table.values[order]))
     io.write_rows(
         out / "events.csv", ["subject_id", "zone_id", "case_date"],
         [(e.subject_id, e.zone_id, e.case_date.isoformat()) for e in data.events],
@@ -159,15 +167,6 @@ def _years(text: str) -> tuple[int, ...]:
     if last < first:
         raise ConfigurationError(f"--years {text} runs backwards")
     return tuple(range(first, last + 1))
-
-
-def _field_rows(data, series_by_zone):
-    zone_to_cell = dict(data.membership)
-    for zid in sorted(series_by_zone):
-        series = series_by_zone[zid]
-        cell = zone_to_cell[zid]
-        for day in sorted(series.values):
-            yield (cell, day.isoformat(), series.values[day])
 
 
 def main(argv=None) -> int:

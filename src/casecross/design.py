@@ -10,10 +10,10 @@ Matched sets travel as one columnar table, ``MatchedRows``, which knots, the
 design matrix, contrast levels, grids and the writer all read. ``MatchedSet``
 and ``DayRecord`` remain as checked constructors for hand-built sets, which
 ``MatchedRows.from_sets`` turns into the table wherever a function takes
-``sets``. Exposure windows come from a dense zone-by-day array (NaN for
-gaps) summed left to right by shifted adds: bit for bit the
-``windowed_exposure`` value of every row, where differences of cumulative
-sums would differ in the last bit.
+``sets``. Exposure windows come from the zone tables (``DailyTable``, NaN
+for gaps), each windowed once by shifted adds summed left to right: bit for
+bit the per-day ``sum(window) / len(window)`` of every row, where
+differences of cumulative sums would differ in the last bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from datetime import date as Date, timedelta
 import numpy as np
 
 from .errors import ConfigurationError, EmptyAnalysisError
-from .exposure import ExposureSeries, WindowSpec, trailing_mean
+from .exposure import PM25, TEMPERATURE, DailyTable, WindowSpec, trailing_mean
 from .quantiles import type1_quantile
 
 __all__ = [
@@ -186,8 +186,8 @@ def _stratum_days(anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def build_matched_sets(
     events: list[Event],
-    temperature_series: list[ExposureSeries] | dict[str, ExposureSeries],
-    pm25_series: list[ExposureSeries] | dict[str, ExposureSeries],
+    temperature_series: DailyTable,
+    pm25_series: DailyTable,
     temperature_window: WindowSpec,
     pm25_window: WindowSpec,
     season_months: tuple[int, int] = (6, 9),
@@ -196,21 +196,23 @@ def build_matched_sets(
 
     Every input event is accounted for: it either yields a set or appears,
     in event order, in the returned drop list with the first reason that
-    applies of duplicate subject, outside season, unknown zone and missing
-    exposure. Only a subject's first event (earliest case date, then first
-    listed) is kept. Sets keep event order and their days are ascending.
+    applies of duplicate subject, outside season, unknown zone (not a row
+    of both zone tables) and missing exposure. Only a subject's first event
+    (earliest case date, then first listed) is kept. Sets keep event order
+    and their days are ascending.
     """
     lo, hi = season_months
     if not (1 <= lo <= hi <= 12):
         raise ConfigurationError(f"invalid season months {season_months}")
-    temp_by_zone = _series_index(temperature_series)
-    pm_by_zone = _series_index(pm25_series)
-    known = {z: k for k, z in enumerate(z for z in temp_by_zone if z in pm_by_zone)}
+    for spec, kind in ((temperature_window, TEMPERATURE), (pm25_window, PM25)):
+        if spec.exposure_kind != kind:
+            raise ConfigurationError(f"window spec is for {spec.exposure_kind}, series holds {kind}")
 
     n = len(events)
     subject = np.array([ev.subject_id for ev in events], dtype=object)
     case_day = np.array([ev.case_date for ev in events], dtype="datetime64[D]")
-    zone = np.array([known.get(ev.zone_id, -1) for ev in events], dtype=int)
+    zones = [ev.zone_id for ev in events]
+    t_row, a_row = temperature_series.row(zones), pm25_series.row(zones)
     month_of_year = case_day.astype("datetime64[M]").astype(int) % 12 + 1
 
     _, subj = np.unique(subject, return_inverse=True)
@@ -219,16 +221,15 @@ def build_matched_sets(
     first[order[np.diff(subj[order], prepend=-1) != 0]] = True
 
     reason = np.select(  # the first reason that applies
-        [~first, (month_of_year < lo) | (month_of_year > hi), zone < 0],
+        [~first, (month_of_year < lo) | (month_of_year > hi), (t_row < 0) | (a_row < 0)],
         [REASON_DUPLICATE_SUBJECT, REASON_OUTSIDE_SEASON, REASON_UNKNOWN_ZONE],
         "",
     ).astype(object)
 
     cand = np.flatnonzero(reason == "")
     set_of_row, week, row_day = _stratum_days(case_day[cand])
-    row_zone = zone[cand][set_of_row]
-    t = _windowed(temp_by_zone, known, temperature_window, row_zone, row_day)
-    a = _windowed(pm_by_zone, known, pm25_window, row_zone, row_day)
+    t = _windowed(temperature_series, temperature_window, t_row[cand][set_of_row], row_day)
+    a = _windowed(pm25_series, pm25_window, a_row[cand][set_of_row], row_day)
     missing = np.bincount(set_of_row, weights=np.isnan(t) | np.isnan(a), minlength=cand.size) > 0
     reason[cand[missing]] = REASON_MISSING_EXPOSURE
     dropped = [DroppedEvent(subject[i], reason[i]) for i in np.flatnonzero(reason != "")]
@@ -236,27 +237,14 @@ def build_matched_sets(
     return rows.select(~missing[set_of_row], ~missing), dropped
 
 
-def _windowed(by_zone, known, spec: WindowSpec, zone: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """Windowed exposure on each (zone, day) row, NaN where the window has a gap.
-
-    The dense zone-by-day array spans the rows' days and the window's lead-in
-    and is windowed row-major: windows that wrap into the next zone are unread.
-    """
-    if not day.size:
-        return np.empty(0)
-    start = day.min() - (spec.window_days - 1)
-    dense = np.full((len(known), (day.max() - start).astype(int) + 1), np.nan)
-    for k, zone_id in enumerate(known):
-        series = by_zone[zone_id]
-        if series.exposure_kind != spec.exposure_kind:
-            raise ConfigurationError(
-                f"window spec is for {spec.exposure_kind}, series holds {series.exposure_kind}"
-            )
-        pos = (np.array(list(series.values), dtype="datetime64[D]") - start).astype(int)
-        inside = (pos >= 0) & (pos < dense.shape[1])
-        dense[k, pos[inside]] = np.fromiter(series.values.values(), float, pos.size)[inside]
-    windows = trailing_mean(dense.ravel(), spec.window_days).reshape(dense.shape)
-    return windows[zone, (day - start).astype(int)]
+def _windowed(table: DailyTable, spec: WindowSpec, row: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Windowed exposure on each (table row, day), NaN where the window has a
+    gap or starts before the table."""
+    col = (day - table.origin).astype(int)
+    inside = (col >= 0) & (col < table.values.shape[1])
+    out = np.full(day.size, np.nan)
+    out[inside] = trailing_mean(table.values, spec.window_days)[row[inside], col[inside]]
+    return out
 
 
 def apply_trimming(sets, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, list[DroppedEvent]]:
@@ -284,13 +272,3 @@ def apply_trimming(sets, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, l
         )
     return rows.select(kept & survives[rows.set_index], survives), fitted, dropped
 
-
-def _series_index(series) -> dict[str, ExposureSeries]:
-    if isinstance(series, dict):
-        return series
-    out: dict[str, ExposureSeries] = {}
-    for s in series:
-        if s.zone_id in out:
-            raise ConfigurationError(f"duplicate series for zone {s.zone_id}")
-        out[s.zone_id] = s
-    return out

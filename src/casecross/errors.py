@@ -9,18 +9,6 @@ class ConfigurationError(CaseCrossError):
     """Invalid configuration, input file, or geometry (e.g. an empty grid)."""
 
 
-class MissingDataError(CaseCrossError):
-    """A required exposure value is absent from a daily series.
-
-    Carries enough context to identify the gap instead of silently imputing.
-    """
-
-    def __init__(self, message: str, zone_id: str | None = None, gap_date=None):
-        super().__init__(message)
-        self.zone_id = zone_id
-        self.gap_date = gap_date
-
-
 class DegenerateDataError(CaseCrossError):
     """Sample too degenerate to support the requested construction."""
 

@@ -1,40 +1,39 @@
 """Zone-level daily exposure series from gridded fields, plus lagged windows.
 
-Two linkage rules are supported, matching how the two exposures are used:
+Fields and series take one form, ``DailyTable``: row ids (cells or zones), a
+first day, and a dense (ids x days) float array with NaN for every missing
+value. Two linkage rules are supported, matching how the two exposures are
+used:
 
-* nearest-centroid: each zone takes the full daily series of the single grid
+* nearest-centroid: each zone takes the full daily row of the single grid
   cell whose centroid is closest (great-circle distance) to the zone centroid;
 * zonal mean: each zone averages, per day, the cells whose centroids fall
   inside it (membership is a precomputed input, not polygon geometry).
 
-Missing daily values are never imputed: a (zone, date) with no data is simply
-absent from the series, and windowed lookups raise ``MissingDataError``.
+Missing daily values are never imputed: a (zone, day) with no data stays
+NaN, and so does every window that touches it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from datetime import date as Date, timedelta
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, MissingDataError
+from .errors import ConfigurationError
 
 __all__ = [
     "TEMPERATURE",
     "PM25",
-    "EXPOSURE_KINDS",
     "GridCell",
     "Zone",
-    "ExposureSeries",
+    "DailyTable",
     "WindowSpec",
     "haversine_km",
     "nearest_cells",
     "link_temperature",
     "link_pm25",
-    "windowed_exposure",
     "trailing_mean",
 ]
 
@@ -42,7 +41,6 @@ log = logging.getLogger(__name__)
 
 TEMPERATURE = "temperature_max"
 PM25 = "pm25"
-EXPOSURE_KINDS = (TEMPERATURE, PM25)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -83,34 +81,25 @@ class Zone:
             raise ConfigurationError(f"zone {self.zone_id}: longitude {self.lon} out of range")
 
 
-@dataclass
-class ExposureSeries:
-    """Daily values of one exposure kind for one zone.
+@dataclass(frozen=True, eq=False)
+class DailyTable:
+    """Daily values of one exposure: row ``k`` is id ``ids[k]``, column ``j``
+    the day ``origin + j``, and NaN marks a missing value."""
 
-    ``values`` maps calendar date to value; absent dates are missing data.
-    """
-
-    zone_id: str
-    exposure_kind: str
-    values: dict[Date, float]
+    ids: np.ndarray
+    origin: np.datetime64
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.exposure_kind not in EXPOSURE_KINDS:
-            raise ConfigurationError(f"unknown exposure kind {self.exposure_kind!r}")
-        vals = np.fromiter(self.values.values(), dtype=float, count=len(self.values))
-        bad = ~np.isfinite(vals)
-        if self.exposure_kind == PM25:
-            bad |= vals < 0
-        if bad.any():
-            d, v = list(self.values.items())[bad.argmax()]
-            if not np.isfinite(v):
-                raise ConfigurationError(
-                    f"zone {self.zone_id}: non-finite {self.exposure_kind} value on {d}"
-                )
-            raise ConfigurationError(f"zone {self.zone_id}: negative pm25 value {v} on {d}")
+        if self.values.ndim != 2 or self.values.shape[0] != len(self.ids):
+            raise ConfigurationError(f"{len(self.ids)} ids for a table of shape {self.values.shape}")
+        if len(set(self.ids.tolist())) != len(self.ids):
+            raise ConfigurationError("duplicate id in a daily table")
 
-    def get(self, day: Date) -> float | None:
-        return self.values.get(day)
+    def row(self, ids) -> np.ndarray:
+        """The row of each of ``ids``, -1 for an id not in the table."""
+        index = {i: k for k, i in enumerate(self.ids.tolist())}
+        return np.array([index.get(i, -1) for i in ids], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -160,100 +149,79 @@ def nearest_cells(cells: list[GridCell], zones: list[Zone]) -> dict[str, str]:
     return out
 
 
-def _field_by_cell(daily_field: Mapping[tuple[str, Date], float]) -> dict[str, dict[Date, float]]:
-    by_cell: dict[str, dict[Date, float]] = {}
-    for (cell_id, day), value in daily_field.items():
-        per = by_cell.setdefault(cell_id, {})
-        if day in per:
-            raise ConfigurationError(f"duplicate field value for cell {cell_id} on {day}")
-        per[day] = value
-    return by_cell
-
-
-def link_temperature(
-    cells: list[GridCell],
-    zones: list[Zone],
-    daily_field: Mapping[tuple[str, Date], float],
-) -> list[ExposureSeries]:
-    """Nearest-centroid linkage: each zone copies its assigned cell's series."""
-    assignment = nearest_cells(cells, zones)
-    by_cell = _field_by_cell(daily_field)
-    out = []
-    for zone in zones:
-        cell_id = assignment[zone.zone_id]
-        values = dict(sorted(by_cell.get(cell_id, {}).items()))
-        out.append(ExposureSeries(zone.zone_id, TEMPERATURE, values))
+def _gather(table: DailyTable, rows: np.ndarray) -> np.ndarray:
+    """``table.values[rows]``, with an all-NaN row for each row -1."""
+    out = np.full((rows.size, table.values.shape[1]), np.nan)
+    out[rows >= 0] = table.values[rows[rows >= 0]]
     return out
 
 
-def link_pm25(
-    cells: list[GridCell],
-    zones: list[Zone],
-    daily_field: Mapping[tuple[str, Date], float],
-) -> list[ExposureSeries]:
+def _checked(table: DailyTable, kind: str) -> DailyTable:
+    """``table``, once no value is infinite and, for pm25, none is negative."""
+    for bad, what in ((np.isinf(table.values), f"non-finite {kind} value"),
+                      ((table.values < 0) & (kind == PM25), "negative pm25 value {}")):
+        if bad.any():
+            row, col = np.unravel_index(bad.argmax(), bad.shape)
+            what = what.format(float(table.values[row, col]))
+            raise ConfigurationError(f"zone {table.ids[row]}: {what} on {table.origin + col}")
+    return table
+
+
+def link_temperature(cells: list[GridCell], zones: list[Zone], daily_field: DailyTable) -> DailyTable:
+    """Nearest-centroid linkage: each zone copies its assigned cell's row.
+
+    Every zone gets a row, in ``zones`` order; a cell without data gives an
+    all-NaN row.
+    """
+    assignment = nearest_cells(cells, zones)
+    rows = daily_field.row([assignment[z.zone_id] for z in zones])
+    ids = np.array([z.zone_id for z in zones], dtype=object)
+    return _checked(DailyTable(ids, daily_field.origin, _gather(daily_field, rows)), TEMPERATURE)
+
+
+def link_pm25(cells: list[GridCell], zones: list[Zone], daily_field: DailyTable) -> DailyTable:
     """Zonal-mean linkage over each zone's member cells.
 
-    Per (zone, date) the value is the arithmetic mean over member cells with
-    data on that date (summed in cell_id order for reproducibility). Zones
-    with no member cells are excluded with a warning; dates on which every
-    member cell is missing are left out of the series.
+    Per (zone, day) the value is the arithmetic mean over member cells with
+    data on that day, summed from 0 in cell_id order, so it equals
+    ``sum(present) / len(present)`` bit for bit; with no member present it
+    is NaN. Zones with no member cells are excluded with a warning.
     """
     if not cells:
         raise ConfigurationError("cannot aggregate over an empty grid")
-    by_cell = _field_by_cell(daily_field)
-    out = []
-    for zone in zones:
-        if not zone.member_cells:
-            log.warning("zone %s has no member cells; excluded from pm25 linkage", zone.zone_id)
-            continue
-        members = sorted(zone.member_cells)
-        dates: set[Date] = set()
-        for m in members:
-            dates.update(by_cell.get(m, {}))
-        values: dict[Date, float] = {}
-        for day in sorted(dates):
-            present = [by_cell[m][day] for m in members if day in by_cell.get(m, {})]
-            if present:
-                values[day] = sum(present) / len(present)
-        out.append(ExposureSeries(zone.zone_id, PM25, values))
-    return out
-
-
-def windowed_exposure(series: ExposureSeries, day: Date, spec: WindowSpec) -> float:
-    """Mean of the series over the window ending on ``day``, summed oldest first.
-
-    Raises ``MissingDataError`` naming the first gap date if any date in the
-    window is absent.
-    """
-    if spec.exposure_kind != series.exposure_kind:
-        raise ConfigurationError(
-            f"window spec is for {spec.exposure_kind}, series holds {series.exposure_kind}"
-        )
-    vals = []
-    for back in range(spec.window_days - 1, -1, -1):
-        d = day - timedelta(days=back)
-        v = series.values.get(d)
-        if v is None:
-            raise MissingDataError(
-                f"zone {series.zone_id}: {series.exposure_kind} missing on {d} "
-                f"(needed for the {spec.window_days}-day window ending {day})",
-                zone_id=series.zone_id,
-                gap_date=d,
-            )
-        vals.append(v)
-    return sum(vals) / len(vals)
+    for zone in (z for z in zones if not z.member_cells):
+        log.warning("zone %s has no member cells; excluded from pm25 linkage", zone.zone_id)
+    zones = [z for z in zones if z.member_cells]
+    members = [sorted(z.member_cells) for z in zones]
+    width = max(map(len, members), default=0)
+    # row of each zone's k-th member in column k, -1 past its last member
+    at = daily_field.row([c for m in members for c in m + [None] * (width - len(m))]).reshape(len(zones), width)
+    total = np.zeros((len(zones), daily_field.values.shape[1]))
+    count = np.zeros(total.shape, dtype=np.int32)
+    for k in range(width):
+        values = _gather(daily_field, at[:, k])
+        present = ~np.isnan(values)
+        values[~present] = 0.0
+        total += values     # total is never -0.0, so adding 0.0 leaves it as it is
+        count += present
+    np.divide(total, count, out=total, where=count > 0)
+    total[count == 0] = np.nan
+    ids = np.array([z.zone_id for z in zones], dtype=object)
+    return _checked(DailyTable(ids, daily_field.origin, total), PM25)
 
 
 def trailing_mean(values, window_days: int) -> np.ndarray:
-    """Mean of the ``window_days`` values ending at each position, NaN for the
-    first ``window_days - 1`` and for windows touching a NaN. Shifted adds sum
-    left to right, so each entry equals ``windowed_exposure`` bit for bit."""
+    """Mean of the ``window_days`` values ending at each position of each row
+    (the last axis), NaN for the first ``window_days - 1`` and for windows
+    touching a NaN. Shifted adds sum left to right, oldest first, so each
+    entry equals ``sum(window) / window_days`` bit for bit."""
     values = np.asarray(values, dtype=float)
-    out = np.full(values.size, np.nan)
-    n = values.size - window_days + 1
+    out = np.full(values.shape, np.nan)
+    n = values.shape[-1] - window_days + 1
     if n > 0:
-        acc = values[:n] + 0.0      # as sum() starts from 0: -0.0 turns 0.0
+        acc = out[..., window_days - 1 :]
+        np.add(values[..., :n], 0.0, out=acc)      # as sum() starts from 0: -0.0 turns 0.0
         for k in range(1, window_days):
-            acc += values[k : k + n]
-        out[window_days - 1 :] = acc / window_days
+            acc += values[..., k : k + n]
+        acc /= window_days
     return out

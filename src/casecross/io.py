@@ -3,7 +3,11 @@
 ``csv.writer`` writes floats with ``repr`` (shortest round-trip form),
 booleans are passed as 0/1 and lines end in ``\\n``, so identical analyses
 produce byte-identical artifacts. Readers name the file and line of a value
-they cannot parse.
+they cannot parse, of a duplicate id or key, and of a non-finite field value.
+
+A daily field is read, chunk by chunk, into a ``DailyTable``. Each distinct
+date string goes through ``date.fromisoformat`` once and each value through
+``float()``, so a file is accepted exactly when a per-row parse accepts it.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import csv
 import json
 from datetime import date as Date
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .design import DroppedEvent, Event, MatchedRows
 from .errors import ConfigurationError
-from .exposure import ExposureSeries, GridCell, Zone
+from .exposure import DailyTable, GridCell, Zone
 
 __all__ = [
     "read_grid_cells",
@@ -26,6 +31,7 @@ __all__ = [
     "read_daily_field",
     "read_events",
     "write_series",
+    "write_field",
     "write_matched_sets",
     "write_drop_log",
     "write_coefficients",
@@ -36,9 +42,11 @@ __all__ = [
     "write_json",
 ]
 
+_EPOCH = Date(1970, 1, 1).toordinal()
 
-def _read(path, expected: list[str], parse) -> list:
-    """``parse`` of each row after the header, naming the line of a bad value."""
+
+def _chunks(path, expected: list[str]):
+    """The rows after the header, checked against ``expected``, 8,192 at a time."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"input file not found: {path}")
@@ -47,10 +55,37 @@ def _read(path, expected: list[str], parse) -> list:
         header = next(reader, None)
         if header != expected:
             raise ConfigurationError(f"{path}: expected header {expected}, got {header}")
-        try:
-            return [parse(r) for r in reader]
-        except (ValueError, IndexError) as exc:
-            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
+        while chunk := list(islice(reader, 8192)):
+            yield chunk
+
+
+def _line(path, index: int) -> int:
+    """The file line on which data row ``index`` ends."""
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        next(islice(reader, index + 1, None))     # the header, then rows 0 to index
+        return reader.line_num
+
+
+def _read(path, expected: list[str], parse) -> list:
+    """``parse`` of each row after the header, naming the line of a bad value."""
+    parsed = []
+    try:
+        for chunk in _chunks(path, expected):
+            for row in chunk:
+                parsed.append(parse(row))
+    except (ValueError, IndexError) as exc:
+        raise ConfigurationError(f"{path}:{_line(path, len(parsed))}: {exc}") from None
+    return parsed
+
+
+def _unique(path, keys, what: str) -> None:
+    """Raise naming the line of the first of ``keys`` (one per data row) seen before."""
+    seen = set()
+    for index, key in enumerate(keys):
+        if key in seen:
+            raise ConfigurationError(f"{path}:{_line(path, index)}: duplicate {what} {key}")
+        seen.add(key)
 
 
 def write_rows(path, header: list[str], rows) -> None:
@@ -63,15 +98,19 @@ def write_rows(path, header: list[str], rows) -> None:
 
 
 def read_grid_cells(path) -> list[GridCell]:
-    return _read(path, ["cell_id", "lat", "lon"], lambda r: GridCell(r[0], float(r[1]), float(r[2])))
+    cells = _read(path, ["cell_id", "lat", "lon"], lambda r: GridCell(r[0], float(r[1]), float(r[2])))
+    _unique(path, (c.cell_id for c in cells), "cell_id")
+    return cells
 
 
 def read_zones(path, membership: dict[str, set[str]] | None = None) -> list[Zone]:
     membership = membership or {}
-    return _read(
+    zones = _read(
         path, ["zone_id", "lat", "lon"],
         lambda r: Zone(r[0], float(r[1]), float(r[2]), frozenset(membership.get(r[0], set()))),
     )
+    _unique(path, (z.zone_id for z in zones), "zone_id")
+    return zones
 
 
 def read_membership(path) -> dict[str, set[str]]:
@@ -81,14 +120,36 @@ def read_membership(path) -> dict[str, set[str]]:
     return out
 
 
-def read_daily_field(path) -> dict[tuple[str, Date], float]:
-    out: dict[tuple[str, Date], float] = {}
+def read_daily_field(path) -> DailyTable:
+    """The field as a table of its cells, NaN where a (cell, date) has no row."""
     header = ["cell_id", "date", "value"]
-    for key, value in _read(path, header, lambda r: ((r[0], Date.fromisoformat(r[1])), float(r[2]))):
-        if key in out:
-            raise ConfigurationError(f"{path}: duplicate value for {key}")
-        out[key] = value
-    return out
+    index, ordinal = {}, {}     # a number for each cell_id, the day of each date
+    cell, day, value = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    try:
+        for chunk in _chunks(path, header):
+            cells, dates, values, *_ = zip(*chunk)
+            index.update((c, k) for k, c in enumerate(set(cells).difference(index), start=len(index)))
+            ordinal.update((d, Date.fromisoformat(d).toordinal()) for d in set(dates).difference(ordinal))
+            cell.append(np.array(list(map(index.__getitem__, cells)), dtype=np.int32))
+            day.append(np.array(list(map(ordinal.__getitem__, dates)), dtype=np.int32))
+            value.append(np.array(list(map(float, values))))
+    except ValueError:
+        # name the first row that fails, as a per-row parse would
+        _read(path, header, lambda r: (r[0], Date.fromisoformat(r[1]), float(r[2])))
+        raise
+    cell, day, value = (np.concatenate(c) for c in (cell, day, value))
+    if not np.isfinite(value).all():
+        row = int(np.argmin(np.isfinite(value)))
+        raise ConfigurationError(f"{path}:{_line(path, row)}: non-finite value {float(value[row])}")
+    named = np.array(list(index), dtype=object)
+    ids, cell = named[np.argsort(named)], np.argsort(np.argsort(named))[cell]
+    first = int(day.min()) if day.size else _EPOCH
+    values = np.full((ids.size, int(day.max()) - first + 1 if day.size else 0), np.nan)
+    values[cell, day - first] = value
+    if np.count_nonzero(~np.isnan(values)) < value.size:   # a (cell, day) given twice
+        dates = (Date.fromordinal(d).isoformat() for d in day.tolist())
+        _unique(path, zip(ids[cell].tolist(), dates), "(cell_id, date)")
+    return DailyTable(ids, np.datetime64(first - _EPOCH, "D"), values)
 
 
 def read_events(path) -> list[Event]:
@@ -98,12 +159,24 @@ def read_events(path) -> list[Event]:
     )
 
 
-def write_series(path, series: list[ExposureSeries]) -> None:
-    rows = []
-    for s in series:
-        for day in sorted(s.values):
-            rows.append((s.zone_id, day.isoformat(), s.exposure_kind, s.values[day]))
+def _present(table: DailyTable, *kind: str):
+    """Rows ``id, date[, kind], value`` of the present values of ``table``,
+    row by row with days ascending."""
+    days = np.datetime_as_string(table.origin + np.arange(table.values.shape[1]))
+    for name, row in zip(table.ids.tolist(), table.values):
+        col = np.flatnonzero(~np.isnan(row))
+        yield from zip(repeat(name), days[col].tolist(), *map(repeat, kind), row[col].tolist())
+
+
+def write_series(path, series: dict[str, DailyTable]) -> None:
+    """The present values of each exposure kind's zone table, kinds in order."""
+    rows = chain.from_iterable(_present(table, kind) for kind, table in series.items())
     write_rows(path, ["zone_id", "date", "exposure_kind", "value"], rows)
+
+
+def write_field(path, table: DailyTable) -> None:
+    """A cell table in the layout ``read_daily_field`` reads."""
+    write_rows(path, ["cell_id", "date", "value"], _present(table))
 
 
 def write_matched_sets(path, sets) -> None:
@@ -111,7 +184,9 @@ def write_matched_sets(path, sets) -> None:
     columns = (m.subject_id[m.set_index], np.datetime_as_string(m.day), m.is_case.astype(int))
     columns += (m.temperature, m.pm25_window)
     header = ["subject_id", "date", "is_case", "temperature", "pm25_window"]
-    write_rows(path, header, zip(*(c.tolist() for c in columns)))
+    # 8,192 rows at a time: one Python object per row and column would outgrow the arrays
+    rows = (zip(*(c[lo : lo + 8192].tolist() for c in columns)) for lo in range(0, m.day.size, 8192))
+    write_rows(path, header, chain.from_iterable(rows))
 
 
 def write_drop_log(path, drops: list[DroppedEvent]) -> None:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DayRecord, Event, MatchedRows, MatchedSet, _stratum_days
-from .exposure import PM25, TEMPERATURE, ExposureSeries, GridCell, WindowSpec, Zone, trailing_mean
+from .exposure import PM25, TEMPERATURE, DailyTable, GridCell, WindowSpec, Zone, trailing_mean
 
 __all__ = [
     "TruthSpec",
@@ -82,8 +82,8 @@ class TruthSpec:
 @dataclass
 class SyntheticData:
     events: list[Event]
-    temperature_series: dict[str, ExposureSeries]
-    pm25_series: dict[str, ExposureSeries]
+    temperature_series: DailyTable
+    pm25_series: DailyTable
     rows: MatchedRows
     cells: list[GridCell]
     zones: list[Zone]
@@ -172,18 +172,15 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
 
     seasons = [_season_days(truth, year) for year in truth.years]
     days = np.concatenate(seasons)
-    dates = days.tolist()
     temps, pms = _simulate_series(truth, rng, seasons)
-    temp, pm = np.concatenate(temps, axis=1), np.concatenate(pms, axis=1)
-    temp_series: dict[str, ExposureSeries] = {}
-    pm_series: dict[str, ExposureSeries] = {}
-    t_win, a_win = [], []
-    for z, zid in enumerate(zone_ids):
-        temp_series[zid] = ExposureSeries(zid, TEMPERATURE, dict(zip(dates, temp[z].tolist())))
-        pm_series[zid] = ExposureSeries(zid, PM25, dict(zip(dates, pm[z].tolist())))
-        # one season's days are contiguous; windows never span two seasons
-        t_win.append(np.concatenate([trailing_mean(t[z], truth.temperature_window_days) for t in temps]))
-        a_win.append(np.concatenate([trailing_mean(a[z], truth.pm25_window_days) for a in pms]))
+    # one (zones, days) table per exposure, NaN between seasons
+    origin = days.min()   # years may come in any order
+    day_col = (days - origin).astype(int)
+    temp, pm = (np.full((truth.n_zones, day_col.max() + 1), np.nan) for _ in range(2))
+    temp[:, day_col], pm[:, day_col] = np.concatenate(temps, axis=1), np.concatenate(pms, axis=1)
+    # a season's lookback covers its windows: no window read below spans two seasons
+    t_win = trailing_mean(temp, truth.temperature_window_days)
+    a_win = trailing_mean(pm, truth.pm25_window_days)
 
     # strata in zone, year, month, weekday order: a stratum's anchor is the
     # first of its weekday in the month, so its days are the anchor's weeks
@@ -196,10 +193,7 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     valid = np.arange(size.max()) < size[:, np.newaxis]
     padded = np.repeat(anchor[:, np.newaxis], size.max(), axis=1)
     padded[valid] = day  # the padding repeats the anchor: in season, and no new maximum
-    order = np.argsort(days)
-    at = order[np.searchsorted(days, padded, sorter=order)]
-
-    t, a = (np.take(np.stack(w), at, axis=1) for w in (t_win, a_win))  # (zones, strata, days)
+    t, a = (w[:, (padded - origin).astype(int)] for w in (t_win, a_win))  # (zones, strata, days)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
         lam = np.asarray(truth.f(t) + truth.g(a) + truth.h(t, a), dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -218,11 +212,12 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     row_zone, row_s = zone[set_index], s[set_index]
     rows = MatchedRows(subject, set_index, padded[row_s, col], col == pos[set_index],
                        t[row_zone, row_s, col], a[row_zone, row_s, col])
-    events = list(map(Event, subject.tolist(), np.array(zone_ids)[zone].tolist(), padded[s, pos].tolist()))
+    ids = np.array(zone_ids, dtype=object)
+    events = list(map(Event, subject.tolist(), ids[zone].tolist(), padded[s, pos].tolist()))
     return SyntheticData(
         events=events,
-        temperature_series=temp_series,
-        pm25_series=pm_series,
+        temperature_series=DailyTable(ids, origin, temp),
+        pm25_series=DailyTable(ids, origin, pm),
         rows=rows,
         cells=cells,
         zones=zones,

@@ -1,14 +1,25 @@
+import csv
 import json
+import math
+import struct
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casecross import io
+from casecross.cli import EXIT_INPUT_ERROR, EXIT_OK, main
 from casecross.config import AnalysisConfig, load_config, validate_config
 from casecross.design import DroppedEvent
 from casecross.errors import ConfigurationError
-from casecross.exposure import PM25, ExposureSeries
+from casecross.exposure import PM25, TEMPERATURE
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from per_day import by_day, table_of  # noqa: E402
 
 
 class TestCsvRoundTrips:
@@ -23,7 +34,9 @@ class TestCsvRoundTrips:
         rows = [("c1", "2012-06-01", 0.1 + 0.2), ("c1", "2012-06-02", 7.0)]
         io.write_rows(tmp_path / "f.csv", ["cell_id", "date", "value"], rows)
         field = io.read_daily_field(tmp_path / "f.csv")
-        assert field[("c1", date(2012, 6, 1))] == 0.1 + 0.2
+        assert field.ids.tolist() == ["c1"]
+        assert field.origin == np.datetime64("2012-06-01")
+        assert field.values.tolist() == [[0.1 + 0.2, 7.0]]
 
     def test_duplicate_field_value_rejected(self, tmp_path):
         rows = [("c1", "2012-06-01", 1.0), ("c1", "2012-06-01", 2.0)]
@@ -47,15 +60,162 @@ class TestCsvRoundTrips:
         assert ev.case_date == date(2012, 7, 18)
 
     def test_series_output_schema(self, tmp_path):
-        s = ExposureSeries("z1", PM25, {date(2012, 6, 1): 5.5, date(2012, 6, 2): 6.25})
-        io.write_series(tmp_path / "s.csv", [s])
-        text = (tmp_path / "s.csv").read_text()
-        assert text.splitlines()[0] == "zone_id,date,exposure_kind,value"
-        assert "z1,2012-06-01,pm25,5.5" in text
+        temp = table_of({"z1": {date(2012, 6, 2): 30.0}, "z2": {date(2012, 6, 3): 31.5}})
+        pm = table_of({"z1": {date(2012, 6, 1): 5.5, date(2012, 6, 3): 6.25}})
+        io.write_series(tmp_path / "s.csv", {TEMPERATURE: temp, PM25: pm})
+        assert (tmp_path / "s.csv").read_text().splitlines() == [
+            "zone_id,date,exposure_kind,value",
+            "z1,2012-06-02,temperature_max,30.0",
+            "z2,2012-06-03,temperature_max,31.5",
+            "z1,2012-06-01,pm25,5.5",
+            "z1,2012-06-03,pm25,6.25",
+        ]
 
     def test_drop_log_schema(self, tmp_path):
         io.write_drop_log(tmp_path / "d.csv", [DroppedEvent("s1", "missing_exposure")])
         assert (tmp_path / "d.csv").read_text() == "subject_id,reason\ns1,missing_exposure\n"
+
+
+def _dataset(tmp_path):
+    """A small synthetic dataset and a config over it."""
+    data = tmp_path / "data"
+    assert main(["-q", "synth", "--out", str(data), "--seed", "3", "--events", "40", "--zones", "3"]) == EXIT_OK
+    payload = {k: str(data / f"{k}.csv") for k in (
+        "events", "grid", "zones", "membership", "temperature_field", "pm25_field")}
+    payload.update(seed=1, output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    return data, cfg
+
+
+def _edit(path, edit):
+    """Rewrite the csv file at ``path`` with its rows passed through ``edit``."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+
+
+class TestReaderChecks:
+    """Input files the table form cannot hold exit 2, naming ``path:line``,
+    from ``link`` and from ``validate`` alike."""
+
+    def _exits_2_naming(self, capsys, cfg, command, where, what):
+        assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        message = captured.err if command == "link" else captured.out
+        assert f"{where}:" in message and what in message, message
+
+    @pytest.mark.parametrize("command", ["link", "validate"])
+    @pytest.mark.parametrize("file, line, bad", [
+        ("temperature_field.csv", 3, "nan"),
+        ("pm25_field.csv", 5, "inf"),
+        ("temperature_field.csv", 7, "-Infinity"),
+    ])
+    def test_non_finite_field_value(self, tmp_path, capsys, command, file, line, bad):
+        # a NaN in the file would otherwise read as a missing value
+        data, cfg = _dataset(tmp_path)
+
+        def edit(rows):
+            rows[line - 1][2] = bad
+            return rows
+
+        _edit(data / file, edit)
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:{line}", "non-finite")
+
+    @pytest.mark.parametrize("command", ["link", "validate"])
+    def test_duplicate_cell_and_date(self, tmp_path, capsys, command):
+        # the same day spelled another way is the same key
+        data, cfg = _dataset(tmp_path)
+        _edit(data / "pm25_field.csv", lambda rows: rows + [[rows[4][0], rows[4][1].replace("-", ""), "1.0"]])
+        n = len((data / "pm25_field.csv").read_text().splitlines())
+        self._exits_2_naming(capsys, cfg, command, f"{data / 'pm25_field.csv'}:{n}", "duplicate")
+
+    @pytest.mark.parametrize("command", ["link", "validate"])
+    @pytest.mark.parametrize("file, key", [("zones.csv", "zone_id"), ("grid.csv", "cell_id")])
+    def test_duplicate_id(self, tmp_path, capsys, command, file, key):
+        data, cfg = _dataset(tmp_path)
+        _edit(data / file, lambda rows: rows[:3] + [rows[1]] + rows[3:])
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:4", f"duplicate {key}")
+
+    def test_validate_parses_every_value(self, tmp_path, capsys):
+        data, cfg = _dataset(tmp_path)
+
+        def edit(rows):
+            rows[2][2] = "abc"
+            return rows
+
+        _edit(data / "temperature_field.csv", edit)
+        self._exits_2_naming(capsys, cfg, "validate", f"{data / 'temperature_field.csv'}:3", "abc")
+
+    def test_negative_pm25_named_on_the_zone_mean(self, tmp_path, capsys):
+        data, cfg = _dataset(tmp_path)
+
+        def edit(rows):
+            rows[1][2] = "-1.5"
+            return rows
+
+        _edit(data / "pm25_field.csv", edit)
+        assert main(["-q", "link", "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        assert "negative pm25 value -1.5" in capsys.readouterr().err
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestFieldExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(series=st.dictionaries(
+        st.text(alphabet="abc1, \"'", min_size=1, max_size=4),
+        st.dictionaries(
+            st.integers(0, 40).map(lambda k: date.fromordinal(date(2012, 6, 1).toordinal() + k)),
+            st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+            max_size=8,
+        ),
+        max_size=5,
+    ))
+    def test_written_field_reads_back_bit_for_bit(self, tmp_path_factory, series):
+        path = tmp_path_factory.mktemp("field") / "f.csv"
+        io.write_field(path, table_of(series))
+        got = by_day(io.read_daily_field(path))
+        want = {c: v for c, v in sorted(series.items()) if v}
+        assert list(got) == list(want)
+        for cell, values in want.items():
+            assert {d: _bits(v) for d, v in got[cell].items()} == {d: _bits(v) for d, v in values.items()}
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from(["2012-06-01", "20120601", "2012-W23-5", "2012-06", "2012-13-01", "2012-6-1",
+                         "2012-06-01T00", " 2012-06-01", "+2012-06-01", "0001-01-01", "9999-12-31"])
+        | st.text(alphabet="0123456789-W", max_size=10),
+        st.sampled_from(["1.5", "-0.0", "1e5", " 2 ", "1_0", "1.0.0", "abc", "", "0x10", "nan", "inf",
+                         "-Infinity", "1e400"])
+        | st.floats(allow_nan=False).map(repr) | st.text(alphabet="0123456789.e-_ ", max_size=6),
+    ), min_size=1, max_size=4))
+    def test_reader_accepts_exactly_what_the_row_parsers_accept(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("field") / "f.csv"
+        io.write_rows(path, ["cell_id", "date", "value"], [(f"c{k}", d, v) for k, (d, v) in enumerate(rows)])
+        parsed, failed = [], None
+        for k, (d, v) in enumerate(rows):
+            try:
+                parsed.append((date.fromisoformat(d), float(v)))
+            except ValueError:
+                failed = k + 2
+                break
+        if failed is None:
+            bad = [k + 2 for k, (_, v) in enumerate(parsed) if not math.isfinite(v)]
+            failed = bad[0] if bad else None
+        if failed is not None:
+            with pytest.raises(ConfigurationError, match=f":{failed}: "):
+                io.read_daily_field(path)
+            return
+        table = io.read_daily_field(path)
+        assert table.origin == np.datetime64(min(d for d, _ in parsed), "D")
+        got = by_day(table)
+        assert {c: {d: _bits(v) for d, v in per.items()} for c, per in got.items()} == {
+            f"c{k}": {d: _bits(v)} for k, (d, v) in enumerate(parsed)
+        }
 
 
 class TestConfig:

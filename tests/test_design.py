@@ -1,4 +1,5 @@
 import math
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -23,32 +24,36 @@ from casecross.design import (
     select_referents,
 )
 from casecross import io
-from casecross.errors import ConfigurationError, EmptyAnalysisError, MissingDataError
+from casecross.errors import ConfigurationError, EmptyAnalysisError
 from casecross.exposure import (
     PM25,
     TEMPERATURE,
-    ExposureSeries,
+    DailyTable,
     WindowSpec,
+    Zone,
     link_pm25,
     link_temperature,
-    windowed_exposure,
 )
 from casecross.simulate import TruthSpec, generate
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-def _series(zone, kind, start, values):
-    return ExposureSeries(
-        zone, kind, {start + timedelta(days=k): float(v) for k, v in enumerate(values)}
-    )
+from per_day import Gap, by_day, table_of, windowed_exposure  # noqa: E402
 
 
-def _covered_series(zone, start=date(2012, 5, 25), n=130, t0=25.0, a0=8.0):
+def _series(start, values):
+    return {start + timedelta(days=k): float(v) for k, v in enumerate(values)}
+
+
+def _covered_series(start=date(2012, 5, 25), n=130, t0=25.0, a0=8.0):
     temps = [t0 + 0.05 * k + 3.0 * math.sin(k / 5.0) for k in range(n)]
     pms = [a0 + 2.0 * math.sin(k / 7.0 + 1.0) + 2.5 for k in range(n)]
-    return (
-        _series(zone, TEMPERATURE, start, temps),
-        _series(zone, PM25, start, pms),
-    )
+    return _series(start, temps), _series(start, pms)
+
+
+def _build(events, temp, pm, temp_w, pm_w, season=(6, 9)):
+    """``build_matched_sets`` on the tables of per-zone ``{date: value}`` series."""
+    return build_matched_sets(events, table_of(temp), table_of(pm), temp_w, pm_w, season_months=season)
 
 
 TEMP_W = WindowSpec(TEMPERATURE, 1)
@@ -95,54 +100,51 @@ class TestSelectReferents:
 
 class TestBuildMatchedSets:
     def test_single_event_direct_construction(self):
-        temp, pm = _covered_series("z1")
+        temp, pm = _covered_series()
         events = [Event("s1", "z1", date(2012, 7, 18))]
-        sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert drops == []
         assert sets.subject_id.tolist() == ["s1"]
         assert sets.is_case.sum() == 1
         assert sets.day.size in (4, 5)
         (case,) = sets.day[sets.is_case].tolist()
         assert case == date(2012, 7, 18)
-        assert sets.temperature[sets.is_case][0] == temp.values[case]
+        assert sets.temperature[sets.is_case][0] == temp[case]
         expected_pm = (
-            pm.values[case]
-            + pm.values[case - timedelta(days=1)]
-            + pm.values[case - timedelta(days=2)]
+            pm[case]
+            + pm[case - timedelta(days=1)]
+            + pm[case - timedelta(days=2)]
         ) / 3
         assert sets.pm25_window[sets.is_case][0] == expected_pm
 
     def test_window_gap_drops_event(self):
-        temp, pm = _covered_series("z1")
-        gap = date(2012, 7, 17)
-        pm_vals = dict(pm.values)
-        del pm_vals[gap]
-        pm_gappy = ExposureSeries("z1", PM25, pm_vals)
+        temp, pm = _covered_series()
+        del pm[date(2012, 7, 17)]
         events = [Event("s1", "z1", date(2012, 7, 18))]
-        sets, drops = build_matched_sets(events, [temp], [pm_gappy], TEMP_W, PM_W)
+        sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(sets) == 0
         assert drops == [DroppedEvent("s1", REASON_MISSING_EXPOSURE)]
 
     def test_unknown_zone_drops_event(self):
-        temp, pm = _covered_series("z1")
+        temp, pm = _covered_series()
         events = [Event("s1", "nowhere", date(2012, 7, 18))]
-        sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(sets) == 0 and drops[0].reason == REASON_UNKNOWN_ZONE
 
     def test_outside_season_dropped(self):
-        temp, pm = _covered_series("z1")
+        temp, pm = _covered_series()
         events = [Event("s1", "z1", date(2012, 3, 7))]
-        sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(sets) == 0 and drops[0].reason == REASON_OUTSIDE_SEASON
 
     def test_duplicate_subject_keeps_first_event(self):
-        temp, pm = _covered_series("z1")
+        temp, pm = _covered_series()
         events = [
             Event("s1", "z1", date(2012, 8, 14)),
             Event("s1", "z1", date(2012, 7, 18)),
             Event("s1", "z1", date(2012, 9, 5)),
         ]
-        sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(sets) == 1
         assert sets.day[sets.is_case].tolist() == [date(2012, 7, 18)]
         assert sorted(d.reason for d in drops) == [REASON_DUPLICATE_SUBJECT] * 2
@@ -154,14 +156,14 @@ class TestBuildMatchedSets:
         temp = {}
         pm = {}
         for z in zones:
-            t, p = _covered_series(z, t0=20.0 + rng.uniform(0, 10), a0=6.0 + rng.uniform(0, 4))
+            t, p = _covered_series(t0=20.0 + rng.uniform(0, 10), a0=6.0 + rng.uniform(0, 4))
             temp[z], pm[z] = t, p
         events = []
         for k in range(50):
             month = int(rng.integers(6, 10))
             day = int(rng.integers(1, 29))
             events.append(Event(f"s{k:02d}", zones[k % 5], date(2012, month, day)))
-        sets, drops = build_matched_sets(events, temp, pm, TEMP_W, PM_W)
+        sets, drops = _build(events, temp, pm, TEMP_W, PM_W)
         assert len(sets) + len(drops) == 50
         by_subject = {sid: k for k, sid in enumerate(sets.subject_id)}
         for ev in events:
@@ -171,23 +173,23 @@ class TestBuildMatchedSets:
             days = sorted(select_referents(ev.case_date) + [ev.case_date])
             assert sets.day[rows].tolist() == days
             for d, t, a in zip(days, sets.temperature[rows], sets.pm25_window[rows]):
-                assert t == temp[ev.zone_id].values[d]
+                assert t == temp[ev.zone_id][d]
                 # windows aggregate chronologically (oldest day first)
                 wanted = (
-                    pm[ev.zone_id].values[d - timedelta(days=2)]
-                    + pm[ev.zone_id].values[d - timedelta(days=1)]
-                    + pm[ev.zone_id].values[d]
+                    pm[ev.zone_id][d - timedelta(days=2)]
+                    + pm[ev.zone_id][d - timedelta(days=1)]
+                    + pm[ev.zone_id][d]
                 ) / 3
                 assert a == wanted
 
     def test_no_silent_loss(self):
-        temp, pm = _covered_series("z1")
+        temp, pm = _covered_series()
         events = [
             Event("a", "z1", date(2012, 7, 18)),
             Event("b", "gone", date(2012, 7, 18)),
             Event("c", "z1", date(2012, 1, 1)),
         ]
-        sets, drops = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(sets) + len(drops) == len(events)
 
 
@@ -316,7 +318,8 @@ def _thr(sets, q):
 
 def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
     """The join event by event and day by day, through ``select_referents``
-    and ``windowed_exposure``: columns as lists, and the drop log."""
+    and the per-day ``windowed_exposure`` on each zone's ``{date: value}``
+    series: columns as lists, and the drop log."""
     first = {}
     for ev in events:
         prev = first.get(ev.subject_id)
@@ -337,10 +340,13 @@ def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
         days = sorted(select_referents(ev.case_date) + [ev.case_date])
         try:
             values = [
-                (windowed_exposure(temp[ev.zone_id], d, temp_w), windowed_exposure(pm[ev.zone_id], d, pm_w))
+                (
+                    windowed_exposure(temp[ev.zone_id], d, temp_w.window_days),
+                    windowed_exposure(pm[ev.zone_id], d, pm_w.window_days),
+                )
                 for d in days
             ]
-        except MissingDataError:
+        except Gap:
             drops.append(DroppedEvent(ev.subject_id, REASON_MISSING_EXPOSURE))
             continue
         for d, (t, a) in zip(days, values):
@@ -354,7 +360,7 @@ def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
 
 
 def _assert_exact(events, temp, pm, temp_w, pm_w, season=(6, 9)):
-    rows, drops = build_matched_sets(events, temp, pm, temp_w, pm_w, season_months=season)
+    rows, drops = _build(events, temp, pm, temp_w, pm_w, season)
     cols, ref_drops = _reference_join(events, temp, pm, temp_w, pm_w, season)
     assert rows.subject_id.tolist() == cols["subject_id"]
     assert rows.set_index.tolist() == cols["set_index"]
@@ -376,8 +382,8 @@ class TestMatchedRowsExactness:
         data = Path(__file__).resolve().parent.parent / "data" / "synth"
         cells = io.read_grid_cells(data / "grid.csv")
         zones = io.read_zones(data / "zones.csv", io.read_membership(data / "membership.csv"))
-        temp = {s.zone_id: s for s in link_temperature(cells, zones, io.read_daily_field(data / "temperature_field.csv"))}
-        pm = {s.zone_id: s for s in link_pm25(cells, zones, io.read_daily_field(data / "pm25_field.csv"))}
+        temp = by_day(link_temperature(cells, zones, io.read_daily_field(data / "temperature_field.csv")))
+        pm = by_day(link_pm25(cells, zones, io.read_daily_field(data / "pm25_field.csv")))
         events = io.read_events(data / "events.csv")
         rows, drops = _assert_exact(
             events, temp, pm, WindowSpec(TEMPERATURE, temp_days), WindowSpec(PM25, pm_days)
@@ -388,20 +394,16 @@ class TestMatchedRowsExactness:
     def test_generated_data_with_every_drop_reason(self, window):
         data = generate(TruthSpec(n_zones=6, seed=11), 300)
         rng = np.random.default_rng(window)
-        temp = dict(data.temperature_series)
-        pm = dict(data.pm25_series)
+        temp = by_day(data.temperature_series)
+        pm = by_day(data.pm25_series)
         # gaps: drop scattered days from two zones' series, one of each kind
         for series, zone_id in ((temp, "z001"), (pm, "z004")):
-            values = dict(series[zone_id].values)
-            for day in rng.choice(sorted(values), size=6, replace=False):
-                del values[day]
-            series[zone_id] = ExposureSeries(zone_id, series[zone_id].exposure_kind, values)
+            for day in rng.choice(sorted(series[zone_id]), size=6, replace=False):
+                del series[zone_id][day]
         # a series that starts on July 1: windows of early July reach before it
-        temp["z003"] = ExposureSeries(
-            "z003", TEMPERATURE, {d: v for d, v in temp["z003"].values.items() if d >= date(2012, 7, 1)}
-        )
+        temp["z003"] = {d: v for d, v in temp["z003"].items() if d >= date(2012, 7, 1)}
         del pm["z005"]                    # known to temperature only
-        pm["z000"] = ExposureSeries("z000", PM25, {})       # no pm25 data at all
+        pm["z000"] = {}                   # no pm25 data at all
         events = list(data.events[:200])
         events += [
             Event("u1", "nowhere", date(2012, 7, 18)),
@@ -427,18 +429,47 @@ class TestMatchedRowsExactness:
         }
         assert len(rows) + len(drops) == len(events)
 
+    def test_linked_tables_with_unlinked_zones(self):
+        # z001 has no member cells: no pm25 row, so its events are unknown;
+        # c002, z002's nearest cell, has no temperature: an all-NaN row
+        data = generate(TruthSpec(n_zones=4, seed=5), 200)
+        zones = list(data.zones)
+        zones[1] = Zone(zones[1].zone_id, zones[1].lat, zones[1].lon)
+        cell_ids = np.array([c.cell_id for c in data.cells], dtype=object)
+        temp = data.temperature_series
+        temp_field = DailyTable(cell_ids[[0, 1, 3]], temp.origin, temp.values[[0, 1, 3]])
+        pm_field = DailyTable(cell_ids, temp.origin, data.pm25_series.values)
+        temp = by_day(link_temperature(data.cells, zones, temp_field))
+        pm = by_day(link_pm25(data.cells, zones, pm_field))
+        assert list(temp) == ["z000", "z001", "z002", "z003"] and temp["z002"] == {}
+        assert list(pm) == ["z000", "z002", "z003"]
+        rows, drops = _assert_exact(data.events, temp, pm, TEMP_W, PM_W)
+        zone_of = {ev.subject_id: ev.zone_id for ev in data.events}
+        want = {"z001": REASON_UNKNOWN_ZONE, "z002": REASON_MISSING_EXPOSURE}
+        assert [d.reason for d in drops] == [want[zone_of[d.subject_id]] for d in drops]
+        assert len(drops) == sum(zone_of[s] in want for s in zone_of) > 0
+
+    def test_tables_with_other_origins_and_row_orders(self):
+        # the pm25 table starts July 1 and lists its zones in reverse
+        data = generate(TruthSpec(n_zones=5, seed=6), 300)
+        temp, pm = by_day(data.temperature_series), by_day(data.pm25_series)
+        pm = {z: {d: v for d, v in pm[z].items() if d >= date(2012, 7, 1)} for z in reversed(list(pm))}
+        for window in (1, 3):
+            rows, drops = _assert_exact(data.events, temp, pm, WindowSpec(TEMPERATURE, window), WindowSpec(PM25, window))
+            assert {d.reason for d in drops} == {REASON_MISSING_EXPOSURE} and len(rows) > 0
+
     def test_no_events(self):
-        temp, pm = _covered_series("z1")
-        rows, drops = _assert_exact([], [temp], [pm], TEMP_W, PM_W)
+        temp, pm = _covered_series()
+        rows, drops = _assert_exact([], {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(rows) == 0 and drops == []
 
     def test_from_sets_matches_the_build(self):
-        temp, pm = _covered_series("z1")
+        temp, pm = _covered_series()
         events = [Event(f"s{k}", "z1", date(2012, 7, 2 + k)) for k in range(20)]
-        rows, _ = build_matched_sets(events, [temp], [pm], TEMP_W, PM_W)
+        rows, _ = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         sets = [
             MatchedSet(ev.subject_id, [
-                DayRecord(d, d == ev.case_date, windowed_exposure(temp, d, TEMP_W), windowed_exposure(pm, d, PM_W))
+                DayRecord(d, d == ev.case_date, windowed_exposure(temp, d, 1), windowed_exposure(pm, d, 3))
                 for d in sorted(select_referents(ev.case_date) + [ev.case_date])
             ])
             for ev in events

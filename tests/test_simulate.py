@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,10 @@ from casecross.simulate import (
     linear_truth,
 )
 from casecross.splines import design_matrix, fit_model_basis
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from per_day import by_day  # noqa: E402
 
 COLUMNS = ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window")
 
@@ -92,9 +99,10 @@ class TestGenerate:
         a = generate(truth, 200)
         b = generate(truth, 200)
         assert [e.case_date for e in a.events] == [e.case_date for e in b.events]
-        za = a.temperature_series["z003"].values
-        zb = b.temperature_series["z003"].values
-        assert za == zb
+        for name in ("temperature_series", "pm25_series"):
+            ta, tb = getattr(a, name), getattr(b, name)
+            assert ta.ids.tolist() == tb.ids.tolist() and ta.origin == tb.origin
+            assert ta.values.tobytes() == tb.values.tobytes()
 
     def test_different_seed_differs(self):
         a = generate(linear_truth(0.05, 0.02, 0.001, n_zones=10, seed=4), 200)
@@ -103,10 +111,9 @@ class TestGenerate:
 
     def test_series_respect_invariants(self):
         data = generate(TruthSpec(n_zones=8, seed=1), 100)
-        for s in data.pm25_series.values():
-            assert all(v >= 0 for v in s.values.values())
-        for s in data.temperature_series.values():
-            assert all(np.isfinite(v) for v in s.values.values())
+        # NaN only between seasons: one season here, so none at all
+        assert np.all(data.pm25_series.values >= 0)
+        assert np.all(np.isfinite(data.temperature_series.values))
 
     def test_events_in_season_with_window_coverage(self):
         truth = TruthSpec(n_zones=8, seed=2)
@@ -268,10 +275,11 @@ class TestGeneratorExactness:
         data = generate(truth, n_events)
         events, series, table = _per_stratum_reference(truth, n_events)
         assert [(e.subject_id, e.zone_id, e.case_date) for e in data.events] == events
-        assert list(data.temperature_series) == list(series)
+        temps, pms = by_day(data.temperature_series), by_day(data.pm25_series)
+        assert list(temps) == list(pms) == list(series)
         for zid, (temp, pm) in series.items():
-            assert data.temperature_series[zid].values == temp
-            assert data.pm25_series[zid].values == pm
+            assert temps[zid] == temp
+            assert pms[zid] == pm
         for name in COLUMNS:
             assert _identical(getattr(data.rows, name), table[name]), name
         pre = MatchedRows.from_sets(data.sets)
