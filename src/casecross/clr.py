@@ -44,6 +44,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -187,9 +188,11 @@ class ConditionalLikelihood:
             z, np.where(real, 0.0, -np.inf), counts.sum(axis=0), counts.ravel() @ z
         )
 
-    def scaled(self, inv_scale: np.ndarray) -> "_Strata":
-        """The likelihood kernel for coefficients in units of ``1/inv_scale``."""
-        s = self._strata
+    @cached_property
+    def standardized(self) -> "_Strata":
+        """The likelihood kernel for coefficients in units of ``_scales(self)``,
+        built on first use and shared by ``fit_mle`` and ``fit_bayes``."""
+        s, inv_scale = self._strata, 1.0 / _scales(self)
         return _Strata(s.z * inv_scale, s.pad, s.n, s.t * inv_scale)
 
     def block_of(self, column: int) -> str:
@@ -503,7 +506,7 @@ def fit_mle(
     back-transformed to the original scale.
     """
     scale = _scales(lik)
-    strata = lik.scaled(1.0 / scale)
+    strata = lik.standardized
     beta_std, cov_std, diag = _newton(strata, lik, tolerance, max_iter, separation_bound)
     point = beta_std / scale
     cov = None
@@ -539,7 +542,7 @@ def fit_bayes(
     """
     start = time.perf_counter()
     scale = _scales(lik)
-    strata = lik.scaled(1.0 / scale)
+    strata = lik.standardized
     # prior is declared on the original scale; standardizing a column by s
     # multiplies its coefficient, hence its prior sd, by s
     precision = 1.0 / (prior.column_sds(lik) * scale) ** 2

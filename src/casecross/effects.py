@@ -103,23 +103,36 @@ def _or_draws(fit: FitResult, model: ModelBasis, which: str, levels: ContrastLev
     return np.exp(fit.draws @ row)
 
 
-# Columns of the per-draw OR array that one table job holds at once.
-CHUNK = 64
+# Columns of the per-draw OR array that one table job holds at once. A
+# (draws, CHUNK) block and its transposed copy take 3 MB at 6,000 draws, near
+# one core's 2 MB L2 cache; 64 columns made a 51 x 51 surface 1.3-1.5x slower.
+CHUNK = 32
 
 
 def _posterior_summary(per_draw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column means and type-1 2.5 % and 97.5 % order statistics of a
-    (draws, k) block of per-draw values, which it partitions in place."""
+    (draws, k) block of per-draw values, which it leaves as it is.
+
+    The order statistics are selected on a C-contiguous (k, draws) copy, one
+    kth per partition: numpy selects two kth at once, or along the strided
+    draws axis, with a generic introselect many times slower. The 97.5 %
+    point is selected among the values above the 2.5 % point. An order
+    statistic is an element of the sample, so its bits do not depend on how
+    it is selected.
+    """
     s = per_draw.shape[0]
-    k = type1_index(s, 0.025), type1_index(s, 0.975)
+    k_lo, k_hi = type1_index(s, 0.025), type1_index(s, 0.975)
     mean = per_draw.mean(axis=0)
-    per_draw.partition(k, axis=0)
-    lo, hi = per_draw[list(k)]  # a copy: the block is freed on return
+    rows = per_draw.T.copy()
+    rows.partition(k_lo, axis=1)
+    if k_hi > k_lo:
+        rows[:, k_lo + 1 :].partition(k_hi - k_lo - 1, axis=1)
+    lo, hi = rows[:, (k_lo, k_hi)].T  # a copy: the rows are freed on return
     return mean, lo, hi
 
 
 def _summarize(name: str, per_draw: np.ndarray, extrapolated: bool) -> EffectEstimate:
-    (point,), (lo,), (hi,) = _posterior_summary(per_draw[:, np.newaxis].copy())
+    (point,), (lo,), (hi,) = _posterior_summary(per_draw[:, np.newaxis])
     return EffectEstimate(
         name=name,
         point=float(point),

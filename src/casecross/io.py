@@ -1,9 +1,15 @@
 """CSV and JSON readers/writers for every file format the pipeline touches.
 
-``csv.writer`` writes floats with ``repr`` (shortest round-trip form),
-booleans are passed as 0/1 and lines end in ``\\n``, so identical analyses
-produce byte-identical artifacts. Readers name the file and line of a value
-they cannot parse, of a duplicate id or key, and of a non-finite field value.
+Floats are written as their ``repr`` (shortest round-trip form), booleans
+are passed as 0/1 and lines end in ``\\n``, so identical analyses produce
+byte-identical artifacts. Files that carry IDs go through ``csv.writer``.
+Files of numbers only (``write_draws``, ``write_effect_table``) join each
+row's fields' ``str`` themselves, without the writer's per-field quoting
+checks: that is the text ``csv.writer`` writes for an int or a float
+(``repr`` for a Python float), and no such text holds a delimiter, quote or
+line break, so the bytes are the same. Readers name the file and line of a
+value they cannot parse, of a duplicate id or key, and of a non-finite
+field value.
 
 A daily field is read, chunk by chunk, into a ``DailyTable``. Each distinct
 date string goes through ``date.fromisoformat`` once and each value through
@@ -88,13 +94,19 @@ def _unique(path, keys, what: str) -> None:
         seen.add(key)
 
 
-def write_rows(path, header: list[str], rows) -> None:
+def write_rows(path, header: list[str], rows, numeric: bool = False) -> None:
+    """The header and ``rows`` through ``csv.writer``; with ``numeric``, rows
+    of numbers only, each joined from its fields' ``str`` as ``csv.writer``
+    would write them."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if numeric:
+            handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        else:
+            writer.writerows(rows)
 
 
 def read_grid_cells(path) -> list[GridCell]:
@@ -199,7 +211,8 @@ def write_coefficients(path, labels, estimates, sds) -> None:
 
 
 def write_draws(path, labels, draws) -> None:
-    write_rows(path, list(labels), (row.tolist() for row in np.asarray(draws, dtype=float)))
+    rows = (row.tolist() for row in np.asarray(draws, dtype=float))
+    write_rows(path, list(labels), rows, numeric=True)
 
 
 def write_contrasts(path, estimates) -> None:
@@ -212,7 +225,7 @@ def write_contrasts(path, estimates) -> None:
 
 def write_effect_table(path, table: list[dict]) -> None:
     rows = [(r["t"], r["a"], r["or"], r["lo95"], r["hi95"]) for r in table]
-    write_rows(path, ["t", "a", "or", "lo95", "hi95"], rows)
+    write_rows(path, ["t", "a", "or", "lo95", "hi95"], rows, numeric=True)
 
 
 def write_json(path, payload: dict) -> None:

@@ -22,6 +22,7 @@ from .design import TrimPolicy, apply_trimming, build_matched_sets
 from .effects import case_day_levels, mult_interaction, or_contrast, reri, response_curve, risk_surface
 from .errors import ConfigurationError, EmptyAnalysisError
 from .exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
+from .quantiles import sorted_distinct
 from .splines import LINEAR_INTERACTION, design_matrix, fit_model_basis
 
 __all__ = ["RunArtifacts", "STAGES", "run"]
@@ -142,14 +143,20 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         out / "curve_pm25.csv",
         response_curve(fit, model, PM25, levels.t0, a_grid, levels.a0),
     )
-    t_surf = np.union1d(np.linspace(t.min(), t.max(), cfg.surface_points), [levels.t0])
-    a_surf = np.union1d(np.linspace(a.min(), a.max(), cfg.surface_points), [levels.a0])
+    t_surf = _surface_grid(t, cfg.surface_points, levels.t0)
+    a_surf = _surface_grid(a, cfg.surface_points, levels.a0)
     io.write_effect_table(
         out / "surface.csv",
         risk_surface(fit, model, t_surf, a_surf, (levels.t0, levels.a0)),
     )
     _write_manifest(cfg, verbatim, artifacts, policy=policy, model=model, levels=levels)
     return artifacts
+
+
+def _surface_grid(values: np.ndarray, points: int, level: float) -> np.ndarray:
+    """``points`` evenly spaced values over the range of ``values``, merged
+    with the reference ``level`` as ``np.union1d`` merges them."""
+    return sorted_distinct(np.append(np.linspace(values.min(), values.max(), points), level))
 
 
 def _write_manifest(cfg, verbatim, artifacts, policy=None, model=None, levels=None):

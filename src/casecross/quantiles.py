@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["type1_quantile", "type1_index"]
+__all__ = ["type1_quantile", "type1_index", "sorted_distinct"]
 
 # Guards against q*n landing an ulp above an exact integer (e.g. 0.95*1000).
 _FUZZ = 1e-9
@@ -34,3 +34,15 @@ def type1_quantile(values, q: float) -> float:
     if xs.ndim != 1:
         raise ValueError("expected a 1-d sample")
     return float(xs[type1_index(xs.size, q)])
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a finite sample in increasing order, as
+    ``np.unique`` gives them; of 0.0 and -0.0 the first given is kept
+    (``np.unique`` keeps either, as its hash table falls). Found on a sorted
+    copy: ``np.unique``'s hash path imports ``numpy.ma``, about 15 ms of a
+    process."""
+    xs = np.sort(np.asarray(values, dtype=float), kind="stable")
+    keep = np.ones(xs.size, dtype=bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .design import MatchedRows
 from .errors import ConfigurationError, DegenerateDataError
-from .quantiles import type1_quantile
+from .quantiles import sorted_distinct, type1_quantile
 
 __all__ = [
     "LINEAR_INTERACTION",
@@ -82,7 +82,7 @@ def fit_knots(values, df: int) -> BasisSpec:
         raise DegenerateDataError("knot fitting sample contains non-finite values")
     if df < 1:
         raise ConfigurationError(f"df must be >= 1, got {df}")
-    n_distinct = np.unique(xs).size
+    n_distinct = sorted_distinct(xs).size
     if n_distinct < df + 1:
         raise DegenerateDataError(
             f"need at least {df + 1} distinct values for {df + 1} knots, got {n_distinct}"

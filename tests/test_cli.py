@@ -346,6 +346,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "ok" in proc.stdout
 
+    def test_run_all_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique's hash path imports numpy.ma, about 15 ms of every process
+        config = Path(__file__).resolve().parent.parent / "configs" / "main.json"
+        script = (
+            "import sys; from casecross.cli import main; "
+            f"code = main(['-q', 'run-all', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.split() == [str(EXIT_OK), "False"], proc.stderr
+
     def test_tensor_model_runs(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=300, zones=8)
         cfg = make_config(

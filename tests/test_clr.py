@@ -190,6 +190,23 @@ class TestFitMle:
         fit2 = fit_mle(ConditionalLikelihood(perm))
         assert np.allclose(fit1.point, fit2.point, atol=1e-7)
 
+    def test_standardized_kernel_is_built_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        lik, _, _ = random_instance(rng, n_sets=30)
+        strata, built = clr._Strata, []
+
+        def counted(*fields):
+            built.append(fields)
+            return strata(*fields)
+
+        monkeypatch.setattr(clr, "_Strata", counted)
+        fit_mle(lik)
+        fit_bayes(lik, PriorSpec(sd={}, default_sd=1.0), SamplerConfig(chains=2, warmup=10, draws=10, seed=1))
+        assert len(built) == 1
+        inv_scale = 1.0 / clr._scales(lik)
+        assert np.array_equal(lik.standardized.z, lik._strata.z * inv_scale)
+        assert np.array_equal(lik.standardized.t, lik._strata.t * inv_scale)
+
     def test_gradient_norm_within_tolerance(self):
         rng = np.random.default_rng(10)
         lik, _, _ = random_instance(rng, n_sets=30)

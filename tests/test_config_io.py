@@ -76,6 +76,40 @@ class TestCsvRoundTrips:
         assert (tmp_path / "d.csv").read_text() == "subject_id,reason\ns1,missing_exposure\n"
 
 
+_NUMBERS = (
+    st.floats(allow_subnormal=True)
+    | st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                       1e16, -1e16, 1e-5, 1e22, 123456789012345680.0])
+    | st.floats().map(np.float64)
+    | st.integers()
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+)
+
+
+class TestNumericWriter:
+    """Rows of numbers are joined without ``csv.writer``; the file must hold
+    the bytes ``csv.writer`` writes for them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(st.text(alphabet='ab,"\n 1:', min_size=1, max_size=4), min_size=1, max_size=4),
+           rows=st.lists(st.lists(_NUMBERS, min_size=1, max_size=6), max_size=12))
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, header, rows):
+        folder = tmp_path_factory.mktemp("numeric")
+        io.write_rows(folder / "csv.csv", header, rows)
+        io.write_rows(folder / "joined.csv", header, rows, numeric=True)
+        assert (folder / "joined.csv").read_bytes() == (folder / "csv.csv").read_bytes()
+
+    def test_draws_and_tables_match_csv_writer(self, tmp_path):
+        draws = np.array([[0.1 + 0.2, -0.0, 5e-324], [1e16, np.inf, -np.inf], [np.nan, 3.0, -1.5e-300]])
+        io.write_draws(tmp_path / "draws.csv", ["a", "b,c", 'd"'], draws)
+        io.write_rows(tmp_path / "want.csv", ["a", "b,c", 'd"'], draws.tolist())
+        assert (tmp_path / "draws.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        table = [{"t": t, "a": -0.0, "or": 1.0, "lo95": 5e-324, "hi95": np.inf} for t in (0.1, 1e16)]
+        io.write_effect_table(tmp_path / "table.csv", table)
+        io.write_rows(tmp_path / "want.csv", ["t", "a", "or", "lo95", "hi95"], [list(r.values()) for r in table])
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def _dataset(tmp_path):
     """A small synthetic dataset and a config over it."""
     data = tmp_path / "data"

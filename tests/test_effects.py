@@ -9,6 +9,7 @@ from casecross.design import DayRecord, MatchedSet
 from casecross.effects import (
     CHUNK,
     ContrastLevels,
+    _posterior_summary,
     case_day_levels,
     mult_interaction,
     or_contrast,
@@ -387,10 +388,10 @@ class TestStreamedTables:
 
     def test_surface_peak_memory_is_about_one_chunk(self):
         """``risk_surface`` over 6,000 draws and a 51 x 51 grid peaks at about
-        6.7 MB of traced allocations on two threads (two 6,000 x 64 chunks of
-        ORs, each exponentiated in place; 3.6 MB on one thread); summarizing
-        the whole (6,000, 2,601) OR array took about 251 MB, the array and its
-        partitioned copy."""
+        6.9 MB of traced allocations on two threads (on each, a 6,000 x 32
+        chunk of ORs, exponentiated in place, and its transposed copy; 3.6 MB
+        on one thread); summarizing the whole (6,000, 2,601) OR array took
+        about 251 MB, the array and its partitioned copy."""
         model, fit = _table_fit("spline_tensor", 6000, seed=0)
         grid_t, grid_a = np.linspace(12.0, 42.0, 51), np.linspace(1.0, 22.0, 51)
         tracemalloc.start()
@@ -400,3 +401,50 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def _summary_block(kind, n_draws, n_cols, seed):
+    """A (draws, columns) block of per-draw values: distinct, heavily tied,
+    or ties mixed with +-inf and NaN."""
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        return np.exp(rng.normal(size=(n_draws, n_cols)))
+    block = rng.integers(0, 4, size=(n_draws, n_cols)).astype(float)
+    if kind == "special":
+        block[rng.random(block.shape) < 0.1] = np.inf
+        block[rng.random(block.shape) < 0.1] = -np.inf
+        block[rng.random(block.shape) < 0.05] = np.nan
+    return block
+
+
+class TestPosteriorSummaryExactness:
+    """``_posterior_summary`` selects its order statistics one kth at a time
+    on contiguous rows; they must be the sorted sample's elements, the same
+    bits as the multi-kth partition along the draws axis, and the means
+    those of the block along axis 0."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "special"])
+    @pytest.mark.parametrize("n_cols", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("n_draws", [1, 2, 20, 21, 1600, 6000])
+    def test_bit_equal_to_sort_and_multi_kth_partition(self, n_draws, n_cols, kind):
+        block = _summary_block(kind, n_draws, n_cols, seed=n_draws * 1000 + n_cols)
+        before = block.copy()
+        k_lo, k_hi = type1_index(n_draws, 0.025), type1_index(n_draws, 0.975)
+        with np.errstate(invalid="ignore"):    # the mean of a column holding inf and -inf
+            mean, lo, hi = _posterior_summary(block)
+            want_mean = before.mean(axis=0)
+        assert np.array_equal(block, before, equal_nan=True)
+        assert np.array_equal(mean, want_mean, equal_nan=True)
+        srt = np.sort(before, axis=0)
+        part = np.partition(before, (k_lo, k_hi), axis=0)
+        for got, k in ((lo, k_lo), (hi, k_hi)):
+            assert got.shape == (n_cols,)
+            assert np.array_equal(got, srt[k], equal_nan=True)
+            assert np.array_equal(got, part[k], equal_nan=True)
+
+    def test_contrast_per_draw_is_left_as_drawn(self):
+        model, fit = _table_fit("spline_linear", 1000, seed=5)
+        est = or_contrast(fit, model, "10", LEVELS)
+        row = model.rows(LEVELS.t1, LEVELS.a0) - model.rows(LEVELS.t0, LEVELS.a0)
+        want = np.exp(fit.draws @ row)
+        assert np.array_equal(est.per_draw, want)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from casecross.quantiles import type1_index, type1_quantile
+from casecross.pipeline import _surface_grid
+from casecross.quantiles import sorted_distinct, type1_index, type1_quantile
 
 
 def test_order_statistic_rule_frozen_values():
@@ -47,3 +49,35 @@ def test_invalid_arguments():
         type1_quantile([1.0, 2.0], 1.5)
     with pytest.raises(ValueError):
         type1_quantile([], 0.5)
+
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=30))
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([1.0, 1.0, 0.0, -0.0])
+@example([2.0, 2.0, 2.0])
+def test_sorted_distinct_is_np_unique(values):
+    got, want = sorted_distinct(values), np.unique(np.array(values))
+    zeros = [v for v in values if v == 0.0]
+    if zeros:   # np.unique keeps either zero, as its hash table falls; the first given is kept
+        want[want == 0.0] = zeros[0]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("values, level", [
+    ([10.0, 40.0], 25.0),       # between grid points
+    ([10.0, 40.0], 20.0),       # on a grid point
+    ([10.0, 40.0], 10.0),       # on an end
+    ([10.0, 40.0], 50.0),       # outside the range
+    ([-0.0, 7.0], 0.0),         # the signed zeros
+    ([-7.0, 0.0], -0.0),
+    ([3.0, 3.0], 3.0),          # a range of one value
+])
+def test_surface_grid_is_np_union1d(values, level):
+    got = _surface_grid(np.array(values), 7, level)
+    want = np.union1d(np.linspace(min(values), max(values), 7), [level])
+    assert np.array_equal(got, want)

@@ -49,6 +49,16 @@ class TestKnotFitting:
         with pytest.raises(DegenerateDataError):
             fit_knots(np.array([1.0, 2.0, 1.0, 2.0]), 3)
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 4])
+    def test_distinct_count_is_np_unique_size(self, df):
+        # -0.0 and 0.0 are one value; the knots need df + 1 distinct ones
+        xs = np.array([0.0, -0.0, 1.0, 1.0, 2.0, -0.0, 3.0])[: df + 3]
+        if np.unique(xs).size < df + 1:
+            with pytest.raises(DegenerateDataError, match=f"got {np.unique(xs).size}$"):
+                fit_knots(xs, df)
+        else:
+            assert fit_knots(xs, df).boundary_knots == (float(xs.min()), float(xs.max()))
+
     def test_deterministic_given_sample(self):
         rng = np.random.default_rng(0)
         xs = rng.normal(size=500)
