@@ -25,10 +25,19 @@ the case row of its first set, so a stratum holding one event contributes the
 per-set term -logsumexp_j(z_j . beta) itself. The form is exact whatever the
 data; what it saves depends on their density. With sets that are all
 distinct, every stratum holds one event and the cost is that of the per-set
-form. The strata are stored as one padded tensor of row differences, one
-slice per row position up to the largest set size, and one kernel evaluates
-the likelihood, its gradient and its Hessian; the likelihood also at a batch
-of coefficient vectors in one pass.
+form. The strata are stored as one tensor of row differences, one slice per
+row position up to the largest set size, zero past a stratum's own size, and
+one kernel evaluates the likelihood, its gradient and its Hessian; the
+likelihood also at a batch of coefficient vectors. Strata are ordered by a
+key that starts with their size, so strata of one width are contiguous runs.
+The kernel works run by run and never touches the rows past a stratum's
+width; a batch of vectors is scored over at most ``BLOCK`` strata at a time,
+so that each span's buffer stays in cache. Each stratum's value is computed
+row by row in position order, as over the whole tensor, so ``BLOCK`` changes
+no result; it is a module constant rather than a setting. That the bits
+match a single padded buffer also rests on the BLAS rounding a product's
+rows alike whatever the matrix size: it does on the BLAS the tests run on,
+and ``tests/test_strata.py::TestSpanKernel`` fails on one where it does not.
 
 Maximum likelihood is Newton iteration with step halving. Posterior sampling
 over the same likelihood plus a per-block Gaussian prior runs the same Newton
@@ -182,18 +191,15 @@ class ConditionalLikelihood:
         mean = values.sum(axis=0) / n_rows
         var = (values**2).sum(axis=0) / n_rows - mean**2
         self.pooled_sd = np.sqrt(np.maximum(var, 0.0))
-        real = np.arange(width)[:, np.newaxis] < size[first]
         z = z.reshape(-1, dim)
-        self._strata = _Strata(
-            z, np.where(real, 0.0, -np.inf), counts.sum(axis=0), counts.ravel() @ z
-        )
+        self._strata = _Strata(z, _runs(size[first]), counts.sum(axis=0), counts.ravel() @ z)
 
     @cached_property
     def standardized(self) -> "_Strata":
         """The likelihood kernel for coefficients in units of ``_scales(self)``,
         built on first use and shared by ``fit_mle`` and ``fit_bayes``."""
         s, inv_scale = self._strata, 1.0 / _scales(self)
-        return _Strata(s.z * inv_scale, s.pad, s.n, s.t * inv_scale)
+        return _Strata(s.z * inv_scale, s.runs, s.n, s.t * inv_scale)
 
     def block_of(self, column: int) -> str:
         if self.blocks:
@@ -205,40 +211,84 @@ class ConditionalLikelihood:
         return f"column {column}"
 
 
+# most strata per span of a batch: a (5, 1,024, 16) buffer is 655 kB, so
+# with its span's rows it stays in a 2 MB L2. At paper shape (80,789 strata,
+# runs of up to 49,843) that beats one span per run; smaller spans cost more
+# in calls than they save in cache (sized with two sampler threads running).
+# A module constant, not a setting: no result depends on it (see above).
+BLOCK = 1024
+
+
+def _runs(widths: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """``(width, s0, s1)``: the runs of strata ``s0:s1`` of one width, in
+    stratum order."""
+    edges = np.flatnonzero(np.diff(widths)) + 1
+    starts, stops = np.append(0, edges).tolist(), np.append(edges, widths.size).tolist()
+    return tuple((int(widths[a]), a, b) for a, b in zip(starts, stops))
+
+
 @dataclass(frozen=True, eq=False)
 class _Strata:
-    """Padded count-weighted strata: the one likelihood kernel.
+    """Count-weighted strata: the one likelihood kernel.
 
-    ``z`` holds the (width, strata, dim) tensor of row differences, zero on
-    padding, flattened to (width * strata, dim); ``pad`` is (width, strata),
-    0 on real rows and -inf on padding; ``n`` the events per stratum; ``t``
-    the summed case-row differences sum_s sum_d c_sd z_sd, so that the
-    log-likelihood is t.beta - n.logsumexp.
+    ``z`` holds the (width, strata, dim) tensor of row differences, zero
+    past a stratum's width, flattened to (width * strata, dim); ``runs``
+    the ``(width, s0, s1)`` runs of strata of one width (see ``_runs``),
+    which tile the strata once; ``n`` the events per stratum; ``t`` the
+    summed case-row differences sum_s sum_d c_sd z_sd, so that the
+    log-likelihood is t.beta - n.logsumexp. Each logsumexp runs over a
+    stratum's real rows only, row by row in position order as over the
+    whole tensor.
     """
 
     z: np.ndarray
-    pad: np.ndarray
+    runs: tuple[tuple[int, int, int], ...]
     n: np.ndarray
     t: np.ndarray
 
     def log_likelihood(self, beta: np.ndarray):
         """Log-likelihood at one (dim,) vector, as a float, or at each row of
-        a (k, dim) array, as a (k,) array, through one (width, strata, k)
-        buffer."""
+        a (k, dim) array, as a (k,) array, one (width, span, k) buffer of at
+        most ``BLOCK`` strata at a time.
+
+        BLAS rounds a matrix-vector product row by row according to where
+        the row falls among the rows it is given, and numpy hands it any
+        product with one row or one column. So one vector is scored over the
+        whole tensor at once, as in ``derivatives``, and then run by run,
+        since cutting gains nothing there; a span of one stratum is scored
+        as a (width, dim) matrix. Every score then has the bits of the
+        product over the whole tensor, on a BLAS that rounds a gemm's rows
+        alike whatever its size (see the module docstring).
+        """
         cols = np.atleast_2d(beta)
-        e = (self.z @ cols.T).reshape(*self.pad.shape, -1)
-        e += self.pad[..., np.newaxis]
-        mx = e.max(axis=0)
-        e -= mx
-        np.exp(e, out=e)
-        ll = cols @ self.t - self.n @ (mx + np.log(e.sum(axis=0)))
+        z3 = self.z.reshape(-1, self.n.size, cols.shape[1])
+        whole = (self.z @ cols.T).reshape(*z3.shape[:2], 1) if len(cols) == 1 else None
+        lse = np.empty((self.n.size, len(cols)))
+        for width, a, b in self.runs:
+            step = BLOCK if whole is None else b - a
+            for s0 in range(a, b, step):
+                s1 = min(s0 + step, b)
+                if whole is not None:
+                    e = whole[:width, s0:s1]
+                elif s1 - s0 == 1:
+                    e = (z3[:width, s0] @ cols.T)[:, np.newaxis]
+                else:
+                    e = z3[:width, s0:s1] @ cols.T
+                mx = e.max(axis=0)
+                e -= mx
+                np.exp(e, out=e)
+                lse[s0:s1] = mx + np.log(e.sum(axis=0))
+        ll = cols @ self.t - self.n @ lse
         return float(ll[0]) if np.ndim(beta) == 1 else ll
 
     def derivatives(self, beta: np.ndarray, want_hess: bool = True):
         """Log-likelihood, gradient and (optionally) Hessian in one pass."""
-        e = (self.z @ beta).reshape(self.pad.shape) + self.pad
-        mx = e.max(axis=0)
-        w = np.exp(e - mx)
+        e = (self.z @ beta).reshape(-1, self.n.size)
+        mx = np.empty(self.n.size)
+        w = np.zeros(e.shape)                     # zero past each stratum's width
+        for width, s0, s1 in self.runs:
+            mx[s0:s1] = e[:width, s0:s1].max(axis=0)
+            w[:width, s0:s1] = np.exp(e[:width, s0:s1] - mx[s0:s1])
         norm = w.sum(axis=0)
         ll = float(self.t @ beta - self.n @ (mx + np.log(norm)))
         w *= self.n / norm                        # N_s times softmax weights

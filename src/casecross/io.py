@@ -2,14 +2,19 @@
 
 Floats are written as their ``repr`` (shortest round-trip form), booleans
 are passed as 0/1 and lines end in ``\\n``, so identical analyses produce
-byte-identical artifacts. Files that carry IDs go through ``csv.writer``.
-Files of numbers only (``write_draws``, ``write_effect_table``) join each
-row's fields' ``str`` themselves, without the writer's per-field quoting
-checks: that is the text ``csv.writer`` writes for an int or a float
-(``repr`` for a Python float), and no such text holds a delimiter, quote or
-line break, so the bytes are the same. Readers name the file and line of a
-value they cannot parse, of a duplicate id or key, and of a non-finite
-field value.
+byte-identical artifacts. Every file holds the bytes ``csv.writer`` writes
+for its rows, but the large ones are formatted without it, a line of text
+per row. Files of numbers only (``write_draws``, ``write_effect_table``)
+join each row's fields' ``str``: that is the text ``csv.writer`` writes for
+an int or a float (``repr`` for a Python float), and no such text holds a
+delimiter, quote or line break. Matched sets, zone series and fields format
+each ID once, each date once and, for matched sets, each distinct float
+once (told apart by bit pattern, so 0.0 and -0.0 keep their own text); an
+ID that holds a delimiter, quote or line break is formatted by
+``csv.writer`` itself, so its quoting stays the writer's own. The drop log,
+coefficients and contrasts go through ``csv.writer``. Readers name the file
+and line of a value they cannot parse, of a duplicate id or key, and of a
+non-finite field value.
 
 A daily field is read, chunk by chunk, into a ``DailyTable``. Each distinct
 date string goes through ``date.fromisoformat`` once and each value through
@@ -20,8 +25,11 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from contextlib import contextmanager
 from datetime import date as Date
-from itertools import chain, islice, repeat
+from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +57,7 @@ __all__ = [
 ]
 
 _EPOCH = Date(1970, 1, 1).toordinal()
+_NEEDS_WRITER = re.compile('[,"\r\n]').search    # text csv.writer may quote
 
 
 def _chunks(path, expected: list[str]):
@@ -94,19 +103,62 @@ def _unique(path, keys, what: str) -> None:
         seen.add(key)
 
 
-def write_rows(path, header: list[str], rows, numeric: bool = False) -> None:
-    """The header and ``rows`` through ``csv.writer``; with ``numeric``, rows
-    of numbers only, each joined from its fields' ``str`` as ``csv.writer``
-    would write them."""
+@contextmanager
+def _csv_file(path, header: list[str]):
+    """``path`` open for writing, with ``header`` written, and its ``csv.writer``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
+        yield handle, writer
+
+
+def write_rows(path, header: list[str], rows, numeric: bool = False) -> None:
+    """The header and ``rows`` through ``csv.writer``; with ``numeric``, rows
+    of numbers only, each joined from its fields' ``str`` as ``csv.writer``
+    would write them."""
+    with _csv_file(path, header) as (handle, writer):
         if numeric:
             handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
         else:
             writer.writerows(rows)
+
+
+def _quoted(names) -> list[str]:
+    """Each name as ``csv.writer`` writes it as a field of a row: as is,
+    unless it holds a delimiter, quote or line break, when the writer itself
+    formats it."""
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    out = []
+    for name in map(str, names):
+        if _NEEDS_WRITER(name):
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow([name])
+            name = buffer.getvalue()[:-1]
+        out.append(name)
+    return out
+
+
+def _text(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of the distinct values of a float64 or datetime64 array, each
+    formatted once, spread back over ``values`` as an object array of text.
+    Values are told apart by their bit patterns, so 0.0 and -0.0 keep their
+    own text."""
+    bits = np.ascontiguousarray(values).view(np.int64)
+    order = np.argsort(bits)
+    ranked = bits[order]
+    new = np.ones(bits.size, dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    out = np.empty(bits.size, dtype=object)
+    out[order] = np.array(fmt(ranked[new].view(values.dtype)), dtype=object)[np.cumsum(new) - 1]
+    return out
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
 
 
 def read_grid_cells(path) -> list[GridCell]:
@@ -172,33 +224,48 @@ def read_events(path) -> list[Event]:
 
 
 def _present(table: DailyTable, *kind: str):
-    """Rows ``id, date[, kind], value`` of the present values of ``table``,
-    row by row with days ascending."""
-    days = np.datetime_as_string(table.origin + np.arange(table.values.shape[1]))
-    for name, row in zip(table.ids.tolist(), table.values):
-        col = np.flatnonzero(~np.isnan(row))
-        yield from zip(repeat(name), days[col].tolist(), *map(repeat, kind), row[col].tolist())
+    """Text of rows ``id,date[,kind],value`` of the present values of
+    ``table``, row by row with days ascending, about 8,192 rows at a time."""
+    days = np.datetime_as_string(table.origin + np.arange(table.values.shape[1])).tolist()
+    dates = np.array([",".join((d, *kind)) for d in days], dtype=object)
+    ids = np.array(_quoted(table.ids.tolist()), dtype=object)
+    step = max(1, 8192 // max(1, dates.size))
+    for lo in range(0, ids.size, step):
+        block = table.values[lo : lo + step]
+        row, col = np.nonzero(~np.isnan(block))
+        yield "".join([
+            f"{i},{d},{v!r}\n"
+            for i, d, v in zip(ids[lo + row].tolist(), dates[col].tolist(), block[row, col].tolist())
+        ])
 
 
 def write_series(path, series: dict[str, DailyTable]) -> None:
     """The present values of each exposure kind's zone table, kinds in order."""
-    rows = chain.from_iterable(_present(table, kind) for kind, table in series.items())
-    write_rows(path, ["zone_id", "date", "exposure_kind", "value"], rows)
+    with _csv_file(path, ["zone_id", "date", "exposure_kind", "value"]) as (handle, _):
+        for kind, table in series.items():
+            handle.writelines(_present(table, kind))
 
 
 def write_field(path, table: DailyTable) -> None:
     """A cell table in the layout ``read_daily_field`` reads."""
-    write_rows(path, ["cell_id", "date", "value"], _present(table))
+    with _csv_file(path, ["cell_id", "date", "value"]) as (handle, _):
+        handle.writelines(_present(table))
 
 
 def write_matched_sets(path, sets) -> None:
     m = MatchedRows.from_sets(sets)
-    columns = (m.subject_id[m.set_index], np.datetime_as_string(m.day), m.is_case.astype(int))
-    columns += (m.temperature, m.pm25_window)
-    header = ["subject_id", "date", "is_case", "temperature", "pm25_window"]
-    # 8,192 rows at a time: one Python object per row and column would outgrow the arrays
-    rows = (zip(*(c[lo : lo + 8192].tolist() for c in columns)) for lo in range(0, m.day.size, 8192))
-    write_rows(path, header, chain.from_iterable(rows))
+    columns = (
+        np.array(_quoted(m.subject_id.tolist()), dtype=object)[m.set_index],
+        _text(m.day, np.datetime_as_string),
+        m.is_case.astype(int),
+        _text(m.temperature, _reprs),
+        _text(m.pm25_window, _reprs),
+    )
+    with _csv_file(path, ["subject_id", "date", "is_case", "temperature", "pm25_window"]) as (handle, _):
+        # 8,192 rows at a time: one Python object per row and column would outgrow the arrays
+        for lo in range(0, m.day.size, 8192):
+            rows = zip(*(c[lo : lo + 8192].tolist() for c in columns))
+            handle.write("".join([f"{i},{d},{case},{t},{a}\n" for i, d, case, t, a in rows]))
 
 
 def write_drop_log(path, drops: list[DroppedEvent]) -> None:

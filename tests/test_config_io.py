@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from casecross import io
 from casecross.cli import EXIT_INPUT_ERROR, EXIT_OK, main
 from casecross.config import AnalysisConfig, load_config, validate_config
-from casecross.design import DroppedEvent
+from casecross.design import DroppedEvent, MatchedRows
 from casecross.errors import ConfigurationError
-from casecross.exposure import PM25, TEMPERATURE
+from casecross.exposure import PM25, TEMPERATURE, DailyTable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -108,6 +108,125 @@ class TestNumericWriter:
         io.write_effect_table(tmp_path / "table.csv", table)
         io.write_rows(tmp_path / "want.csv", ["t", "a", "or", "lo95", "hi95"], [list(r.values()) for r in table])
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# IDs that csv.writer quotes, or leaves as they are; floats whose text a
+# writer that formats each distinct value once could confuse
+_IDS = st.text(alphabet=st.sampled_from('ab1,"\r\n \x00é'), max_size=5)
+_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e22, 0.1]
+)
+
+
+def _csv_bytes(path, header, rows) -> bytes:
+    """The bytes ``csv.writer`` writes for ``header`` and ``rows``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _matched_rows(ids, sizes, days, temperature, pm25) -> MatchedRows:
+    n = sum(sizes)
+    return MatchedRows(
+        subject_id=np.array(ids, dtype=object),
+        set_index=np.repeat(np.arange(len(sizes)), sizes),
+        day=np.array(days[:n], dtype="datetime64[D]"),
+        is_case=np.arange(n) % 3 == 0,
+        temperature=np.array(temperature[:n], dtype=float),
+        pm25_window=np.array(pm25[:n], dtype=float),
+    )
+
+
+def _matched_reference(m: MatchedRows):
+    """Rows of ``matched_sets.csv`` as ``csv.writer`` wrote them, field by field."""
+    return zip(m.subject_id[m.set_index].tolist(), np.datetime_as_string(m.day).tolist(),
+               m.is_case.astype(int).tolist(), m.temperature.tolist(), m.pm25_window.tolist())
+
+
+def _table_reference(table: DailyTable, *kind):
+    """Rows ``id, date[, kind], value`` of the present values, cell by cell."""
+    days = np.datetime_as_string(table.origin + np.arange(table.values.shape[1])).tolist()
+    for name, row in zip(table.ids.tolist(), table.values.tolist()):
+        for day, value in zip(days, row):
+            if not math.isnan(value):
+                yield (name, day, *kind, value)
+
+
+@st.composite
+def _tables(draw):
+    """A table of distinct IDs over 0-6 days, with NaN gaps."""
+    ids = draw(st.lists(_IDS, max_size=5, unique=True))
+    width = draw(st.integers(0, 6))
+    cells = st.one_of(_FLOATS.filter(lambda v: not math.isnan(v)), st.just(math.nan))
+    values = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=len(ids), max_size=len(ids)))
+    origin = np.datetime64(draw(st.dates()), "D")
+    return DailyTable(np.array(ids, dtype=object), origin, np.array(values, dtype=float).reshape(len(ids), width))
+
+
+class TestTextWriters:
+    """Matched sets, series and fields are formatted without ``csv.writer``
+    (each distinct value once, each ID once); the files must hold the bytes
+    ``csv.writer`` writes for their rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6), data=st.data())
+    def test_matched_sets_bytes(self, tmp_path_factory, sizes, data):
+        n = sum(sizes)
+        ids = data.draw(st.lists(_IDS, min_size=len(sizes), max_size=len(sizes)))
+        days = data.draw(st.lists(st.dates(), min_size=n, max_size=n))
+        floats = st.lists(_FLOATS, min_size=n, max_size=n)
+        m = _matched_rows(ids, sizes, days, data.draw(floats), data.draw(floats))
+        folder = tmp_path_factory.mktemp("matched")
+        io.write_matched_sets(folder / "m.csv", m)
+        header = ["subject_id", "date", "is_case", "temperature", "pm25_window"]
+        assert (folder / "m.csv").read_bytes() == _csv_bytes(folder / "want.csv", header, _matched_reference(m))
+
+    def test_matched_sets_bytes_across_chunks(self, tmp_path):
+        """More than two chunks of 8,192 rows, values and IDs repeating
+        across each chunk edge."""
+        rng = np.random.default_rng(5)
+        sizes = [4] * 4100
+        n = sum(sizes)
+        pool = np.array([-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, -2.5, 31.75])
+        ids = [("a,b" if k % 3 == 0 else f"s{k % 7}") for k in range(len(sizes))]
+        days = (np.datetime64("2012-06-01") + rng.integers(0, 5, n)).tolist()
+        temperature = pool[rng.integers(0, pool.size, n)]
+        temperature[[8192, 16384]] = temperature[[8191, 16383]]
+        m = _matched_rows(ids, sizes, days, temperature, pool[np.arange(n) % pool.size])
+        io.write_matched_sets(tmp_path / "m.csv", m)
+        header = ["subject_id", "date", "is_case", "temperature", "pm25_window"]
+        assert (tmp_path / "m.csv").read_bytes() == _csv_bytes(tmp_path / "want.csv", header, _matched_reference(m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=_tables())
+    def test_field_bytes(self, tmp_path_factory, table):
+        folder = tmp_path_factory.mktemp("field")
+        io.write_field(folder / "f.csv", table)
+        want = _csv_bytes(folder / "want.csv", ["cell_id", "date", "value"], _table_reference(table))
+        assert (folder / "f.csv").read_bytes() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(temp=_tables(), pm=_tables())
+    def test_series_bytes(self, tmp_path_factory, temp, pm):
+        folder = tmp_path_factory.mktemp("series")
+        io.write_series(folder / "s.csv", {TEMPERATURE: temp, PM25: pm})
+        rows = [*_table_reference(temp, TEMPERATURE), *_table_reference(pm, PM25)]
+        want = _csv_bytes(folder / "want.csv", ["zone_id", "date", "exposure_kind", "value"], rows)
+        assert (folder / "s.csv").read_bytes() == want
+
+    def test_series_bytes_across_chunks(self, tmp_path):
+        """A table of more than 8,192 present values, so that its rows are
+        written in several pieces, with gaps and repeated values."""
+        rng = np.random.default_rng(6)
+        values = np.array([-0.0, 0.0, 1e16, np.nan, 0.1])[rng.integers(0, 5, (90, 200))]
+        table = DailyTable(np.array([f'z"{k}' if k % 4 else f"z{k}" for k in range(90)], dtype=object),
+                           np.datetime64("2011-12-30"), values)
+        io.write_series(tmp_path / "s.csv", {TEMPERATURE: table})
+        want = _csv_bytes(tmp_path / "want.csv", ["zone_id", "date", "exposure_kind", "value"],
+                          _table_reference(table, TEMPERATURE))
+        assert (tmp_path / "s.csv").read_bytes() == want
 
 
 def _dataset(tmp_path):

@@ -5,7 +5,10 @@ case are collapsed into strata. These tests check that the collapse is exact:
 on the shipped configurations against a plain per-set softmax reference, and
 on generated instances through the properties of the collapse key. The
 batched evaluation, one pass over several coefficient vectors, is checked
-against one evaluation per vector.
+against one evaluation per vector. The kernel, which runs over runs of
+strata of one width and cuts a batch's runs into spans, is checked bit for
+bit against one padded buffer over every stratum: on a BLAS that rounds a
+product's rows differently by matrix size these checks fail.
 """
 
 from dataclasses import replace
@@ -16,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casecross import io
+from casecross import clr, io
 from casecross.clr import ConditionalLikelihood, fit_mle, gradient, hessian, log_likelihood
 from casecross.config import load_config
 from casecross.design import TrimPolicy, apply_trimming, build_matched_sets
 from casecross.exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
-from casecross.simulate import brute_force_set_probability
+from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import design_matrix, fit_model_basis
 
 REPO = Path(__file__).resolve().parent.parent
@@ -204,3 +207,104 @@ class TestCollapseKey:
         assert log_likelihood(mle.point, other) == pytest.approx(
             log_likelihood(mle.point, lik), rel=1e-13
         )
+
+
+# ------------------------------------------------------------- span kernel
+
+def synth_design(kind):
+    """A small generated design over nine seasons, 2008 to 2016."""
+    truth = linear_truth(0.06, 0.02, 0.0015, n_zones=12, years=tuple(range(2008, 2017)), seed=2024)
+    rows = generate(truth, 3000).rows
+    return design_matrix(rows, fit_model_basis(rows, kind, 3, 3))
+
+
+DESIGNS = {name: (lambda name=name: shipped_design(name)) for name in CONFIGS}
+DESIGNS["synth-main"] = lambda: synth_design("spline_linear")
+DESIGNS["synth-tensor"] = lambda: synth_design("spline_tensor")
+
+
+def stratum_widths(dm):
+    """The set size of each stratum in stratum order, rebuilt set by set:
+    a stratum is the key (size, rows sorted and differenced against the
+    smallest), strata in the order of the key bytes."""
+    bounds = np.flatnonzero(np.diff(dm.set_index)) + 1
+    sets = np.split(dm.values, bounds)
+    width = max(len(rows) for rows in sets)
+    keys = set()
+    for rows in sets:
+        rows = rows[np.lexsort(rows.T[::-1])]
+        key = np.zeros((1 + width * rows.shape[1]))
+        key[0] = len(rows)
+        key[1 : 1 + rows.size] = (rows - rows[0]).ravel()
+        keys.add(key.tobytes())
+    return np.array([int(np.frombuffer(k[:8])[0]) for k in sorted(keys)])
+
+
+def padded_kernel(strata, widths):
+    """The kernel over one padded (width, strata, k) buffer, -inf past each
+    stratum's width: the reference the spanned kernel must match bit for bit."""
+    pad = np.where(np.arange(widths.max())[:, np.newaxis] < widths, 0.0, -np.inf)
+
+    def log_likelihood(beta):
+        cols = np.atleast_2d(beta)
+        e = (strata.z @ cols.T).reshape(*pad.shape, -1)
+        e += pad[..., np.newaxis]
+        mx = e.max(axis=0)
+        e -= mx
+        np.exp(e, out=e)
+        return cols @ strata.t - strata.n @ (mx + np.log(e.sum(axis=0)))
+
+    def derivatives(beta):
+        e = (strata.z @ beta).reshape(pad.shape) + pad
+        mx = e.max(axis=0)
+        w = np.exp(e - mx)
+        norm = w.sum(axis=0)
+        ll = float(strata.t @ beta - strata.n @ (mx + np.log(norm)))
+        w *= strata.n / norm
+        g = strata.t - w.reshape(-1) @ strata.z
+        wz = w.reshape(-1, 1) * strata.z
+        zbar = wz.reshape(*w.shape, -1).sum(axis=0)
+        return ll, g, (zbar.T / strata.n) @ zbar - strata.z.T @ wz
+
+    return log_likelihood, derivatives
+
+
+@pytest.fixture(scope="module", params=list(DESIGNS))
+def design(request):
+    dm = DESIGNS[request.param]()
+    return request.param, dm, stratum_widths(dm)
+
+
+class TestSpanKernel:
+    def test_runs_tile_strata_at_their_widths(self, design):
+        name, dm, widths = design
+        runs = ConditionalLikelihood.from_design_matrix(dm)._strata.runs
+        assert [s0 for _, s0, _ in runs] == [0] + [s1 for _, _, s1 in runs[:-1]], name
+        assert runs[-1][2] == widths.size, name
+        assert all(s0 < s1 for _, s0, s1 in runs), name
+        for width, s0, s1 in runs:
+            assert np.all(widths[s0:s1] == width), name
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), name
+        # some run is longer than 7 and no multiple of it, so BLOCK = 7 cuts it short
+        assert any(s1 - s0 > 7 and (s1 - s0) % 7 for _, s0, s1 in runs), name
+
+    @pytest.mark.parametrize("block", [clr.BLOCK, 7, 1])
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_bit_identical_to_padded_buffer(self, design, block, k, monkeypatch):
+        name, dm, widths = design
+        monkeypatch.setattr(clr, "BLOCK", block)
+        lik = ConditionalLikelihood.from_design_matrix(dm)
+        strata = lik.standardized
+        ref_ll, ref_derivatives = padded_kernel(strata, widths)
+        mode = fit_mle(lik).point * clr._scales(lik)
+        rng = np.random.default_rng(k)
+        betas = mode + 0.3 * rng.standard_normal((k, mode.size))
+        assert np.array_equal(strata.log_likelihood(betas), ref_ll(betas)), name
+        for beta in betas[:4]:
+            assert strata.log_likelihood(beta) == float(ref_ll(beta)[0]), name
+            ll, g, h = strata.derivatives(beta)
+            ref = ref_derivatives(beta)
+            assert ll == ref[0], name
+            assert np.array_equal(g, ref[1]), name
+            assert np.array_equal(h, ref[2]), name
+            assert strata.derivatives(beta, want_hess=False)[1].tobytes() == ref[1].tobytes(), name
