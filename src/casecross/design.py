@@ -7,9 +7,10 @@ exposure are dropped (and counted), never patched. A pooled-quantile trim
 then removes extreme pollution days.
 
 Matched sets travel as one columnar table, ``MatchedRows``, which knots, the
-design matrix, contrast levels, grids and the writer all read. ``MatchedSet``
-and ``DayRecord`` remain as checked constructors for hand-built sets, which
-``MatchedRows.from_sets`` turns into the table wherever a function takes
+design matrix, contrast levels, grids and the writer all read. The table also
+reads as a sequence of checked ``MatchedSet`` objects of ``DayRecord``s, built
+only when an element is first read. Hand-built lists of such objects are
+turned into the table by ``MatchedRows.from_sets`` wherever a function takes
 ``sets``. Exposure windows come from the zone tables (``DailyTable``, NaN
 for gaps), each windowed once by shifted adds summed left to right: bit for
 bit the per-day ``sum(window) / len(window)`` of every row, where
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date as Date, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +119,11 @@ class MatchedRows:
     Row columns are ``set_index`` (int), ``day`` (``datetime64[D]``),
     ``is_case`` (bool, one per set), ``temperature`` and ``pm25_window``;
     ``subject_id`` has one entry per set, and ``len()`` counts sets.
+
+    The table is also a sequence of sets: indexing (negative indices and
+    slices too) and iteration give checked ``MatchedSet`` objects. The first
+    element read builds them all, once, and raises ``ConfigurationError`` if
+    a set breaks a ``MatchedSet`` rule; the columns never build them.
     """
 
     subject_id: np.ndarray
@@ -128,6 +135,19 @@ class MatchedRows:
 
     def __len__(self) -> int:
         return len(self.subject_id)
+
+    def __getitem__(self, i):
+        return self._sets[i]
+
+    def __iter__(self):
+        return iter(self._sets)
+
+    @cached_property
+    def _sets(self) -> list[MatchedSet]:
+        columns = (self.day, self.is_case, self.temperature, self.pm25_window)
+        records = list(map(DayRecord, *(c.tolist() for c in columns)))
+        ends = np.cumsum(np.bincount(self.set_index, minlength=len(self))).tolist()
+        return [MatchedSet(sid, records[b:e]) for sid, b, e in zip(self.subject_id.tolist(), [0, *ends], ends)]
 
     @classmethod
     def from_sets(cls, sets) -> "MatchedRows":

@@ -9,7 +9,8 @@ regression estimand equals the generating truth by construction.
 
 All strata, their days taken by the design's referent rule, form one padded
 array, and every case day is drawn at once into one ``MatchedRows`` table,
-``SyntheticData.rows``; ``.sets`` builds ``MatchedSet`` objects on first read.
+``SyntheticData.rows``. ``.sets`` is that same table: per-set ``MatchedSet``
+objects are built only when one of its elements is read.
 
 The module also houses the deliberately naive brute-force oracle used to
 check the stabilized likelihood.
@@ -18,12 +19,11 @@ check the stabilized likelihood.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .design import DayRecord, Event, MatchedRows, MatchedSet, _stratum_days
+from .design import Event, MatchedRows, _stratum_days
 from .exposure import PM25, TEMPERATURE, DailyTable, GridCell, WindowSpec, Zone, trailing_mean
 
 __all__ = [
@@ -91,13 +91,10 @@ class SyntheticData:
     temperature_window: WindowSpec = WindowSpec(TEMPERATURE, 1)
     pm25_window: WindowSpec = WindowSpec(PM25, 3)
 
-    @cached_property
-    def sets(self) -> list[MatchedSet]:
-        """``rows`` as checked ``MatchedSet`` objects, built on first read."""
-        r = self.rows
-        records = list(map(DayRecord, *(c.tolist() for c in (r.day, r.is_case, r.temperature, r.pm25_window))))
-        ends = np.cumsum(np.bincount(r.set_index, minlength=len(r))).tolist()
-        return [MatchedSet(sid, records[b:e]) for sid, b, e in zip(r.subject_id.tolist(), [0, *ends], ends)]
+    @property
+    def sets(self) -> MatchedRows:
+        """``rows`` itself, which also reads as a sequence of ``MatchedSet``."""
+        return self.rows
 
 
 def linear_truth(slope_t: float, slope_a: float, gamma: float, **kwargs) -> TruthSpec:

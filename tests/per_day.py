@@ -1,10 +1,13 @@
 """Per-day references for the table code: each zone's exposure as one
-``{date: value}`` mapping, windows summed one day at a time with ``sum()``."""
+``{date: value}`` mapping, windows summed one day at a time with ``sum()``;
+and per-set objects of a matched-row table, built row by row."""
 
+import struct
 from datetime import date, timedelta
 
 import numpy as np
 
+from casecross.design import DayRecord, MatchedSet
 from casecross.exposure import DailyTable
 
 
@@ -48,3 +51,26 @@ def windowed_exposure(values: dict[date, float], day: date, window_days: int) ->
             raise Gap(d)
         window.append(values[d])
     return sum(window) / len(window)
+
+
+def set_objects(rows) -> list[MatchedSet]:
+    """The sets of a ``MatchedRows`` as checked ``MatchedSet`` objects of
+    ``DayRecord``s, one per row, built from the columns' Python values."""
+    columns = (rows.day, rows.is_case, rows.temperature, rows.pm25_window)
+    records = list(map(DayRecord, *(c.tolist() for c in columns)))
+    ends = np.cumsum(np.bincount(rows.set_index, minlength=len(rows))).tolist()
+    return [MatchedSet(sid, records[b:e]) for sid, b, e in zip(rows.subject_id.tolist(), [0, *ends], ends)]
+
+
+def same_sets(a, b) -> bool:
+    """Whether two sequences of ``MatchedSet`` agree set by set and field by
+    field, with the same Python types, floats compared by their bits."""
+
+    def fields(s):
+        return s.subject_id, [
+            (r.date, type(r.date), r.is_case, type(r.is_case),
+             struct.pack("<dd", r.temperature, r.pm25_window), type(r.temperature), type(r.pm25_window))
+            for r in s.rows
+        ]
+
+    return all(type(s) is MatchedSet for s in (*a, *b)) and list(map(fields, a)) == list(map(fields, b))

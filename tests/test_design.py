@@ -24,6 +24,7 @@ from casecross.design import (
     select_referents,
 )
 from casecross import io
+from casecross.effects import case_day_levels
 from casecross.errors import ConfigurationError, EmptyAnalysisError
 from casecross.exposure import (
     PM25,
@@ -35,10 +36,11 @@ from casecross.exposure import (
     link_temperature,
 )
 from casecross.simulate import TruthSpec, generate
+from casecross.splines import design_matrix, fit_model_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from per_day import Gap, by_day, table_of, windowed_exposure  # noqa: E402
+from per_day import Gap, by_day, same_sets, set_objects, table_of, windowed_exposure  # noqa: E402
 
 
 def _series(start, values):
@@ -478,3 +480,101 @@ class TestMatchedRowsExactness:
         assert MatchedRows.from_sets(table) is table
         for name in ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window"):
             assert np.array_equal(getattr(table, name), getattr(rows, name)), name
+
+
+class TestMatchedRowsSequence:
+    """A ``MatchedRows`` read as a sequence of checked ``MatchedSet`` objects."""
+
+    def test_indexing_and_iteration_match_the_list(self):
+        rows = generate(TruthSpec(n_zones=4, seed=8), 40).sets
+        sets = list(rows)
+        assert len(sets) == len(rows) == 40
+        assert same_sets(sets, set_objects(rows))
+        for i in range(-len(rows), len(rows)):
+            assert rows[i] is sets[i]
+            assert rows[np.int64(i)] is sets[i]
+        for part in (slice(None), slice(None, -1), slice(3, 17), slice(-5, None), slice(None, None, -3), slice(7, 2)):
+            assert rows[part] == sets[part]
+            assert all(a is b for a, b in zip(rows[part], sets[part]))
+        assert all(a is b for a, b in zip(rows, sets))
+        assert all(a is b for a, b in zip(reversed(rows), reversed(sets)))
+
+    def test_out_of_range_index_raises_index_error(self):
+        rows = generate(TruthSpec(n_zones=4, seed=8), 10).sets
+        for i in (10, -11, 1000):
+            with pytest.raises(IndexError):
+                rows[i]
+        empty = generate(TruthSpec(n_zones=4, seed=8), 0).sets
+        assert list(empty) == [] and empty[:] == []
+        with pytest.raises(IndexError):
+            empty[0]
+
+    def test_built_and_trimmed_tables_match_the_row_by_row_objects(self):
+        data = generate(TruthSpec(n_zones=5, seed=12), 300)
+        events = list(data.events)
+        events[4:6] = [Event("gone", "nowhere", date(2012, 7, 18)), Event("late", "z001", date(2012, 10, 3))]
+        built, drops = build_matched_sets(
+            events, data.temperature_series, data.pm25_series, data.temperature_window, data.pm25_window,
+        )
+        assert len(drops) == 2
+        assert same_sets(list(built), set_objects(built))
+        kept, policy, trim_drops = apply_trimming(built, TrimPolicy(0.8))
+        assert trim_drops and len(kept) == len(built) - len(trim_drops)
+        assert same_sets(list(kept), set_objects(kept))
+        # the renumbered view: each surviving set, its rows under the threshold
+        dropped_ids = {d.subject_id for d in trim_drops}
+        want = [
+            MatchedSet(s.subject_id, [r for r in s.rows if r.pm25_window <= policy.computed_threshold])
+            for s in built if s.subject_id not in dropped_ids
+        ]
+        assert same_sets(list(kept), want)
+
+    def test_broken_set_raises_on_first_read_not_on_construction(self):
+        days = np.array(["2012-07-04", "2012-07-11", "2012-07-18"], dtype="datetime64[D]")
+        rows = MatchedRows(
+            subject_id=np.array(["a"], dtype=object),
+            set_index=np.zeros(3, dtype=int),
+            day=days,
+            is_case=np.array([True, True, False]),  # two cases in one set
+            temperature=np.array([30.0, 31.0, 29.0]),
+            pm25_window=np.array([8.0, 9.0, 7.0]),
+        )
+        assert len(rows) == 1 and rows.is_case.sum() == 2
+        with pytest.raises(ConfigurationError, match="exactly one case row"):
+            rows[0]
+        with pytest.raises(ConfigurationError, match="exactly one case row"):
+            list(rows)
+
+    def test_per_set_reads_of_generated_sets(self):
+        # per-set reads as a replication check makes them: a slice, each
+        # set's rows, each row's fields
+        data = generate(TruthSpec(n_zones=5, seed=13), 120)
+        sets = data.sets
+        t = np.array([r.temperature for s in sets for r in s.rows])
+        a = np.array([r.pm25_window for s in sets for r in s.rows])
+        is_case = np.array([r.is_case for s in sets for r in s.rows])
+        starts = np.cumsum([0] + [len(s.rows) for s in sets[:-1]])
+        assert t.tobytes() == data.rows.temperature.tobytes()
+        assert a.tobytes() == data.rows.pm25_window.tobytes()
+        assert np.array_equal(is_case, data.rows.is_case)
+        assert np.array_equal(starts, np.flatnonzero(np.diff(data.rows.set_index, prepend=-1)))
+
+    def test_library_entry_points_build_no_set_objects(self, monkeypatch, tmp_path):
+        built = []
+        check = MatchedSet.__post_init__
+
+        def counted(self):
+            built.append(self.subject_id)
+            check(self)
+
+        monkeypatch.setattr(MatchedSet, "__post_init__", counted)
+        data = generate(TruthSpec(n_zones=5, seed=14), 200)
+        model = fit_model_basis(data.sets, "spline_linear", 1, 1)
+        design_matrix(data.sets, model)
+        kept, _, _ = apply_trimming(data.sets, TrimPolicy(0.9))
+        design_matrix(kept, fit_model_basis(kept, "spline_tensor", 3, 3))
+        case_day_levels(data.sets)
+        io.write_matched_sets(tmp_path / "matched_sets.csv", data.sets)
+        assert built == []
+        data.sets[0]  # the counter sees the objects once they are read
+        assert built == data.rows.subject_id.tolist()

@@ -18,7 +18,7 @@ from casecross.splines import design_matrix, fit_model_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from per_day import by_day  # noqa: E402
+from per_day import by_day, same_sets, set_objects  # noqa: E402
 
 COLUMNS = ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window")
 
@@ -200,9 +200,10 @@ class TestGenerate:
 
     def test_sets_are_checked_objects_of_the_rows(self):
         data = generate(TruthSpec(n_zones=3, seed=5), 50)
-        assert isinstance(data.sets, list)
+        assert data.sets is data.rows
         assert all(isinstance(s, MatchedSet) for s in data.sets)
-        assert data.sets is data.sets  # built once, on first read
+        assert same_sets(list(data.sets), set_objects(data.rows))
+        assert data.rows[0] is data.rows[0]  # built once, on first read
         assert all(s.rows for s in data.sets)
 
     def test_interaction_detected_when_true_reri_is_05(self):
@@ -282,7 +283,7 @@ class TestGeneratorExactness:
             assert pms[zid] == pm
         for name in COLUMNS:
             assert _identical(getattr(data.rows, name), table[name]), name
-        pre = MatchedRows.from_sets(data.sets)
+        pre = MatchedRows.from_sets(list(data.sets))  # a list: the objects -> table path
         for name in COLUMNS:
             assert _identical(getattr(pre, name), getattr(data.rows, name)), name
 
