@@ -7,13 +7,14 @@
 #   * nearest-centroid assignment (temperature role)
 #   * zonal mean over member cells (pm25 role)
 #   * lagged windows: a missing day drops the matched set
+#   * events enter as three columns: subject, zone, case day
 # ============================================================
 
 from datetime import date
 
 import numpy as np
 
-from casecross import DailyTable, Event, GridCell, WindowSpec, Zone, build_matched_sets
+from casecross import DailyTable, GridCell, WindowSpec, Zone, build_matched_sets
 from casecross import link_pm25, link_temperature
 from casecross.exposure import PM25, TEMPERATURE, trailing_mean
 
@@ -73,7 +74,12 @@ print("\nmissing data is NaN, never imputed: the set is dropped")
 gappy = pm_series.values.copy()
 gappy[0, (np.datetime64("2012-06-18") - origin).astype(int)] = np.nan
 broken = DailyTable(pm_series.ids, origin, gappy)
-events = [Event("s1", "downtown", date(2012, 6, 19)), Event("s2", "uptown", date(2012, 6, 19))]
+# events as io.read_events returns them: (subject_id, zone_id, case_day) columns
+events = (
+    np.array(["s1", "s2"], dtype=object),
+    np.array(["downtown", "uptown"], dtype=object),
+    np.array(["2012-06-19", "2012-06-19"], dtype="datetime64[D]"),
+)
 for name, pm in (("complete", pm_series), ("June 18 missing downtown", broken)):
     sets, drops = build_matched_sets(events, temp_series, pm, WindowSpec(TEMPERATURE, 1), WindowSpec(PM25, 3))
     print(f"  {name:25s} sets kept: {sets.subject_id.tolist()}  dropped: {[(d.subject_id, d.reason) for d in drops]}")

@@ -3,9 +3,10 @@
 # DEMO 2 - Time-stratified referent selection and trimming
 #
 #   * referent days: same month, same weekday, case excluded
-#   * matched-set construction from the two zone tables (one
-#     dense zones x days array per exposure) into one columnar
-#     table (one array per day-row field)
+#   * matched-set construction from the event columns and the
+#     two zone tables (one dense zones x days array per
+#     exposure) into one columnar table (one array per day-row
+#     field)
 #   * pooled-quantile trimming of extreme pm25 windows
 # ============================================================
 
@@ -41,7 +42,8 @@ sets, drops = build_matched_sets(
     WindowSpec(TEMPERATURE, 1),
     WindowSpec(PM25, 3),
 )
-print(f"\nevents in: {len(data.events)}  sets out: {len(sets)}  dropped: {len(drops)}")
+n_events = len(data.events[0])  # events are (subject_id, zone_id, case_day) columns
+print(f"\nevents in: {n_events}  sets out: {len(sets)}  dropped: {len(drops)}")
 print(f"day rows: {sets.day.size} (set_index, day, is_case, temperature, pm25_window)")
 first = sets.set_index == 0
 print(f"\nset 0, subject {sets.subject_id[0]}:")

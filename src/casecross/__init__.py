@@ -22,7 +22,6 @@ from .clr import (
 from .config import AnalysisConfig, load_config, validate_config
 from .design import (
     DayRecord,
-    Event,
     MatchedRows,
     MatchedSet,
     TrimPolicy,
@@ -88,7 +87,6 @@ __all__ = [
     "DesignMatrix",
     "EffectEstimate",
     "EmptyAnalysisError",
-    "Event",
     "FitResult",
     "GridCell",
     "InteractionSpec",

@@ -150,9 +150,10 @@ def _cmd_synth(args) -> int:
         order = np.argsort(table.ids)
         cells = np.array([cell_of[z] for z in table.ids[order]], dtype=object)
         io.write_field(out / f"{name}.csv", replace(table, ids=cells, values=table.values[order]))
+    subject, zone, day = data.events
     io.write_rows(
         out / "events.csv", ["subject_id", "zone_id", "case_date"],
-        [(e.subject_id, e.zone_id, e.case_date.isoformat()) for e in data.events],
+        zip(subject.tolist(), zone.tolist(), np.datetime_as_string(day).tolist()),
     )
     log.info("wrote synthetic dataset (%d events, %d zones) to %s", args.events, args.zones, out)
     return EXIT_OK

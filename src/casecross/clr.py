@@ -6,9 +6,11 @@ softmax probability of the case row,
     exp(x_case . beta) / sum_j exp(x_j . beta),
 
 so any per-set constant added to every row cancels: subject-level intercepts
-are conditioned out, never estimated. Rows are stored as differences
-z_j = x_j - x_ref against a reference row of the same set, which makes that
-cancellation structural rather than an arithmetic accident.
+are conditioned out, never estimated. The likelihood is built from arrays
+alone: one covariate row per matched row, the set of each row and its case
+flag, in any row order, as a ``DesignMatrix`` holds them. Rows are stored as
+differences z_j = x_j - x_ref against a reference row of the same set, which
+makes that cancellation structural rather than an arithmetic accident.
 
 Sets that hold the same rows up to such a constant, and differ only in which
 row is the case, are collapsed into one stratum s with per-row case counts
@@ -54,7 +56,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -85,67 +87,37 @@ log = logging.getLogger(__name__)
 class ConditionalLikelihood:
     """Matched-set data collapsed into count-weighted strata.
 
-    ``sets`` is an iterable of ``(case_row, control_rows)`` pairs with
-    ``case_row`` of shape (dim,) and ``control_rows`` of shape (m-1, dim).
-    Sets whose rows, sorted and differenced against their lexicographically
-    smallest row, are bit-identical share a stratum (see the module docstring). Strata are
+    ``values`` holds one (dim,) covariate row per matched row, finite;
+    ``set_index`` names each row's set and ``is_case`` marks the one case
+    row of each set. Rows may come in any order. Sets whose rows, sorted and
+    differenced against their lexicographically smallest row, are
+    bit-identical share a stratum (see the module docstring). Strata are
     ordered by their key bytes, so the reduction order, and hence every
     evaluation, is a function of the data alone and repeats bit for bit.
     """
 
     def __init__(
         self,
-        sets: Iterable[tuple[np.ndarray, np.ndarray]],
+        values: np.ndarray,
+        set_index: np.ndarray,
+        is_case: np.ndarray,
         labels: Sequence[str] | None = None,
         blocks: Sequence[tuple[str, slice]] | None = None,
     ):
-        dim = None
-        rows: list[np.ndarray] = []
-        sizes: list[int] = []
-        for case_row, control_rows in sets:
-            case = np.asarray(case_row, dtype=float)
-            ctrl = np.atleast_2d(np.asarray(control_rows, dtype=float))
-            if case.ndim != 1:
-                raise ValueError("case row must be a vector")
-            if ctrl.shape[0] < 1:
-                raise ValueError("each set needs at least one control row")
-            if ctrl.shape[1] != case.size:
-                raise ValueError(
-                    f"control rows have dimension {ctrl.shape[1]}, case has {case.size}"
-                )
-            if dim is None:
-                dim = case.size
-            elif case.size != dim:
-                raise ValueError("all sets must share one covariate dimension")
-            if not (np.all(np.isfinite(case)) and np.all(np.isfinite(ctrl))):
-                raise ValueError("covariates must be finite")
-            rows += [case[np.newaxis, :], ctrl]
-            sizes.append(ctrl.shape[0] + 1)
-        if not sizes:
-            raise ValueError("need at least one matched set")
-        set_index = np.repeat(np.arange(len(sizes)), sizes)
-        is_case = np.zeros(set_index.size, dtype=bool)
-        is_case[np.cumsum(sizes) - sizes] = True
-        self._build(np.concatenate(rows), set_index, is_case, labels, blocks)
-
-    @classmethod
-    def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
-        lik = cls.__new__(cls)
-        lik._build(dm.values, dm.set_index, dm.is_case, dm.column_labels, dm.blocks)
-        return lik
-
-    def _build(self, values, set_index, is_case, labels, blocks) -> None:
-        """Collapse matched rows (one per row of ``values``, grouped into
-        sets by ``set_index``) into strata in one vectorized pass."""
         values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("covariates must be finite")
         n_rows, dim = values.shape
         if n_rows == 0:
             raise ValueError("need at least one matched set")
+        set_index, is_case = np.asarray(set_index), np.asarray(is_case, dtype=bool)
+        if set_index.shape != (n_rows,) or is_case.shape != (n_rows,):
+            raise ValueError("set_index and is_case need one entry per row of values")
         # rows grouped by set, each set's rows in lexicographic value order
         order = np.lexsort((*values.T[::-1], set_index))
         x = values[order]
-        case = np.asarray(is_case, dtype=bool)[order]
-        sid = np.asarray(set_index)[order]
+        case = is_case[order]
+        sid = set_index[order]
         first_row = np.ones(n_rows, dtype=bool)
         first_row[1:] = sid[1:] != sid[:-1]
         start = np.flatnonzero(first_row)
@@ -193,6 +165,10 @@ class ConditionalLikelihood:
         self.pooled_sd = np.sqrt(np.maximum(var, 0.0))
         z = z.reshape(-1, dim)
         self._strata = _Strata(z, _runs(size[first]), counts.sum(axis=0), counts.ravel() @ z)
+
+    @classmethod
+    def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
+        return cls(dm.values, dm.set_index, dm.is_case, dm.column_labels, dm.blocks)
 
     @cached_property
     def standardized(self) -> "_Strata":

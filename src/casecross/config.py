@@ -9,6 +9,7 @@ describes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +24,12 @@ _INT_KEYS = (
     "temperature_window_days", "pm25_window_days", "temperature_df", "pm25_df",
     "chains", "warmup", "draws", "curve_points", "surface_points", "seed",
 )
+_PRIOR_BLOCKS = ("temperature", "pm25", "interaction")
+
+
+def _number(value) -> bool:
+    # bool is a subclass of int, and JSON true is no number
+    return type(value) in (int, float)
 
 
 @dataclass
@@ -69,6 +76,20 @@ class AnalysisConfig:
             # bool is a subclass of int, and JSON true is no count
             if type(value) is not int and not (key == "seed" and value is None):
                 raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+        for key in ("season_months", "contrast_quantiles"):
+            value = raw.get(key, (0, 0))
+            if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_number, value))):
+                raise ConfigurationError(f"{key} must be two numbers, got {value!r}")
+        if not _number(raw.get("trim_quantile", 0.0)):
+            raise ConfigurationError(f"trim_quantile must be a number, got {raw['trim_quantile']!r}")
+        prior = raw.get("prior_sd", {})
+        if not isinstance(prior, dict):
+            raise ConfigurationError(f"prior_sd must be an object, got {prior!r}")
+        for name, sd in prior.items():
+            if name not in _PRIOR_BLOCKS:
+                raise ConfigurationError(f"prior_sd: unknown block {name!r} (known: {', '.join(_PRIOR_BLOCKS)})")
+            if not (_number(sd) and math.isfinite(sd) and sd > 0):
+                raise ConfigurationError(f"prior_sd: {name} must be a positive finite number, got {sd!r}")
         kwargs = dict(raw)
         if "season_months" in kwargs:
             kwargs["season_months"] = tuple(kwargs["season_months"])
@@ -123,9 +144,6 @@ def validate_config(cfg: AnalysisConfig, need_seed: bool = False, check_files: b
         problems.append(f"model_kind {cfg.model_kind!r} must be one of {MODEL_KINDS}")
     if cfg.temperature_df < 1 or cfg.pm25_df < 1:
         problems.append("spline df must be at least 1")
-    for name, sd in cfg.prior_sd.items():
-        if sd <= 0:
-            problems.append(f"prior sd for {name!r} must be positive")
     if cfg.chains < 2:
         problems.append("need at least 2 chains")
     if cfg.warmup < 10 or cfg.draws < 10:

@@ -6,15 +6,16 @@ matched set with windowed exposures attached; sets touching a missing
 exposure are dropped (and counted), never patched. A pooled-quantile trim
 then removes extreme pollution days.
 
-Matched sets travel as one columnar table, ``MatchedRows``, which knots, the
-design matrix, contrast levels, grids and the writer all read. The table also
-reads as a sequence of checked ``MatchedSet`` objects of ``DayRecord``s, built
-only when an element is first read. Hand-built lists of such objects are
-turned into the table by ``MatchedRows.from_sets`` wherever a function takes
-``sets``. Exposure windows come from the zone tables (``DailyTable``, NaN
-for gaps), each windowed once by shifted adds summed left to right: bit for
-bit the per-day ``sum(window) / len(window)`` of every row, where
-differences of cumulative sums would differ in the last bit.
+Events arrive as three columns, ``(subject_id, zone_id, case_day)``, and
+matched sets travel as one columnar table, ``MatchedRows``, which trimming,
+knots, the design matrix, contrast levels, grids and the writer all take.
+The table also reads as a sequence of checked ``MatchedSet`` objects of
+``DayRecord``s, built only when an element is first read; no library
+function reads it so. Exposure windows come from the zone tables
+(``DailyTable``, NaN for gaps), each windowed once by shifted adds summed
+left to right: bit for bit the per-day ``sum(window) / len(window)`` of
+every row, where differences of cumulative sums would differ in the last
+bit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .exposure import PM25, TEMPERATURE, DailyTable, WindowSpec, trailing_mean
 from .quantiles import type1_quantile
 
 __all__ = [
-    "Event",
     "DayRecord",
     "MatchedSet",
     "MatchedRows",
@@ -56,15 +56,6 @@ REASON_NO_CONTROLS = "no_controls"
 
 # case day + 7k for these k covers every same-weekday day of any month
 _WEEKS = 7 * np.arange(-4, 5)
-
-
-@dataclass(frozen=True)
-class Event:
-    """One subject's first qualifying event."""
-
-    subject_id: str
-    zone_id: str
-    case_date: Date
 
 
 @dataclass(frozen=True)
@@ -149,22 +140,6 @@ class MatchedRows:
         ends = np.cumsum(np.bincount(self.set_index, minlength=len(self))).tolist()
         return [MatchedSet(sid, records[b:e]) for sid, b, e in zip(self.subject_id.tolist(), [0, *ends], ends)]
 
-    @classmethod
-    def from_sets(cls, sets) -> "MatchedRows":
-        """The table of a sequence of ``MatchedSet``; a table is returned as is."""
-        if isinstance(sets, MatchedRows):
-            return sets
-        sets = list(sets)
-        rows = [r for s in sets for r in s.rows]
-        return cls(
-            subject_id=np.array([s.subject_id for s in sets], dtype=object),
-            set_index=np.repeat(np.arange(len(sets)), [len(s.rows) for s in sets]),
-            day=np.array([r.date for r in rows], dtype="datetime64[D]"),
-            is_case=np.array([r.is_case for r in rows], dtype=bool),
-            temperature=np.array([r.temperature for r in rows], dtype=float),
-            pm25_window=np.array([r.pm25_window for r in rows], dtype=float),
-        )
-
     def select(self, rows: np.ndarray, sets: np.ndarray) -> "MatchedRows":
         """The sets under mask ``sets``, renumbered, with their rows under mask ``rows``."""
         renumber = np.cumsum(sets) - 1
@@ -205,7 +180,7 @@ def _stratum_days(anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def build_matched_sets(
-    events: list[Event],
+    events: tuple[np.ndarray, np.ndarray, np.ndarray],
     temperature_series: DailyTable,
     pm25_series: DailyTable,
     temperature_window: WindowSpec,
@@ -214,12 +189,14 @@ def build_matched_sets(
 ) -> tuple[MatchedRows, list[DroppedEvent]]:
     """Join events to windowed exposures, one matched set per retained event.
 
-    Every input event is accounted for: it either yields a set or appears,
-    in event order, in the returned drop list with the first reason that
-    applies of duplicate subject, outside season, unknown zone (not a row
-    of both zone tables) and missing exposure. Only a subject's first event
-    (earliest case date, then first listed) is kept. Sets keep event order
-    and their days are ascending.
+    ``events`` holds the columns ``(subject_id, zone_id, case_day)``:
+    object, object and ``datetime64[D]`` arrays, as ``io.read_events``
+    returns them. Every input event is accounted for: it either yields a set or appears, in event order, in the
+    returned drop list with the first reason that applies of duplicate
+    subject, outside season, unknown zone (not a row of both zone tables)
+    and missing exposure. Only a subject's first event (earliest case date,
+    then first listed) is kept. Sets keep event order and their days are
+    ascending.
     """
     lo, hi = season_months
     if not (1 <= lo <= hi <= 12):
@@ -228,10 +205,8 @@ def build_matched_sets(
         if spec.exposure_kind != kind:
             raise ConfigurationError(f"window spec is for {spec.exposure_kind}, series holds {kind}")
 
-    n = len(events)
-    subject = np.array([ev.subject_id for ev in events], dtype=object)
-    case_day = np.array([ev.case_date for ev in events], dtype="datetime64[D]")
-    zones = [ev.zone_id for ev in events]
+    subject, zones, case_day = events
+    n = len(subject)
     t_row, a_row = temperature_series.row(zones), pm25_series.row(zones)
     month_of_year = case_day.astype("datetime64[M]").astype(int) % 12 + 1
 
@@ -267,7 +242,7 @@ def _windowed(table: DailyTable, spec: WindowSpec, row: np.ndarray, day: np.ndar
     return out
 
 
-def apply_trimming(sets, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, list[DroppedEvent]]:
+def apply_trimming(rows: MatchedRows, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, list[DroppedEvent]]:
     """Remove day rows whose pm25 window exceeds the pooled quantile threshold.
 
     The threshold is the type-1 quantile of ``pm25_window`` pooled over all
@@ -275,7 +250,6 @@ def apply_trimming(sets, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, l
     individually; a set whose case row is trimmed dies, as does a set left
     without controls. Discarded sets are returned as drops, in set order.
     """
-    rows = MatchedRows.from_sets(sets)
     if not len(rows):
         raise EmptyAnalysisError("no matched sets to trim")
     threshold = type1_quantile(rows.pm25_window, policy.quantile)

@@ -57,13 +57,12 @@ class EffectEstimate:
     extrapolated: bool = False
 
 
-def case_day_levels(sets, quantiles=(0.5, 0.95)) -> ContrastLevels:
-    """Contrast levels from the case-day exposure distributions of ``sets``.
+def case_day_levels(rows: MatchedRows, quantiles=(0.5, 0.95)) -> ContrastLevels:
+    """Contrast levels from the case-day exposure distributions of ``rows``.
 
     Quantiles are computed over case rows only, with the package-wide
     order-statistic rule.
     """
-    rows = MatchedRows.from_sets(sets)
     if not len(rows):
         raise EmptyAnalysisError("no matched sets to take case-day levels from")
     lo_q, hi_q = quantiles

@@ -16,9 +16,10 @@ coefficients and contrasts go through ``csv.writer``. Readers name the file
 and line of a value they cannot parse, of a duplicate id or key, and of a
 non-finite field value.
 
-A daily field is read, chunk by chunk, into a ``DailyTable``. Each distinct
-date string goes through ``date.fromisoformat`` once and each value through
-``float()``, so a file is accepted exactly when a per-row parse accepts it.
+A daily field is read, chunk by chunk, into a ``DailyTable``, and events into
+three columns. Each distinct date string goes through ``date.fromisoformat``
+once and each value through ``float()``, so a file is accepted exactly when
+a per-row parse accepts it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DroppedEvent, Event, MatchedRows
+from .design import DroppedEvent, MatchedRows
 from .errors import ConfigurationError
 from .exposure import DailyTable, GridCell, Zone
 
@@ -216,11 +217,25 @@ def read_daily_field(path) -> DailyTable:
     return DailyTable(ids, np.datetime64(first - _EPOCH, "D"), values)
 
 
-def read_events(path) -> list[Event]:
-    return _read(
-        path, ["subject_id", "zone_id", "case_date"],
-        lambda r: Event(r[0], r[1], Date.fromisoformat(r[2])),
-    )
+def read_events(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The events as columns ``(subject_id, zone_id, case_day)``: object,
+    object and ``datetime64[D]`` arrays, in file order."""
+    header = ["subject_id", "zone_id", "case_date"]
+    ordinal = {}    # the day of each date
+    subject, zone, day = [], [], []
+    try:
+        for chunk in _chunks(path, header):
+            subjects, zones, dates, *_ = zip(*chunk)
+            ordinal.update((d, Date.fromisoformat(d).toordinal()) for d in set(dates).difference(ordinal))
+            subject += subjects
+            zone += zones
+            day += map(ordinal.__getitem__, dates)
+    except ValueError:
+        # name the first row that fails, as a per-row parse would
+        _read(path, header, lambda r: (r[0], r[1], Date.fromisoformat(r[2])))
+        raise
+    days = (np.array(day, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
+    return np.array(subject, dtype=object), np.array(zone, dtype=object), days
 
 
 def _present(table: DailyTable, *kind: str):
@@ -252,8 +267,7 @@ def write_field(path, table: DailyTable) -> None:
         handle.writelines(_present(table))
 
 
-def write_matched_sets(path, sets) -> None:
-    m = MatchedRows.from_sets(sets)
+def write_matched_sets(path, m: MatchedRows) -> None:
     columns = (
         np.array(_quoted(m.subject_id.tolist()), dtype=object)[m.set_index],
         _text(m.day, np.datetime_as_string),

@@ -98,8 +98,7 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
 
     # basis + fit
     model = fit_model_basis(sets, cfg.model_kind, cfg.temperature_df, cfg.pm25_df)
-    dm = design_matrix(sets, model)
-    lik = ConditionalLikelihood.from_design_matrix(dm)
+    lik = ConditionalLikelihood.from_design_matrix(design_matrix(sets, model))
     mle = fit_mle(lik)
     io.write_coefficients(out / "coefficients_mle.csv", lik.labels, mle.point, mle.sd)
     prior = PriorSpec(sd=dict(cfg.prior_sd))

@@ -9,8 +9,9 @@ regression estimand equals the generating truth by construction.
 
 All strata, their days taken by the design's referent rule, form one padded
 array, and every case day is drawn at once into one ``MatchedRows`` table,
-``SyntheticData.rows``. ``.sets`` is that same table: per-set ``MatchedSet``
-objects are built only when one of its elements is read.
+``SyntheticData.rows``, and into the event columns ``SyntheticData.events``.
+``.sets`` is that same table: per-set ``MatchedSet`` objects are built only
+when one of its elements is read.
 
 The module also houses the deliberately naive brute-force oracle used to
 check the stabilized likelihood.
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import Event, MatchedRows, _stratum_days
+from .design import MatchedRows, _stratum_days
 from .exposure import PM25, TEMPERATURE, DailyTable, GridCell, WindowSpec, Zone, trailing_mean
 
 __all__ = [
@@ -81,7 +82,7 @@ class TruthSpec:
 
 @dataclass
 class SyntheticData:
-    events: list[Event]
+    events: tuple[np.ndarray, np.ndarray, np.ndarray]   # subject_id, zone_id, case_day
     temperature_series: DailyTable
     pm25_series: DailyTable
     rows: MatchedRows
@@ -210,9 +211,8 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     rows = MatchedRows(subject, set_index, padded[row_s, col], col == pos[set_index],
                        t[row_zone, row_s, col], a[row_zone, row_s, col])
     ids = np.array(zone_ids, dtype=object)
-    events = list(map(Event, subject.tolist(), ids[zone].tolist(), padded[s, pos].tolist()))
     return SyntheticData(
-        events=events,
+        events=(subject, ids[zone], padded[s, pos]),
         temperature_series=DailyTable(ids, origin, temp),
         pm25_series=DailyTable(ids, origin, pm),
         rows=rows,

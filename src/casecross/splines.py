@@ -211,18 +211,17 @@ class ModelBasis:
 
 
 def fit_model_basis(
-    sets,
+    rows: MatchedRows,
     kind: str = "spline_linear",
     temperature_df: int = 3,
     pm25_df: int = 3,
 ) -> ModelBasis:
-    """Fit knots on the pooled (case and control) day values of the sets.
+    """Fit knots on the pooled (case and control) day values of the table.
 
     ``kind`` is ``spline_linear`` (splines plus a single product interaction)
     or ``spline_tensor`` (splines plus a tensor-product interaction sharing
     the marginal knots).
     """
-    rows = MatchedRows.from_sets(sets)
     if not rows.temperature.size:
         raise DegenerateDataError("no rows to fit knots on")
     t_spec = fit_knots(rows.temperature, temperature_df)
@@ -253,9 +252,8 @@ class DesignMatrix:
             raise ConfigurationError("column label count does not match matrix width")
 
 
-def design_matrix(sets, model: ModelBasis) -> DesignMatrix:
+def design_matrix(rows: MatchedRows, model: ModelBasis) -> DesignMatrix:
     """Assemble the design matrix, one row per day row, in set order."""
-    rows = MatchedRows.from_sets(sets)
     return DesignMatrix(
         values=model.rows(rows.temperature, rows.pm25_window),
         column_labels=model.column_labels,

@@ -1,13 +1,17 @@
 """Per-day references for the table code: each zone's exposure as one
 ``{date: value}`` mapping, windows summed one day at a time with ``sum()``;
-and per-set objects of a matched-row table, built row by row."""
+per-set objects of a matched-row table, built row by row, and the table of
+a hand-built list of them; events as one record per row, and their columns;
+and the likelihood of ``(case_row, control_rows)`` pairs."""
 
 import struct
 from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
-from casecross.design import DayRecord, MatchedSet
+from casecross.clr import ConditionalLikelihood
+from casecross.design import DayRecord, MatchedRows, MatchedSet
 from casecross.exposure import DailyTable
 
 
@@ -74,3 +78,50 @@ def same_sets(a, b) -> bool:
         ]
 
     return all(type(s) is MatchedSet for s in (*a, *b)) and list(map(fields, a)) == list(map(fields, b))
+
+
+def rows_of(sets) -> MatchedRows:
+    """The table of a sequence of ``MatchedSet``, sets and rows in order."""
+    sets = list(sets)
+    rows = [r for s in sets for r in s.rows]
+    return MatchedRows(
+        subject_id=np.array([s.subject_id for s in sets], dtype=object),
+        set_index=np.repeat(np.arange(len(sets)), [len(s.rows) for s in sets]),
+        day=np.array([r.date for r in rows], dtype="datetime64[D]"),
+        is_case=np.array([r.is_case for r in rows], dtype=bool),
+        temperature=np.array([r.temperature for r in rows], dtype=float),
+        pm25_window=np.array([r.pm25_window for r in rows], dtype=float),
+    )
+
+
+def pairs_likelihood(pairs, labels=None, blocks=None) -> ConditionalLikelihood:
+    """The likelihood of ``(case_row, control_rows)`` pairs, one set each,
+    with ``case_row`` of shape (dim,) and ``control_rows`` of shape (m-1,
+    dim): rows stacked set by set, case row first."""
+    sets = [np.vstack([case, np.atleast_2d(ctrl)]) for case, ctrl in pairs]
+    sizes = [len(rows) for rows in sets]
+    set_index = np.repeat(np.arange(len(sets)), sizes)
+    is_case = np.zeros(set_index.size, dtype=bool)
+    is_case[np.cumsum(sizes, dtype=int) - sizes] = True
+    values = np.concatenate(sets) if sets else np.zeros((0, 0))
+    return ConditionalLikelihood(values, set_index, is_case, labels, blocks)
+
+
+class Event(NamedTuple):
+    """One event row, as ``events.csv`` holds it."""
+
+    subject_id: str
+    zone_id: str
+    case_date: date
+
+
+def event_columns(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(subject_id, zone_id, case_day)`` columns of ``Event`` rows, as
+    ``io.read_events`` returns them."""
+    subject, zone, day = zip(*events) if events else ((), (), ())
+    return np.array(subject, dtype=object), np.array(zone, dtype=object), np.array(day, dtype="datetime64[D]")
+
+
+def events_of(columns) -> list[Event]:
+    """The ``Event`` rows of event columns, with Python ``str`` and ``date``."""
+    return [Event(*row) for row in zip(*(c.tolist() for c in columns))]

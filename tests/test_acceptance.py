@@ -35,6 +35,7 @@ from casecross.splines import (
     eval_natural_cubic,
     fit_model_basis,
 )
+from per_day import pairs_likelihood, rows_of
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -84,7 +85,7 @@ def test_01_likelihood_matches_brute_force():
         rng = np.random.default_rng(101)
         for _ in range(200):
             sets, beta = _random_instance(rng)
-            lik = ConditionalLikelihood(sets)
+            lik = pairs_likelihood(sets)
             got = log_likelihood(beta, lik)
             want = sum(
                 float(np.log(brute_force_set_probability(beta, case, ctrl)[0]))
@@ -99,7 +100,7 @@ def test_02_derivatives_match_finite_differences():
         h = 1e-6
         for _ in range(50):
             sets, beta = _random_instance(rng, max_dim=8)
-            lik = ConditionalLikelihood(sets)
+            lik = pairs_likelihood(sets)
             dim = beta.size
             g = gradient(beta, lik)
             fd_g = np.empty(dim)
@@ -132,8 +133,8 @@ def test_03_alpha_absorption_bit_level():
                 orig.append((rows[0], rows[1:]))
                 shifted.append((rows[0] + c, rows[1:] + c))
             beta = rng.normal(size=dim)
-            l1 = log_likelihood(beta, ConditionalLikelihood(orig))
-            l2 = log_likelihood(beta, ConditionalLikelihood(shifted))
+            l1 = log_likelihood(beta, pairs_likelihood(orig))
+            l2 = log_likelihood(beta, pairs_likelihood(shifted))
             assert l1 == l2
 
 
@@ -260,7 +261,7 @@ def test_09_trimming_rule():
             vals = [1.0 + 4 * k + j for j in range(4)]
             rows = [DayRecord(days[j], j == 0, 25.0, vals[j]) for j in range(4)]
             sets.append(MatchedSet(f"s{k:03d}", rows))
-        kept, policy, drops = apply_trimming(sets, TrimPolicy(0.95))
+        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.95))
         assert policy.computed_threshold == 950.0
         surviving = sorted(kept.pm25_window.tolist())
         # sets whose case row (value 4k+1) exceeds 950 die whole: k >= 238;

@@ -193,6 +193,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err and "integer" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("prior_sd", {"temperature": "a"}),
+        ("prior_sd", [1, 2]),
+        ("prior_sd", {"temprature": 1.0, "pm25": 10.0, "interaction": 1.0}),
+        ("prior_sd", {"temperature": 10.0, "pm25": float("inf")}),
+        ("prior_sd", {"interaction": True}),
+        ("season_months", [6]),
+        ("season_months", [6, "9"]),
+        ("contrast_quantiles", [0.5]),
+        ("contrast_quantiles", 0.5),
+        ("trim_quantile", "x"),
+        ("trim_quantile", True),
+    ])
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = make_config(tmp_path, tmp_path / "no_data", **{key: value})
+        assert main(["-q", "validate", "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command, file, line, bad", [
         ("link", "temperature_field.csv", 3, "abc"),
         ("link", "pm25_field.csv", 2, "1.0.0"),

@@ -15,6 +15,7 @@ from casecross.clr import (
 from casecross.errors import SeparationError
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import design_matrix, fit_model_basis
+from per_day import pairs_likelihood
 
 
 def random_instance(rng, n_sets=10, max_rows=5, dim=4, scale=0.6):
@@ -24,7 +25,7 @@ def random_instance(rng, n_sets=10, max_rows=5, dim=4, scale=0.6):
         rows = rng.normal(size=(m, dim))
         sets.append((rows[0], rows[1:]))
     beta = rng.normal(size=dim) * scale
-    return ConditionalLikelihood(sets), sets, beta
+    return pairs_likelihood(sets), sets, beta
 
 
 def oracle_log_likelihood(beta, sets):
@@ -39,12 +40,12 @@ class TestLogLikelihood:
         rng = np.random.default_rng(0)
         case = rng.normal(size=3)
         ctrl = rng.normal(size=(4, 3))
-        lik = ConditionalLikelihood([(case, ctrl)])
+        lik = pairs_likelihood([(case, ctrl)])
         assert log_likelihood(np.zeros(3), lik) == pytest.approx(np.log(1 / 5), abs=1e-14)
 
     def test_identical_rows_cancel_for_any_beta(self):
         row = np.array([2.0, -1.5, 0.25])
-        lik = ConditionalLikelihood([(row, np.tile(row, (4, 1)))])
+        lik = pairs_likelihood([(row, np.tile(row, (4, 1)))])
         for beta in (np.zeros(3), np.array([3.0, 2.0, -8.0]), np.array([100.0, -50.0, 7.0])):
             assert log_likelihood(beta, lik) == pytest.approx(np.log(1 / 5), abs=1e-12)
 
@@ -59,7 +60,7 @@ class TestLogLikelihood:
     def test_stable_at_large_linear_predictors(self):
         case = np.array([350.0])
         ctrl = np.array([[-350.0]])
-        lik = ConditionalLikelihood([(case, ctrl)])
+        lik = pairs_likelihood([(case, ctrl)])
         ll = log_likelihood(np.array([2.0]), lik)  # |x.beta| = 700
         assert np.isfinite(ll)
         assert ll == pytest.approx(0.0, abs=1e-300)
@@ -78,8 +79,8 @@ class TestLogLikelihood:
                 orig.append((rows[0], rows[1:]))
                 shifted.append((rows[0] + c, rows[1:] + c))
             beta = rng.normal(size=dim)
-            l1 = log_likelihood(beta, ConditionalLikelihood(orig))
-            l2 = log_likelihood(beta, ConditionalLikelihood(shifted))
+            l1 = log_likelihood(beta, pairs_likelihood(orig))
+            l2 = log_likelihood(beta, pairs_likelihood(shifted))
             assert l1 == l2  # bit-level
 
     def test_concavity(self):
@@ -99,7 +100,7 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(beta, lik)
         with pytest.raises(ValueError):
-            ConditionalLikelihood([(np.array([np.inf]), np.array([[0.0]]))])
+            pairs_likelihood([(np.array([np.inf]), np.array([[0.0]]))])
 
 
 class TestDerivatives:
@@ -107,7 +108,7 @@ class TestDerivatives:
         rng = np.random.default_rng(5)
         case = rng.normal(size=3)
         ctrl = rng.normal(size=(4, 3))
-        lik = ConditionalLikelihood([(case, ctrl)])
+        lik = pairs_likelihood([(case, ctrl)])
         rows = np.vstack([case, ctrl])
         want = case - rows.mean(axis=0)
         assert np.allclose(gradient(np.zeros(3), lik), want, atol=1e-14)
@@ -161,7 +162,7 @@ class TestFitMle:
 
     def test_flat_likelihood_zero_information(self):
         row = np.array([1.0, 2.0])
-        lik = ConditionalLikelihood([(row, np.tile(row, (3, 1)))] * 5)
+        lik = pairs_likelihood([(row, np.tile(row, (3, 1)))] * 5)
         fit = fit_mle(lik)
         assert np.array_equal(fit.point, np.zeros(2))
         assert fit.diagnostics.zero_information
@@ -169,7 +170,7 @@ class TestFitMle:
 
     def test_perfect_separation_raises_with_block(self):
         sets = [(np.array([1.0, 0.3]), np.array([[0.0, 0.3]]))] * 4
-        lik = ConditionalLikelihood(
+        lik = pairs_likelihood(
             sets, labels=("exposure", "other"),
             blocks=(("exposure", slice(0, 1)), ("other", slice(1, 2))),
         )
@@ -184,10 +185,10 @@ class TestFitMle:
             m = int(rng.integers(3, 6))
             rows = rng.normal(size=(m, 3)) * 0.8
             sets.append((rows[0], rows[1:]))
-        fit1 = fit_mle(ConditionalLikelihood(sets))
+        fit1 = fit_mle(pairs_likelihood(sets))
         perm = [sets[i] for i in rng.permutation(len(sets))]
         perm = [(c, ct[::-1].copy()) for c, ct in perm]  # also reverse controls
-        fit2 = fit_mle(ConditionalLikelihood(perm))
+        fit2 = fit_mle(pairs_likelihood(perm))
         assert np.allclose(fit1.point, fit2.point, atol=1e-7)
 
     def test_standardized_kernel_is_built_once(self, monkeypatch):
@@ -224,7 +225,7 @@ class TestFitBayes:
     def test_flat_likelihood_recovers_prior(self):
         row = np.array([1.0, 2.0])
         sets = [(row + k, np.tile(row + k, (3, 1))) for k in range(6)]
-        lik = ConditionalLikelihood(sets)
+        lik = pairs_likelihood(sets)
         prior = PriorSpec(sd={}, default_sd=1.0)
         fit = fit_bayes(lik, prior, SamplerConfig(chains=4, warmup=500, draws=1500, seed=31))
         d = fit.diagnostics
@@ -279,10 +280,10 @@ class TestFitBayes:
         sets = [(np.array([1.0, 0.3]), np.array([[0.0, 0.3]]))] * 4
         prior = PriorSpec()
         with pytest.raises(SeparationError):
-            fit_mle(ConditionalLikelihood(sets))
+            fit_mle(pairs_likelihood(sets))
         cfg = SamplerConfig(chains=2, warmup=200, draws=800, seed=3)
         with caplog.at_level("WARNING", logger="casecross.clr"):
-            fit = fit_bayes(ConditionalLikelihood(sets), prior, cfg)
+            fit = fit_bayes(pairs_likelihood(sets), prior, cfg)
         assert np.all(np.isfinite(fit.draws))
         assert np.all(np.abs(fit.point) < prior.default_sd)
         assert np.all(fit.sd < 1.5 * prior.default_sd)

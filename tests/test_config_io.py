@@ -53,11 +53,15 @@ class TestCsvRoundTrips:
         with pytest.raises(ConfigurationError):
             io.read_events(tmp_path / "none.csv")
 
-    def test_events_round_trip(self, tmp_path):
-        io.write_rows(tmp_path / "e.csv", ["subject_id", "zone_id", "case_date"],
-                      [("s1", "z1", "2012-07-18")])
-        (ev,) = io.read_events(tmp_path / "e.csv")
-        assert ev.case_date == date(2012, 7, 18)
+    def test_events_columns_match_a_per_row_parse(self):
+        path = Path(__file__).resolve().parent.parent / "data" / "synth" / "events.csv"
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        subject, zone, day = io.read_events(path)
+        assert (subject.dtype, zone.dtype, day.dtype) == (np.dtype(object), np.dtype(object), np.dtype("datetime64[D]"))
+        assert subject.tolist() == [r[0] for r in rows]
+        assert zone.tolist() == [r[1] for r in rows]
+        assert day.tolist() == [date.fromisoformat(r[2]) for r in rows]
 
     def test_series_output_schema(self, tmp_path):
         temp = table_of({"z1": {date(2012, 6, 2): 30.0}, "z2": {date(2012, 6, 3): 31.5}})

@@ -15,7 +15,6 @@ from casecross.design import (
     REASON_UNKNOWN_ZONE,
     DayRecord,
     DroppedEvent,
-    Event,
     MatchedRows,
     MatchedSet,
     TrimPolicy,
@@ -40,7 +39,9 @@ from casecross.splines import design_matrix, fit_model_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from per_day import Gap, by_day, same_sets, set_objects, table_of, windowed_exposure  # noqa: E402
+from per_day import (  # noqa: E402
+    Event, Gap, by_day, event_columns, events_of, rows_of, same_sets, set_objects, table_of, windowed_exposure,
+)
 
 
 def _series(start, values):
@@ -54,8 +55,9 @@ def _covered_series(start=date(2012, 5, 25), n=130, t0=25.0, a0=8.0):
 
 
 def _build(events, temp, pm, temp_w, pm_w, season=(6, 9)):
-    """``build_matched_sets`` on the tables of per-zone ``{date: value}`` series."""
-    return build_matched_sets(events, table_of(temp), table_of(pm), temp_w, pm_w, season_months=season)
+    """``build_matched_sets`` of ``Event`` rows on the tables of per-zone
+    ``{date: value}`` series."""
+    return build_matched_sets(event_columns(events), table_of(temp), table_of(pm), temp_w, pm_w, season_months=season)
 
 
 TEMP_W = WindowSpec(TEMPERATURE, 1)
@@ -234,7 +236,7 @@ class TestMatchedSetInvariants:
 class TestTrimming:
     def test_quantile_one_changes_nothing(self):
         sets = [_set_with_pm(f"s{k}", [5 + k, 6, 7, 8]) for k in range(4)]
-        kept, policy, drops = apply_trimming(sets, TrimPolicy(1.0))
+        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(1.0))
         assert kept.subject_id.tolist() == [s.subject_id for s in sets]
         assert np.bincount(kept.set_index).tolist() == [len(s.rows) for s in sets]
         assert drops == []
@@ -244,7 +246,7 @@ class TestTrimming:
         # 25 sets x 4 rows pooled to exactly 1..100
         values = np.arange(1, 101, dtype=float).reshape(25, 4)
         sets = [_set_with_pm(f"s{k:02d}", values[k]) for k in range(25)]
-        kept, policy, drops = apply_trimming(sets, TrimPolicy(0.95))
+        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.95))
         assert policy.computed_threshold == 95.0
         surviving = kept.pm25_window.tolist()
         assert max(surviving) <= 95.0
@@ -263,7 +265,7 @@ class TestTrimming:
             _set_with_pm("high_case", [99.0, 1.0, 2.0, 3.0], case_pos=0),
             _set_with_pm("ok", [4.0, 5.0, 6.0, 7.0], case_pos=0),
         ]
-        kept, policy, drops = apply_trimming(sets, TrimPolicy(0.8))
+        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.8))
         assert policy.computed_threshold == 7.0
         assert kept.subject_id.tolist() == ["ok"]
         assert drops[0].subject_id == "high_case"
@@ -275,7 +277,7 @@ class TestTrimming:
             _set_with_pm("fragile", [1.0, 99.0], case_pos=0),
             _set_with_pm("ok", [2.0, 3.0, 4.0, 5.0], case_pos=0),
         ]
-        kept, policy, drops = apply_trimming(sets, TrimPolicy(0.8))
+        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.8))
         assert policy.computed_threshold == 5.0
         assert kept.subject_id.tolist() == ["ok"]
         assert drops[0].reason == REASON_NO_CONTROLS
@@ -283,10 +285,10 @@ class TestTrimming:
     def test_threshold_invariant_to_order(self):
         rng = np.random.default_rng(8)
         sets = [_set_with_pm(f"s{k:02d}", rng.uniform(0, 30, size=4)) for k in range(30)]
-        _, p1, _ = apply_trimming(sets, TrimPolicy(0.9))
+        _, p1, _ = apply_trimming(rows_of(sets), TrimPolicy(0.9))
         shuffled = list(sets)
         rng.shuffle(shuffled)
-        _, p2, _ = apply_trimming(shuffled, TrimPolicy(0.9))
+        _, p2, _ = apply_trimming(rows_of(shuffled), TrimPolicy(0.9))
         assert p1.computed_threshold == p2.computed_threshold
 
     def test_removal_bound(self):
@@ -296,14 +298,14 @@ class TestTrimming:
             sets = [_set_with_pm(f"s{k:02d}", rng.uniform(0, 50, size=5)) for k in range(20)]
             pooled = [r.pm25_window for s in sets for r in s.rows]
             q = float(rng.uniform(0.5, 1.0))
-            _, policy, _ = apply_trimming(sets, TrimPolicy(q))
+            _, policy, _ = apply_trimming(rows_of(sets), TrimPolicy(q))
             above = sum(v > policy.computed_threshold for v in pooled)
             assert above <= np.ceil((1 - q) * len(pooled)) + 1
 
     def test_all_sets_discarded_raises(self):
         sets = [_set_with_pm("s", [1.0, 99.0], case_pos=1)]
         with pytest.raises(EmptyAnalysisError):
-            apply_trimming(sets, TrimPolicy(0.5))
+            apply_trimming(rows_of(sets), TrimPolicy(0.5))
 
     def test_invalid_quantile(self):
         with pytest.raises(ConfigurationError):
@@ -386,7 +388,7 @@ class TestMatchedRowsExactness:
         zones = io.read_zones(data / "zones.csv", io.read_membership(data / "membership.csv"))
         temp = by_day(link_temperature(cells, zones, io.read_daily_field(data / "temperature_field.csv")))
         pm = by_day(link_pm25(cells, zones, io.read_daily_field(data / "pm25_field.csv")))
-        events = io.read_events(data / "events.csv")
+        events = events_of(io.read_events(data / "events.csv"))
         rows, drops = _assert_exact(
             events, temp, pm, WindowSpec(TEMPERATURE, temp_days), WindowSpec(PM25, pm_days)
         )
@@ -406,7 +408,7 @@ class TestMatchedRowsExactness:
         temp["z003"] = {d: v for d, v in temp["z003"].items() if d >= date(2012, 7, 1)}
         del pm["z005"]                    # known to temperature only
         pm["z000"] = {}                   # no pm25 data at all
-        events = list(data.events[:200])
+        events = events_of(data.events)[:200]
         events += [
             Event("u1", "nowhere", date(2012, 7, 18)),
             Event("u2", "z005", date(2012, 7, 18)),
@@ -445,8 +447,9 @@ class TestMatchedRowsExactness:
         pm = by_day(link_pm25(data.cells, zones, pm_field))
         assert list(temp) == ["z000", "z001", "z002", "z003"] and temp["z002"] == {}
         assert list(pm) == ["z000", "z002", "z003"]
-        rows, drops = _assert_exact(data.events, temp, pm, TEMP_W, PM_W)
-        zone_of = {ev.subject_id: ev.zone_id for ev in data.events}
+        events = events_of(data.events)
+        rows, drops = _assert_exact(events, temp, pm, TEMP_W, PM_W)
+        zone_of = {ev.subject_id: ev.zone_id for ev in events}
         want = {"z001": REASON_UNKNOWN_ZONE, "z002": REASON_MISSING_EXPOSURE}
         assert [d.reason for d in drops] == [want[zone_of[d.subject_id]] for d in drops]
         assert len(drops) == sum(zone_of[s] in want for s in zone_of) > 0
@@ -457,7 +460,7 @@ class TestMatchedRowsExactness:
         temp, pm = by_day(data.temperature_series), by_day(data.pm25_series)
         pm = {z: {d: v for d, v in pm[z].items() if d >= date(2012, 7, 1)} for z in reversed(list(pm))}
         for window in (1, 3):
-            rows, drops = _assert_exact(data.events, temp, pm, WindowSpec(TEMPERATURE, window), WindowSpec(PM25, window))
+            rows, drops = _assert_exact(events_of(data.events), temp, pm, WindowSpec(TEMPERATURE, window), WindowSpec(PM25, window))
             assert {d.reason for d in drops} == {REASON_MISSING_EXPOSURE} and len(rows) > 0
 
     def test_no_events(self):
@@ -465,7 +468,7 @@ class TestMatchedRowsExactness:
         rows, drops = _assert_exact([], {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(rows) == 0 and drops == []
 
-    def test_from_sets_matches_the_build(self):
+    def test_hand_built_sets_match_the_build(self):
         temp, pm = _covered_series()
         events = [Event(f"s{k}", "z1", date(2012, 7, 2 + k)) for k in range(20)]
         rows, _ = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
@@ -476,8 +479,7 @@ class TestMatchedRowsExactness:
             ])
             for ev in events
         ]
-        table = MatchedRows.from_sets(sets)
-        assert MatchedRows.from_sets(table) is table
+        table = rows_of(sets)
         for name in ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window"):
             assert np.array_equal(getattr(table, name), getattr(rows, name)), name
 
@@ -511,10 +513,10 @@ class TestMatchedRowsSequence:
 
     def test_built_and_trimmed_tables_match_the_row_by_row_objects(self):
         data = generate(TruthSpec(n_zones=5, seed=12), 300)
-        events = list(data.events)
+        events = events_of(data.events)
         events[4:6] = [Event("gone", "nowhere", date(2012, 7, 18)), Event("late", "z001", date(2012, 10, 3))]
         built, drops = build_matched_sets(
-            events, data.temperature_series, data.pm25_series, data.temperature_window, data.pm25_window,
+            event_columns(events), data.temperature_series, data.pm25_series, data.temperature_window, data.pm25_window,
         )
         assert len(drops) == 2
         assert same_sets(list(built), set_objects(built))

@@ -27,6 +27,7 @@ from casecross.splines import (
     InteractionSpec,
     ModelBasis,
 )
+from per_day import rows_of
 
 LEVELS = ContrastLevels(t0=25.0, t1=35.0, a0=8.0, a1=16.0, provenance="user")
 
@@ -80,7 +81,7 @@ def _sets_with_case_values(temps, pms):
             DayRecord(days[1], False, float(t) - 1.0, float(a) + 0.5),
         ]
         sets.append(MatchedSet(f"s{k:03d}", rows))
-    return sets
+    return rows_of(sets)
 
 
 class TestCaseDayLevels:

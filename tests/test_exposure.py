@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casecross.design import Event, build_matched_sets
+from casecross.design import build_matched_sets
 from casecross.errors import ConfigurationError
 from casecross.exposure import (
     PM25,
@@ -24,7 +24,7 @@ from casecross.exposure import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from per_day import Gap, by_day, table_of, windowed_exposure  # noqa: E402
+from per_day import Event, Gap, by_day, event_columns, table_of, windowed_exposure  # noqa: E402
 
 D = date(2012, 6, 15)
 
@@ -276,7 +276,7 @@ class TestWindowedExposure:
 
     def test_kind_mismatch(self):
         temp = table_of({"z": self._series([1.0, 2.0, 3.0])})
-        events = [Event("s", "z", D)]
+        events = event_columns([Event("s", "z", D)])
         with pytest.raises(ConfigurationError, match="window spec is for pm25"):
             build_matched_sets(events, temp, temp, WindowSpec(PM25, 1), WindowSpec(PM25, 1))
         with pytest.raises(ConfigurationError, match="window spec is for temperature_max"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from casecross.clr import ConditionalLikelihood, fit_mle
-from casecross.design import MatchedRows, MatchedSet, build_matched_sets
+from casecross.design import MatchedSet, build_matched_sets
 from casecross.exposure import trailing_mean
 from casecross.simulate import (
     TruthSpec,
@@ -18,7 +18,7 @@ from casecross.splines import design_matrix, fit_model_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from per_day import by_day, same_sets, set_objects  # noqa: E402
+from per_day import by_day, events_of, rows_of, same_sets, set_objects  # noqa: E402
 
 COLUMNS = ("subject_id", "set_index", "day", "is_case", "temperature", "pm25_window")
 
@@ -98,7 +98,7 @@ class TestGenerate:
         truth = linear_truth(0.05, 0.02, 0.001, n_zones=10, seed=4)
         a = generate(truth, 200)
         b = generate(truth, 200)
-        assert [e.case_date for e in a.events] == [e.case_date for e in b.events]
+        assert events_of(a.events) == events_of(b.events)
         for name in ("temperature_series", "pm25_series"):
             ta, tb = getattr(a, name), getattr(b, name)
             assert ta.ids.tolist() == tb.ids.tolist() and ta.origin == tb.origin
@@ -107,7 +107,7 @@ class TestGenerate:
     def test_different_seed_differs(self):
         a = generate(linear_truth(0.05, 0.02, 0.001, n_zones=10, seed=4), 200)
         b = generate(linear_truth(0.05, 0.02, 0.001, n_zones=10, seed=5), 200)
-        assert [e.case_date for e in a.events] != [e.case_date for e in b.events]
+        assert [e.case_date for e in events_of(a.events)] != [e.case_date for e in events_of(b.events)]
 
     def test_series_respect_invariants(self):
         data = generate(TruthSpec(n_zones=8, seed=1), 100)
@@ -118,7 +118,7 @@ class TestGenerate:
     def test_events_in_season_with_window_coverage(self):
         truth = TruthSpec(n_zones=8, seed=2)
         data = generate(truth, 300)
-        for ev in data.events:
+        for ev in events_of(data.events):
             assert 6 <= ev.case_date.month <= 9
         # the emitted series join cleanly through the real pipeline
         sets, drops = build_matched_sets(
@@ -275,7 +275,8 @@ class TestGeneratorExactness:
     def test_matches_per_stratum_reference(self, truth, n_events):
         data = generate(truth, n_events)
         events, series, table = _per_stratum_reference(truth, n_events)
-        assert [(e.subject_id, e.zone_id, e.case_date) for e in data.events] == events
+        assert [c.dtype for c in data.events] == [np.dtype(object), np.dtype(object), np.dtype("datetime64[D]")]
+        assert events_of(data.events) == events
         temps, pms = by_day(data.temperature_series), by_day(data.pm25_series)
         assert list(temps) == list(pms) == list(series)
         for zid, (temp, pm) in series.items():
@@ -283,7 +284,7 @@ class TestGeneratorExactness:
             assert pms[zid] == pm
         for name in COLUMNS:
             assert _identical(getattr(data.rows, name), table[name]), name
-        pre = MatchedRows.from_sets(list(data.sets))  # a list: the objects -> table path
+        pre = rows_of(list(data.sets))  # the objects -> table path
         for name in COLUMNS:
             assert _identical(getattr(pre, name), getattr(data.rows, name)), name
 

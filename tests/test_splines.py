@@ -16,6 +16,7 @@ from casecross.splines import (
     fit_knots,
     fit_model_basis,
 )
+from per_day import rows_of
 
 
 def _spec(boundary=(0.0, 30.0), interior=(10.0, 20.0)):
@@ -187,7 +188,7 @@ def _toy_sets():
             for j in range(4)
         ]
         sets.append(MatchedSet(f"s{k:02d}", rows))
-    return sets
+    return rows_of(sets)
 
 
 class TestDesignMatrix:
@@ -218,7 +219,7 @@ class TestDesignMatrix:
         sets = _toy_sets()
         model = fit_model_basis(sets, "spline_linear", 3, 3)
         dm1 = design_matrix(sets, model)
-        reordered = sets[::-1]
+        reordered = rows_of(sets[::-1])
         dm2 = design_matrix(reordered, model)
         # same rows, permuted consistently with the set permutation
         n = len(sets)

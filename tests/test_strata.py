@@ -26,6 +26,7 @@ from casecross.design import TrimPolicy, apply_trimming, build_matched_sets
 from casecross.exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import design_matrix, fit_model_basis
+from per_day import pairs_likelihood
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = ("main", "temp3day", "trim99", "tensor")
@@ -148,7 +149,7 @@ class TestCollapseKey:
     @given(duplicated_instances())
     def test_duplicates_collapse_exactly(self, instance):
         sets, beta, n_distinct, _ = instance
-        lik = ConditionalLikelihood(sets)
+        lik = pairs_likelihood(sets)
         assert lik.n_sets == len(sets)
         assert lik.n_rows == sum(1 + len(ctrl) for _, ctrl in sets)
         assert lik.n_strata <= n_distinct
@@ -159,7 +160,7 @@ class TestCollapseKey:
     def test_repeated_set_is_one_stratum(self):
         rows = np.array([[0.5, 1.0], [0.25, -2.0], [1.5, 0.0], [-1.0, 0.75]])
         sets = [(rows[k], np.delete(rows, k, axis=0)) for k in (0, 1, 1, 3, 2, 0)]
-        lik = ConditionalLikelihood(sets)
+        lik = pairs_likelihood(sets)
         assert (lik.n_sets, lik.n_strata) == (6, 1)
 
     @settings(max_examples=60, deadline=None)
@@ -170,7 +171,7 @@ class TestCollapseKey:
         for case, ctrl in sets:
             c = rng.integers(-512, 512, size=beta.size) / 64.0
             shifted.append((case + c, ctrl + c))
-        lik, lik_shifted = ConditionalLikelihood(sets), ConditionalLikelihood(shifted)
+        lik, lik_shifted = pairs_likelihood(sets), pairs_likelihood(shifted)
         assert lik.n_strata == lik_shifted.n_strata
         assert log_likelihood(beta, lik) == log_likelihood(beta, lik_shifted)
 
@@ -178,7 +179,7 @@ class TestCollapseKey:
     @given(duplicated_instances())
     def test_building_twice_bit_identical(self, instance):
         sets, beta, _, _ = instance
-        a, b = ConditionalLikelihood(sets), ConditionalLikelihood(sets)
+        a, b = pairs_likelihood(sets), pairs_likelihood(sets)
         assert a.n_strata == b.n_strata
         assert log_likelihood(beta, a) == log_likelihood(beta, b)
         assert np.array_equal(gradient(beta, a), gradient(beta, b))
@@ -192,8 +193,8 @@ class TestCollapseKey:
         # non-dyadic rows, so that the stratum's reference set matters
         sets = [(case + 0.1, ctrl + 0.1) for case, ctrl in sets]
         perm = [sets[i] for i in rng.permutation(len(sets))]
-        l1 = log_likelihood(beta, ConditionalLikelihood(sets))
-        l2 = log_likelihood(beta, ConditionalLikelihood(perm))
+        l1 = log_likelihood(beta, pairs_likelihood(sets))
+        l2 = log_likelihood(beta, pairs_likelihood(perm))
         assert l1 == pytest.approx(l2, rel=1e-13)
 
     def test_design_matrix_rows_in_any_order(self, shipped):
@@ -207,6 +208,51 @@ class TestCollapseKey:
         assert log_likelihood(mle.point, other) == pytest.approx(
             log_likelihood(mle.point, lik), rel=1e-13
         )
+
+
+# ------------------------------------------------------- array constructor
+
+def ordered_sets(rng, n_sets=40, dim=3):
+    """Values, set index and case flags of ``n_sets`` sets of 2 to 5 rows,
+    each set's rows contiguous and sets in order."""
+    sizes = rng.integers(2, 6, size=n_sets)
+    set_index = np.repeat(np.arange(n_sets), sizes)
+    is_case = np.zeros(set_index.size, dtype=bool)
+    is_case[np.cumsum(sizes) - sizes + rng.integers(0, sizes)] = True
+    return rng.normal(size=(set_index.size, dim)), set_index, is_case
+
+
+class TestArrayConstructor:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_interleaved_rows_bit_identical_to_ordered(self, seed):
+        rng = np.random.default_rng(seed)
+        values, set_index, is_case = ordered_sets(rng)
+        order = rng.permutation(set_index.size)      # sets' rows interleaved
+        assert np.any(np.diff(set_index[order]) < 0)
+        a = ConditionalLikelihood(values, set_index, is_case)
+        b = ConditionalLikelihood(values[order], set_index[order], is_case[order])
+        assert (b.n_sets, b.n_rows, b.n_strata) == (a.n_sets, a.n_rows, a.n_strata)
+        for beta in rng.normal(size=(4, values.shape[1])):
+            assert log_likelihood(beta, a) == log_likelihood(beta, b)
+            for x, y in zip(a._strata.derivatives(beta), b._strata.derivatives(beta)):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    def test_malformed_sets_rejected(self):
+        values, set_index, is_case = ordered_sets(np.random.default_rng(9), n_sets=3)
+        two_cases = is_case.copy()
+        two_cases[set_index == 1] = True
+        with pytest.raises(ValueError, match="exactly one case row"):
+            ConditionalLikelihood(values, set_index, two_cases)
+        lone = np.append(set_index, 3)          # a set of its case row alone
+        with pytest.raises(ValueError, match="at least one control row"):
+            ConditionalLikelihood(np.vstack([values, values[:1]]), lone, np.append(is_case, True))
+        for bad in (np.nan, np.inf):
+            broken = values.copy()
+            broken[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ConditionalLikelihood(broken, set_index, is_case)
+        with pytest.raises(ValueError, match="at least one matched set"):
+            ConditionalLikelihood(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
 
 
 # ------------------------------------------------------------- span kernel
