@@ -24,22 +24,24 @@ is exactly the sum of the per-set terms: this is the conditional-Poisson
 form of the conditional logistic likelihood (Armstrong, Gasparrini & Tobias
 2014, BMC Med Res Methodol 14:122). A stratum's rows are differenced against
 the case row of its first set, so a stratum holding one event contributes the
-per-set term -logsumexp_j(z_j . beta) itself. The form is exact whatever the
-data; what it saves depends on their density. With sets that are all
-distinct, every stratum holds one event and the cost is that of the per-set
-form. The strata are stored as one tensor of row differences, one slice per
-row position up to the largest set size, zero past a stratum's own size, and
-one kernel evaluates the likelihood, its gradient and its Hessian; the
-likelihood also at a batch of coefficient vectors. Strata are ordered by a
-key that starts with their size, so strata of one width are contiguous runs.
-The kernel works run by run and never touches the rows past a stratum's
-width; a batch of vectors is scored over at most ``BLOCK`` strata at a time,
-so that each span's buffer stays in cache. Each stratum's value is computed
-row by row in position order, as over the whole tensor, so ``BLOCK`` changes
-no result; it is a module constant rather than a setting. That the bits
-match a single padded buffer also rests on the BLAS rounding a product's
-rows alike whatever the matrix size: it does on the BLAS the tests run on,
-and ``tests/test_strata.py::TestSpanKernel`` fails on one where it does not.
+per-set term -logsumexp_j(z_j . beta) itself. That reference row is zero
+and is not stored: it enters each logsumexp as exp(0) = 1. The form is exact
+whatever the data; what it saves depends on their density. With sets that
+are all distinct, every stratum holds one event and the cost is that of the
+per-set form. The strata are stored as one tensor of row differences, one
+slice per row position up to the largest set size less one, zero past a
+stratum's own rows, and one kernel evaluates the likelihood, its gradient
+and its Hessian; the likelihood also at a batch of coefficient vectors.
+Strata are ordered by a key that starts with their size, so strata of one
+width are contiguous runs. A batch is scored run by run, never touching the
+rows past a stratum's width, over at most ``BLOCK`` strata at a time, so
+that each span's buffer stays in cache. Each stratum's value is computed
+row by row in position order, as over the whole tensor, so ``BLOCK``
+changes no result; it is a module constant rather than a setting. That the
+bits match a single padded buffer also rests on the BLAS rounding a
+product's rows alike whatever the matrix size: it does on the BLAS the
+tests run on, and ``tests/test_strata.py::TestSpanKernel`` fails on one
+where it does not.
 
 Maximum likelihood is Newton iteration with step halving. Posterior sampling
 over the same likelihood plus a per-block Gaussian prior runs the same Newton
@@ -141,18 +143,25 @@ class ConditionalLikelihood:
         stratum = stratum.ravel()
         n_strata = first.size
 
-        # position-major (width, strata) layout: reductions over a stratum's
-        # rows then run along contiguous memory
+        # position-major (width - 1, strata) layout: reductions over a
+        # stratum's rows then run along contiguous memory. Each stratum's rows
+        # are differenced against the case row of its first set, its
+        # reference, which is zero and is not stored: the rows after it move
+        # up one slot. Events whose case row is the reference count in n alone.
         case_rows = np.flatnonzero(case)           # one per set, in set order
-        counts = np.zeros((width, n_strata))
-        np.add.at(counts, (pos[case_rows], stratum), 1.0)
-        # each stratum's rows, differenced against the case row of its first set
+        ref = pos[case_rows[first]][stratum[row_set]]
+        stored = pos != ref
+        slot = pos - (pos > ref)
+        counts = np.zeros((width - 1, n_strata))
+        live = stored[case_rows]
+        np.add.at(counts, (slot[case_rows][live], stratum[live]), 1.0)
         in_first = np.zeros(n_sets, dtype=bool)
         in_first[first] = True
-        keep = in_first[row_set]
+        keep = in_first[row_set] & stored
         kept_set = row_set[keep]
-        z = np.zeros((width, n_strata, dim))
-        z[pos[keep], stratum[kept_set]] = x[keep] - x[case_rows[kept_set]]
+        z = np.zeros((width - 1, n_strata, dim))
+        z[slot[keep], stratum[kept_set]] = x[keep] - x[case_rows[kept_set]]
+        pad = np.where(np.arange(width - 1)[:, np.newaxis] < size[first] - 1, 0.0, -np.inf)
 
         self.dimension = dim
         self.n_sets = n_sets
@@ -164,7 +173,8 @@ class ConditionalLikelihood:
         var = (values**2).sum(axis=0) / n_rows - mean**2
         self.pooled_sd = np.sqrt(np.maximum(var, 0.0))
         z = z.reshape(-1, dim)
-        self._strata = _Strata(z, _runs(size[first]), counts.sum(axis=0), counts.ravel() @ z)
+        n = np.bincount(stratum, minlength=n_strata).astype(float)
+        self._strata = _Strata(z, _runs(size[first]), n, counts.ravel() @ z, pad)
 
     @classmethod
     def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
@@ -175,7 +185,7 @@ class ConditionalLikelihood:
         """The likelihood kernel for coefficients in units of ``_scales(self)``,
         built on first use and shared by ``fit_mle`` and ``fit_bayes``."""
         s, inv_scale = self._strata, 1.0 / _scales(self)
-        return _Strata(s.z * inv_scale, s.runs, s.n, s.t * inv_scale)
+        return _Strata(s.z * inv_scale, s.runs, s.n, s.t * inv_scale, s.pad)
 
     def block_of(self, column: int) -> str:
         if self.blocks:
@@ -187,7 +197,7 @@ class ConditionalLikelihood:
         return f"column {column}"
 
 
-# most strata per span of a batch: a (5, 1,024, 16) buffer is 655 kB, so
+# most strata per span of a batch: a (4, 1,024, 16) buffer is 524 kB, so
 # with its span's rows it stays in a 2 MB L2. At paper shape (80,789 strata,
 # runs of up to 49,843) that beats one span per run; smaller spans cost more
 # in calls than they save in cache (sized with two sampler threads running).
@@ -207,66 +217,87 @@ def _runs(widths: np.ndarray) -> tuple[tuple[int, int, int], ...]:
 class _Strata:
     """Count-weighted strata: the one likelihood kernel.
 
-    ``z`` holds the (width, strata, dim) tensor of row differences, zero
-    past a stratum's width, flattened to (width * strata, dim); ``runs``
-    the ``(width, s0, s1)`` runs of strata of one width (see ``_runs``),
-    which tile the strata once; ``n`` the events per stratum; ``t`` the
-    summed case-row differences sum_s sum_d c_sd z_sd, so that the
-    log-likelihood is t.beta - n.logsumexp. Each logsumexp runs over a
-    stratum's real rows only, row by row in position order as over the
-    whole tensor.
+    ``z`` holds the (width - 1, strata, dim) tensor of row differences
+    against each stratum's zero reference row, which is not stored,
+    flattened to ((width - 1) * strata, dim) and zero past a stratum's own
+    rows; ``runs`` the ``(width, s0, s1)`` runs of strata of one width (see
+    ``_runs``), which tile the strata once; ``n`` the events per stratum;
+    ``t`` the summed case-row differences sum_s sum_d c_sd z_sd, so that the
+    log-likelihood is t.beta - n.lse with lse_s = log(1 + sum_j
+    exp(z_sj.beta)); ``pad`` the (width - 1, strata) mask, 0 on a stratum's
+    stored rows and -inf past them.
     """
 
     z: np.ndarray
     runs: tuple[tuple[int, int, int], ...]
     n: np.ndarray
     t: np.ndarray
+    pad: np.ndarray
 
     def log_likelihood(self, beta: np.ndarray):
         """Log-likelihood at one (dim,) vector, as a float, or at each row of
-        a (k, dim) array, as a (k,) array, one (width, span, k) buffer of at
-        most ``BLOCK`` strata at a time.
+        a (k, dim) array, as a (k,) array.
+
+        One vector takes the stable form of ``_softmax``. A batch is scored
+        as lse = log1p(sum_j exp(z_j.beta)) with no max pass, one (width - 1,
+        span, k) buffer of at most ``BLOCK`` strata at a time: near the
+        posterior no z.beta nears the overflow of exp (about 709), and a
+        column whose sum does overflow is scored again in the stable form,
+        so every value stays finite and exact to rounding.
 
         BLAS rounds a matrix-vector product row by row according to where
         the row falls among the rows it is given, and numpy hands it any
-        product with one row or one column. So one vector is scored over the
-        whole tensor at once, as in ``derivatives``, and then run by run,
-        since cutting gains nothing there; a span of one stratum is scored
-        as a (width, dim) matrix. Every score then has the bits of the
-        product over the whole tensor, on a BLAS that rounds a gemm's rows
-        alike whatever its size (see the module docstring).
+        product with one row or one column. So a span of one stratum is
+        scored as a (width - 1, dim) matrix, and every score has the bits of
+        the product over the whole tensor, on a BLAS that rounds a gemm's
+        rows alike whatever its size (see the module docstring).
         """
         cols = np.atleast_2d(beta)
-        z3 = self.z.reshape(-1, self.n.size, cols.shape[1])
-        whole = (self.z @ cols.T).reshape(*z3.shape[:2], 1) if len(cols) == 1 else None
+        if len(cols) == 1:
+            ll = self.t @ cols[0] - self.n @ self._softmax(cols[0])[2]
+            return float(ll) if np.ndim(beta) == 1 else np.array([ll])
+        z3 = self.z.reshape(*self.pad.shape, -1)
         lse = np.empty((self.n.size, len(cols)))
-        for width, a, b in self.runs:
-            step = BLOCK if whole is None else b - a
-            for s0 in range(a, b, step):
-                s1 = min(s0 + step, b)
-                if whole is not None:
-                    e = whole[:width, s0:s1]
-                elif s1 - s0 == 1:
-                    e = (z3[:width, s0] @ cols.T)[:, np.newaxis]
-                else:
-                    e = z3[:width, s0:s1] @ cols.T
-                mx = e.max(axis=0)
-                e -= mx
-                np.exp(e, out=e)
-                lse[s0:s1] = mx + np.log(e.sum(axis=0))
+        with np.errstate(over="ignore"):
+            for width, a, b in self.runs:
+                for s0 in range(a, b, BLOCK):
+                    s1 = min(s0 + BLOCK, b)
+                    if s1 - s0 == 1:
+                        e = (z3[:width - 1, s0] @ cols.T)[:, np.newaxis]
+                    else:
+                        e = z3[:width - 1, s0:s1] @ cols.T
+                    np.exp(e, out=e)
+                    np.log1p(e.sum(axis=0), out=lse[s0:s1])
         ll = cols @ self.t - self.n @ lse
-        return float(ll[0]) if np.ndim(beta) == 1 else ll
+        if not np.isfinite(ll).all():
+            # exp overflowed in some stratum: score those in the stable form
+            bad = ~np.isfinite(lse)
+            for c in np.flatnonzero(bad.any(axis=0)):
+                lse[bad[:, c], c] = self._softmax(cols[c])[2][bad[:, c]]
+            ll = cols @ self.t - self.n @ lse
+        return ll
+
+    def _softmax(self, beta: np.ndarray):
+        """The stable form at one vector, over the whole tensor at once.
+
+        Returns exp(z.beta - mx) on the stored rows (zero past each
+        stratum's width), the normalizer sum_j exp(z_j.beta - mx) + exp(-mx)
+        whose last term is the reference row's, and lse = mx + log(norm),
+        with mx = max(0, max_j z_j.beta) per stratum.
+        """
+        e = (self.z @ beta).reshape(self.pad.shape)
+        e += self.pad
+        mx = e.max(axis=0, initial=0.0)
+        e -= mx
+        np.exp(e, out=e)
+        norm = e.sum(axis=0) + np.exp(-mx)
+        return e, norm, mx + np.log(norm)
 
     def derivatives(self, beta: np.ndarray, want_hess: bool = True):
-        """Log-likelihood, gradient and (optionally) Hessian in one pass."""
-        e = (self.z @ beta).reshape(-1, self.n.size)
-        mx = np.empty(self.n.size)
-        w = np.zeros(e.shape)                     # zero past each stratum's width
-        for width, s0, s1 in self.runs:
-            mx[s0:s1] = e[:width, s0:s1].max(axis=0)
-            w[:width, s0:s1] = np.exp(e[:width, s0:s1] - mx[s0:s1])
-        norm = w.sum(axis=0)
-        ll = float(self.t @ beta - self.n @ (mx + np.log(norm)))
+        """Log-likelihood, gradient and (optionally) Hessian in one pass. The
+        reference row is zero, so it adds to the normalizer alone."""
+        w, norm, lse = self._softmax(beta)
+        ll = float(self.t @ beta - self.n @ lse)
         w *= self.n / norm                        # N_s times softmax weights
         g = self.t - w.reshape(-1) @ self.z
         if not want_hess:

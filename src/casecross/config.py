@@ -76,10 +76,13 @@ class AnalysisConfig:
             # bool is a subclass of int, and JSON true is no count
             if type(value) is not int and not (key == "seed" and value is None):
                 raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-        for key in ("season_months", "contrast_quantiles"):
+        for key, kind, ok in (
+            ("season_months", "integers", lambda v: type(v) is int),
+            ("contrast_quantiles", "numbers", _number),
+        ):
             value = raw.get(key, (0, 0))
-            if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_number, value))):
-                raise ConfigurationError(f"{key} must be two numbers, got {value!r}")
+            if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(ok, value))):
+                raise ConfigurationError(f"{key} must be two {kind}, got {value!r}")
         if not _number(raw.get("trim_quantile", 0.0)):
             raise ConfigurationError(f"trim_quantile must be a number, got {raw['trim_quantile']!r}")
         prior = raw.get("prior_sd", {})

@@ -160,46 +160,45 @@ def split_rhat(chains: np.ndarray) -> np.ndarray:
 
 def effective_sample_size(chains: np.ndarray) -> np.ndarray:
     """Multi-chain effective sample size per column (split chains, Geyer
-    initial monotone positive-pair truncation of the autocorrelations)."""
+    initial monotone positive-pair truncation of the autocorrelations).
+
+    Each split chain's columns are transformed at once, and the chains'
+    biased (normalized by n) autocovariances at all lags are averaged. One
+    transform over every chain would hold (chains, columns, lags) complex
+    arrays, several MB at a shipped config, and raise the run's peak memory.
+    """
     s = _split(chains)
     m, n, d = s.shape
     total = m * n
-    chain_vars = s.var(axis=1, ddof=1)
-    w = chain_vars.mean(axis=0)
+    w = s.var(axis=1, ddof=1).mean(axis=0)
     var_plus = (n - 1) / n * w + s.mean(axis=1).var(axis=0, ddof=1)
-
-    ess = np.empty(d)
-    for j in range(d):
-        if var_plus[j] <= 0 or w[j] <= 0:
-            ess[j] = float(total)
-            continue
-        acov = np.mean([_autocov(s[c, :, j]) for c in range(m)], axis=0)
-        rho = 1.0 - (w[j] - acov) / var_plus[j]
-        rho[0] = 1.0
-        # tau = -1 + 2 * sum of pair sums P_k = rho_{2k} + rho_{2k+1},
-        # truncated at the first nonpositive pair and forced nonincreasing
-        pair_sum = 0.0
-        prev = np.inf
-        for k in range(n // 2):
-            p = rho[2 * k] + rho[2 * k + 1]
-            if p <= 0.0:
-                break
-            p = min(p, prev)
-            prev = p
-            pair_sum += p
-        tau = max(-1.0 + 2.0 * pair_sum, 1.0 / total)
-        ess[j] = total / tau
-    return ess
-
-
-def _autocov(x: np.ndarray) -> np.ndarray:
-    """Biased autocovariance (normalized by n) via FFT, all lags."""
-    n = x.size
-    xc = x - x.mean()
+    ess = np.full(d, float(total))
+    ok = (var_plus > 0) & (w > 0)             # a constant column keeps ess = total
     size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[:n].real
-    return acov / n
+    acov = np.zeros((int(ok.sum()), n))
+    for chain in s[:, :, ok]:
+        x = np.ascontiguousarray(chain.T)
+        x = x - x.mean(axis=1, keepdims=True)
+        # the transforms fill the rows of a buffer one column wider, so that
+        # numpy multiplies f by its conjugate row by row, as it would one
+        # column's transform: its complex loop rounds the imaginary part
+        # differently on long arrays, which would tie the bits to the width
+        f = np.empty((x.shape[0], size // 2 + 2), dtype=complex)[:, :-1]
+        np.fft.rfft(x, size, out=f)
+        np.multiply(f, np.conj(f), out=f)
+        acov += np.fft.irfft(f, size)[:, :n] / n
+    acov /= m
+    rho = 1.0 - (w[ok, np.newaxis] - acov) / var_plus[ok, np.newaxis]
+    rho[:, 0] = 1.0
+    # tau = -1 + 2 * sum of pair sums P_k = rho_{2k} + rho_{2k+1}, truncated
+    # at the first nonpositive pair and forced nonincreasing
+    half = n // 2
+    pairs = rho[:, 0:2 * half:2] + rho[:, 1:2 * half:2]
+    kept = np.logical_and.accumulate(pairs > 0.0, axis=1).sum(axis=1)
+    sums = np.cumsum(np.minimum.accumulate(pairs, axis=1), axis=1)
+    pair_sum = np.where(kept > 0, sums[np.arange(kept.size), kept - 1], 0.0)
+    ess[ok] = total / np.maximum(-1.0 + 2.0 * pair_sum, 1.0 / total)
+    return ess
 
 
 def mcse_mean(chains: np.ndarray, ess: np.ndarray) -> np.ndarray:

@@ -201,6 +201,9 @@ class TestValidate:
         ("prior_sd", {"interaction": True}),
         ("season_months", [6]),
         ("season_months", [6, "9"]),
+        ("season_months", [6.5, 9]),
+        ("season_months", [6, 9.0]),
+        ("season_months", [True, 9]),
         ("contrast_quantiles", [0.5]),
         ("contrast_quantiles", 0.5),
         ("trim_quantile", "x"),

@@ -8,6 +8,43 @@ def _std_normal_logpost(x):
     return -0.5 * (x**2).sum(axis=-1)
 
 
+def loop_ess(chains):
+    """Effective sample size column by column and chain by chain, with the
+    Geyer truncation as a scalar loop: the reference the vectorized
+    ``effective_sample_size`` must match bit for bit."""
+    half_n = chains.shape[1] // 2
+    s = np.concatenate([chains[:, :half_n], chains[:, chains.shape[1] - half_n:]])
+    m, n, d = s.shape
+    total = m * n
+    w = s.var(axis=1, ddof=1).mean(axis=0)
+    var_plus = (n - 1) / n * w + s.mean(axis=1).var(axis=0, ddof=1)
+    size = 1 << (2 * n - 1).bit_length()
+
+    def autocov(x):
+        f = np.fft.rfft(x - x.mean(), size)
+        return np.fft.irfft(f * np.conj(f), size)[:n] / n
+
+    ess = np.empty(d)
+    for j in range(d):
+        if var_plus[j] <= 0 or w[j] <= 0:
+            ess[j] = float(total)
+            continue
+        acov = np.mean([autocov(s[c, :, j]) for c in range(m)], axis=0)
+        rho = 1.0 - (w[j] - acov) / var_plus[j]
+        rho[0] = 1.0
+        pair_sum = 0.0
+        prev = np.inf
+        for k in range(n // 2):
+            p = rho[2 * k] + rho[2 * k + 1]
+            if p <= 0.0:
+                break
+            p = min(p, prev)
+            prev = p
+            pair_sum += p
+        ess[j] = total / max(-1.0 + 2.0 * pair_sum, 1.0 / total)
+    return ess
+
+
 class TestDiagnostics:
     def test_rhat_near_one_for_matching_chains(self):
         rng = np.random.default_rng(0)
@@ -52,6 +89,25 @@ class TestDiagnostics:
         total = c * n
         # AR(1) with phi=0.95 has tau ~ (1+phi)/(1-phi) = 39
         assert ess[0] < total / 10
+
+    @pytest.mark.parametrize("shape", [(2, 800, 3), (4, 1500, 16), (3, 101, 2), (2, 9, 1), (4, 4, 5)])
+    def test_ess_bit_identical_to_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        # white noise, a sticky AR(1) and a constant column side by side
+        x = rng.normal(size=shape)
+        for t in range(1, shape[1]):
+            x[:, t, 1:] = 0.9 * x[:, t - 1, 1:] + 0.3 * x[:, t, 1:]
+        x[..., -1] = 0.25
+        assert np.array_equal(effective_sample_size(x), loop_ess(x))
+
+    def test_ess_constant_chains_bit_identical_to_loop(self):
+        # each chain constant: within-chain variance w = 0, with var_plus
+        # zero in column 0 and positive (chains apart) in column 1
+        chains = np.zeros((2, 50, 2))
+        chains[1, :, 1] = 1.0
+        ess = effective_sample_size(chains)
+        assert np.array_equal(ess, loop_ess(chains))
+        assert np.array_equal(ess, [100.0, 100.0])
 
     def test_mcse_shrinks_with_root_draws(self):
         # quadrupling the draws halves the Monte Carlo SE (within 30%)

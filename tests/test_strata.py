@@ -8,11 +8,16 @@ batched evaluation, one pass over several coefficient vectors, is checked
 against one evaluation per vector. The kernel, which runs over runs of
 strata of one width and cuts a batch's runs into spans, is checked bit for
 bit against one padded buffer over every stratum: on a BLAS that rounds a
-product's rows differently by matrix size these checks fail.
+product's rows differently by matrix size these checks fail. The tensor
+leaves out each stratum's zero reference row, which is checked against the
+full tensor; and coefficients at which exp overflows are checked to score
+finite and exact.
 """
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 from casecross import clr, io
 from casecross.clr import ConditionalLikelihood, fit_mle, gradient, hessian, log_likelihood
 from casecross.config import load_config
+from casecross.mcmc import run_chain
 from casecross.design import TrimPolicy, apply_trimming, build_matched_sets
 from casecross.exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
@@ -74,6 +80,19 @@ def per_set_reference(beta, dm):
         g_scale += np.abs(score)
         h_scale += np.abs(info)
     return ll, (g, g_scale), (h, h_scale)
+
+
+def log_softmax_reference(beta, dm):
+    """The log-likelihood summed set by set as a log-softmax, each set's
+    largest score subtracted first: finite where case probabilities
+    underflow."""
+    ll = 0.0
+    bounds = np.flatnonzero(np.diff(dm.set_index)) + 1
+    for rows, case in zip(np.split(dm.values, bounds), np.split(dm.is_case, bounds)):
+        e = rows @ beta
+        e -= e.max()
+        ll += float(e[case][0] - np.log(np.exp(e).sum()))
+    return ll
 
 
 @pytest.fixture(scope="module", params=CONFIGS)
@@ -255,6 +274,54 @@ class TestArrayConstructor:
             ConditionalLikelihood(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
 
 
+# ---------------------------------------------------------- overflow guard
+
+class TestOverflowGuard:
+    """Coefficients at which some z.beta passes 709, where exp overflows:
+    the batch falls back to the stable form stratum by stratum, and one
+    vector and the derivatives take the stable form throughout."""
+
+    @pytest.fixture(scope="class")
+    def sharp(self):
+        rng = np.random.default_rng(709)
+        values, set_index, is_case = ordered_sets(rng, n_sets=60)
+        lik = ConditionalLikelihood(values, set_index, is_case)
+        dm = SimpleNamespace(values=values, set_index=set_index, is_case=is_case)
+        betas = np.array([300.0, -200.0, 150.0]) + rng.normal(size=(16, 3))
+        assert np.all((lik._strata.z @ betas.T).max(axis=0) > 709.0)
+        return lik, dm, betas
+
+    def test_batch_and_vector_finite_and_exact(self, sharp):
+        lik, dm, betas = sharp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = lik._strata.log_likelihood(betas)
+            single = [log_likelihood(beta, lik) for beta in betas]
+            derivatives = [(gradient(beta, lik), hessian(beta, lik)) for beta in betas[:4]]
+        assert np.all(np.isfinite(batch)) and np.all(np.isfinite(single))
+        for beta, b, v in zip(betas, batch, single):
+            ll = log_softmax_reference(beta, dm)
+            assert abs(b - ll) <= 1e-12 * abs(ll)
+            assert abs(v - ll) <= 1e-12 * abs(ll)
+        for beta, (g, h) in zip(betas, derivatives):
+            # case probabilities underflow here, so the reference's
+            # log-likelihood is not finite, but its weights are
+            with np.errstate(divide="ignore"):
+                _, (g_ref, g_scale), _ = per_set_reference(beta, dm)
+            assert np.all(np.abs(g - g_ref) <= 1e-12 * g_scale)
+            assert np.all(np.isfinite(h))
+
+    def test_chain_starts_where_exp_overflows(self, sharp):
+        lik, _, betas = sharp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = run_chain(
+                lik._strata.log_likelihood, betas[0], 0.1 * np.eye(3),
+                np.random.default_rng(1), warmup=20, draws=20,
+            )
+        assert np.all(np.isfinite(chain.log_weights))
+
+
 # ------------------------------------------------------------- span kernel
 
 def synth_design(kind):
@@ -287,25 +354,31 @@ def stratum_widths(dm):
 
 
 def padded_kernel(strata, widths):
-    """The kernel over one padded (width, strata, k) buffer, -inf past each
-    stratum's width: the reference the spanned kernel must match bit for bit."""
-    pad = np.where(np.arange(widths.max())[:, np.newaxis] < widths, 0.0, -np.inf)
+    """The kernel over one padded buffer of every stratum's stored rows,
+    (width - 1, strata, k), -inf past each stratum's width - 1, with the
+    reference row implicit: the reference the spanned kernel must match bit
+    for bit. A batch is log1p of the sum of exp(z.beta); one vector takes
+    the stable form, mx = max(0, max_j z_j.beta), as the kernel does."""
+    pad = np.where(np.arange(widths.max() - 1)[:, np.newaxis] < widths - 1, 0.0, -np.inf)
+
+    def stable(beta):
+        e = (strata.z @ beta).reshape(pad.shape) + pad
+        mx = np.maximum(e.max(axis=0), 0.0)
+        w = np.exp(e - mx)
+        norm = w.sum(axis=0) + np.exp(-mx)
+        return w, norm, mx + np.log(norm)
 
     def log_likelihood(beta):
         cols = np.atleast_2d(beta)
+        if len(cols) == 1:
+            return np.array([strata.t @ cols[0] - strata.n @ stable(cols[0])[2]])
         e = (strata.z @ cols.T).reshape(*pad.shape, -1)
-        e += pad[..., np.newaxis]
-        mx = e.max(axis=0)
-        e -= mx
-        np.exp(e, out=e)
-        return cols @ strata.t - strata.n @ (mx + np.log(e.sum(axis=0)))
+        e = np.exp(e + pad[..., np.newaxis])
+        return cols @ strata.t - strata.n @ np.log1p(e.sum(axis=0))
 
     def derivatives(beta):
-        e = (strata.z @ beta).reshape(pad.shape) + pad
-        mx = e.max(axis=0)
-        w = np.exp(e - mx)
-        norm = w.sum(axis=0)
-        ll = float(strata.t @ beta - strata.n @ (mx + np.log(norm)))
+        w, norm, lse = stable(beta)
+        ll = float(strata.t @ beta - strata.n @ lse)
         w *= strata.n / norm
         g = strata.t - w.reshape(-1) @ strata.z
         wz = w.reshape(-1, 1) * strata.z
@@ -313,6 +386,36 @@ def padded_kernel(strata, widths):
         return ll, g, (zbar.T / strata.n) @ zbar - strata.z.T @ wz
 
     return log_likelihood, derivatives
+
+
+def full_tensor(dm):
+    """The (width, strata, dim) tensor of every stratum's rows, its
+    reference row included, with per-position case counts and the position
+    of each stratum's reference row: the layout before the reference row
+    was dropped, built as ``ConditionalLikelihood`` keys and orders its
+    strata."""
+    order = np.lexsort((*dm.values.T[::-1], dm.set_index))
+    x, case, sid = dm.values[order], dm.is_case[order], dm.set_index[order]
+    n_rows, dim = x.shape
+    first_row = np.append(True, sid[1:] != sid[:-1])
+    start = np.flatnonzero(first_row)
+    size = np.diff(np.append(start, n_rows))
+    row_set = np.cumsum(first_row) - 1
+    pos = np.arange(n_rows) - start[row_set]
+    width, n_sets = int(size.max()), start.size
+    key = np.zeros((n_sets, 1 + width * dim))
+    key[:, 0] = size
+    key[:, 1:].reshape(n_sets, width, dim)[row_set, pos] = x - x[start[row_set]]
+    key = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+    _, first, stratum = np.unique(key, return_index=True, return_inverse=True)
+    stratum = stratum.ravel()
+    case_rows = np.flatnonzero(case)
+    counts = np.zeros((width, first.size))
+    np.add.at(counts, (pos[case_rows], stratum), 1.0)
+    keep = np.isin(row_set, first)
+    z = np.zeros((width, first.size, dim))
+    z[pos[keep], stratum[row_set[keep]]] = x[keep] - x[case_rows[row_set[keep]]]
+    return z, counts, pos[case_rows[first]]
 
 
 @pytest.fixture(scope="module", params=list(DESIGNS))
@@ -347,10 +450,28 @@ class TestSpanKernel:
         betas = mode + 0.3 * rng.standard_normal((k, mode.size))
         assert np.array_equal(strata.log_likelihood(betas), ref_ll(betas)), name
         for beta in betas[:4]:
-            assert strata.log_likelihood(beta) == float(ref_ll(beta)[0]), name
+            assert strata.log_likelihood(beta) == float(ref_ll(beta[np.newaxis])[0]), name
             ll, g, h = strata.derivatives(beta)
             ref = ref_derivatives(beta)
             assert ll == ref[0], name
             assert np.array_equal(g, ref[1]), name
             assert np.array_equal(h, ref[2]), name
             assert strata.derivatives(beta, want_hess=False)[1].tobytes() == ref[1].tobytes(), name
+
+    def test_reference_row_dropped_exactly(self, design):
+        name, dm, widths = design
+        strata = ConditionalLikelihood.from_design_matrix(dm)._strata
+        full, counts, ref = full_tensor(dm)
+        width, n_strata, dim = full.shape
+        cols = np.arange(n_strata)
+        assert not np.any(full[ref, cols]), name         # every dropped row is zero
+        # the stored rows are the others, in position order, then zeros
+        pos = np.arange(width - 1)[:, np.newaxis]
+        kept = full[pos + (pos >= ref), cols]
+        z = strata.z.reshape(width - 1, n_strata, dim)
+        assert np.array_equal(z, kept), name
+        assert not np.any(z[pos >= widths - 1]), name
+        assert np.array_equal(strata.n, counts.sum(axis=0)), name
+        flat = full.reshape(-1, dim)
+        scale = counts.ravel() @ np.abs(flat)
+        assert np.all(np.abs(strata.t - counts.ravel() @ flat) <= 1e-15 * scale), name
