@@ -184,7 +184,7 @@ def effective_sample_size(chains: np.ndarray) -> np.ndarray:
         # column's transform: its complex loop rounds the imaginary part
         # differently on long arrays, which would tie the bits to the width
         f = np.empty((x.shape[0], size // 2 + 2), dtype=complex)[:, :-1]
-        np.fft.rfft(x, size, out=f)
+        f[:] = np.fft.rfft(x, size)
         np.multiply(f, np.conj(f), out=f)
         acov += np.fft.irfft(f, size)[:, :n] / n
     acov /= m

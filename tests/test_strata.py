@@ -450,7 +450,7 @@ class TestSpanKernel:
         betas = mode + 0.3 * rng.standard_normal((k, mode.size))
         assert np.array_equal(strata.log_likelihood(betas), ref_ll(betas)), name
         for beta in betas[:4]:
-            assert strata.log_likelihood(beta) == float(ref_ll(beta[np.newaxis])[0]), name
+            assert strata.log_likelihood(beta) == float(ref_ll(beta)[0]), name
             ll, g, h = strata.derivatives(beta)
             ref = ref_derivatives(beta)
             assert ll == ref[0], name
