@@ -33,15 +33,21 @@ slice per row position up to the largest set size less one, zero past a
 stratum's own rows, and one kernel evaluates the likelihood, its gradient
 and its Hessian; the likelihood also at a batch of coefficient vectors.
 Strata are ordered by a key that starts with their size, so strata of one
-width are contiguous runs. A batch is scored run by run, never touching the
-rows past a stratum's width, over at most ``BLOCK`` strata at a time, so
-that each span's buffer stays in cache. Each stratum's value is computed
-row by row in position order, as over the whole tensor, so ``BLOCK``
-changes no result; it is a module constant rather than a setting. That the
-bits match a single padded buffer also rests on the BLAS rounding a
-product's rows alike whatever the matrix size: it does on the BLAS the
-tests run on, and ``tests/test_strata.py::TestSpanKernel`` fails on one
-where it does not.
+width are contiguous runs. A batch of coefficient vectors, however many, is
+scored in blocks of at most ``COLS`` vectors, each block run by run, never
+touching the rows past a stratum's width, over at most ``BLOCK`` strata at a
+time, so that each span's buffer stays in cache. The work arrays are
+allocated once per call and every span and block writes into views of
+them. Each stratum's value is computed row by row in position order, as
+over the whole tensor, so ``BLOCK`` changes no result. The matrix-vector
+products that finish a block, c.t and n.lse, round each vector's value by
+its place among the block's vectors, so a batch's bits depend on ``COLS``,
+as on the order of its vectors; both are module constants rather than
+settings, and a seed pins every draw. That
+each block's bits match a single padded buffer also rests on the BLAS
+rounding a product's rows alike whatever the matrix size: it does on the
+BLAS the tests run on, and ``tests/test_strata.py::TestSpanKernel`` fails
+on one where it does not.
 
 Maximum likelihood is Newton iteration with step halving. Posterior sampling
 over the same likelihood plus a per-block Gaussian prior runs the same Newton
@@ -197,12 +203,16 @@ class ConditionalLikelihood:
         return f"column {column}"
 
 
-# most strata per span of a batch: a (4, 1,024, 16) buffer is 524 kB, so
-# with its span's rows it stays in a 2 MB L2. At paper shape (80,789 strata,
-# runs of up to 49,843) that beats one span per run; smaller spans cost more
-# in calls than they save in cache (sized with two sampler threads running).
-# A module constant, not a setting: no result depends on it (see above).
-BLOCK = 1024
+# most strata per span and most coefficient vectors per block of a batch:
+# the (width - 1, span, cols) work buffer, (4, 512, 32) at widths up to 5,
+# is 524 kB, so with its span's rows it stays in a 2 MB L2. At paper shape
+# (80,789 strata, runs of up to 49,843) that beats one span per run; smaller
+# spans cost more in calls than they save in cache, and spans or blocks whose
+# temporaries were allocated per span crossed glibc's mmap threshold call by
+# call (sized with two sampler threads running). Module constants, not
+# settings (see above).
+BLOCK = 512
+COLS = 32
 
 
 def _runs(widths: np.ndarray) -> tuple[tuple[int, int, int], ...]:
@@ -225,7 +235,8 @@ class _Strata:
     ``t`` the summed case-row differences sum_s sum_d c_sd z_sd, so that the
     log-likelihood is t.beta - n.lse with lse_s = log(1 + sum_j
     exp(z_sj.beta)); ``pad`` the (width - 1, strata) mask, 0 on a stratum's
-    stored rows and -inf past them.
+    stored rows and -inf past them. A batch of any size is scored in blocks
+    of ``COLS`` vectors over work arrays allocated once per call.
     """
 
     z: np.ndarray
@@ -239,42 +250,66 @@ class _Strata:
         a (k, dim) array, as a (k,) array.
 
         One vector takes the stable form of ``_softmax``. A batch is scored
-        as lse = log1p(sum_j exp(z_j.beta)) with no max pass, one (width - 1,
-        span, k) buffer of at most ``BLOCK`` strata at a time: near the
-        posterior no z.beta nears the overflow of exp (about 709), and a
-        column whose sum does overflow is scored again in the stable form,
-        so every value stays finite and exact to rounding.
+        as lse = log1p(sum_j exp(z_j.beta)) with no max pass, ``COLS``
+        vectors at a time and, for each block of them, one (width - 1, span,
+        cols) view of the call's work buffer of at most ``BLOCK`` strata at a
+        time: near the posterior no z.beta nears the overflow of exp (about
+        709), and a column whose sum does overflow is scored again in the
+        stable form, so every value stays finite and exact to rounding. The
+        call allocates its work buffer, the (strata, cols) lse array and the
+        result once, whatever the number of vectors.
 
         BLAS rounds a matrix-vector product row by row according to where
         the row falls among the rows it is given, and numpy hands it any
         product with one row or one column. So a span of one stratum is
-        scored as a (width - 1, dim) matrix, and every score has the bits of
-        the product over the whole tensor, on a BLAS that rounds a gemm's
-        rows alike whatever its size (see the module docstring).
+        multiplied beside a neighbouring stratum, whose scores are dropped,
+        and a lone vector in a block beside a copy of itself; every score
+        then has the bits of the product over the whole tensor, on a BLAS
+        that rounds a gemm's rows alike whatever its size (see the module
+        docstring).
         """
         cols = np.atleast_2d(beta)
         if len(cols) == 1:
             ll = self.t @ cols[0] - self.n @ self._softmax(cols[0])[2]
             return float(ll) if np.ndim(beta) == 1 else np.array([ll])
         z3 = self.z.reshape(*self.pad.shape, -1)
-        lse = np.empty((self.n.size, len(cols)))
+        step = min(COLS, len(cols))
+        span = min(BLOCK, max(b - a for _, a, b in self.runs))
+        # the work arrays of the whole call, viewed per span and per block
+        work = np.empty(len(self.pad) * max(span, 2) * max(step, 2))
+        lse_buffer = np.empty(self.n.size * max(step, 2))
+        ll = np.empty(len(cols))
         with np.errstate(over="ignore"):
-            for width, a, b in self.runs:
-                for s0 in range(a, b, BLOCK):
-                    s1 = min(s0 + BLOCK, b)
-                    if s1 - s0 == 1:
-                        e = (z3[:width - 1, s0] @ cols.T)[:, np.newaxis]
-                    else:
-                        e = z3[:width - 1, s0:s1] @ cols.T
-                    np.exp(e, out=e)
-                    np.log1p(e.sum(axis=0), out=lse[s0:s1])
-        ll = cols @ self.t - self.n @ lse
-        if not np.isfinite(ll).all():
-            # exp overflowed in some stratum: score those in the stable form
-            bad = ~np.isfinite(lse)
-            for c in np.flatnonzero(bad.any(axis=0)):
-                lse[bad[:, c], c] = self._softmax(cols[c])[2][bad[:, c]]
-            ll = cols @ self.t - self.n @ lse
+            for c0 in range(0, len(cols), step):
+                block = cols[c0:c0 + step]
+                m = len(block)
+                if m == 1:
+                    block = np.repeat(block, 2, axis=0)     # see below
+                k = len(block)
+                lse = lse_buffer[:self.n.size * k].reshape(-1, k)
+                for width, a, b in self.runs:
+                    for s0 in range(a, b, BLOCK):
+                        s1 = min(s0 + BLOCK, b)
+                        p0, p1 = s0, s1         # the strata multiplied
+                        if s1 - s0 == 1 and self.n.size > 1:
+                            p0 = min(s0, self.n.size - 2)
+                            p1 = p0 + 2
+                        e = work[:(width - 1) * (p1 - p0) * k].reshape(width - 1, p1 - p0, k)
+                        if p1 == p0 + 1:        # the tensor is one stratum
+                            np.matmul(z3[:width - 1, p0], block.T, out=e[:, 0])
+                        else:
+                            np.matmul(z3[:width - 1, p0:p1], block.T, out=e)
+                        np.exp(e, out=e)
+                        np.add.reduce(e[:, s0 - p0:s1 - p0], axis=0, out=lse[s0:s1])
+                        np.log1p(lse[s0:s1], out=lse[s0:s1])
+                part = block @ self.t - self.n @ lse
+                if not np.isfinite(part).all():
+                    # exp overflowed in some stratum: score those in the stable form
+                    bad = ~np.isfinite(lse)
+                    for c in np.flatnonzero(bad.any(axis=0)):
+                        lse[bad[:, c], c] = self._softmax(block[c])[2][bad[:, c]]
+                    part = block @ self.t - self.n @ lse
+                ll[c0:c0 + m] = part[:m]
         return ll
 
     def _softmax(self, beta: np.ndarray):

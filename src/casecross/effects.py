@@ -19,7 +19,7 @@ from .clr import FitResult
 from .design import MatchedRows
 from .errors import EmptyAnalysisError, UnsupportedModelError
 from .parallel import ordered_map
-from .quantiles import type1_index, type1_quantile
+from .quantiles import type1_index, type1_quantiles
 from .splines import LINEAR_INTERACTION, ModelBasis
 
 __all__ = [
@@ -65,14 +65,10 @@ def case_day_levels(rows: MatchedRows, quantiles=(0.5, 0.95)) -> ContrastLevels:
     """
     if not len(rows):
         raise EmptyAnalysisError("no matched sets to take case-day levels from")
-    lo_q, hi_q = quantiles
-    temps = rows.temperature[rows.is_case]
-    pms = rows.pm25_window[rows.is_case]
+    t0, t1 = type1_quantiles(rows.temperature[rows.is_case], quantiles)
+    a0, a1 = type1_quantiles(rows.pm25_window[rows.is_case], quantiles)
     return ContrastLevels(
-        t0=type1_quantile(temps, lo_q),
-        t1=type1_quantile(temps, hi_q),
-        a0=type1_quantile(pms, lo_q),
-        a1=type1_quantile(pms, hi_q),
+        t0=t0, t1=t1, a0=a0, a1=a1,
         provenance="case_day_median_p95" if quantiles == (0.5, 0.95) else "user",
     )
 

@@ -7,19 +7,21 @@ for its rows, but the large ones are formatted without it, a line of text
 per row. Files of numbers only (``write_draws``, ``write_effect_table``)
 join each row's fields' ``str``: that is the text ``csv.writer`` writes for
 an int or a float (``repr`` for a Python float), and no such text holds a
-delimiter, quote or line break. Matched sets, zone series and fields format
-each ID once, each date once and, for matched sets, each distinct float
-once (told apart by bit pattern, so 0.0 and -0.0 keep their own text); an
-ID that holds a delimiter, quote or line break is formatted by
-``csv.writer`` itself, so its quoting stays the writer's own. The drop log,
-coefficients and contrasts go through ``csv.writer``. Readers name the file
-and line of a value they cannot parse, of a duplicate id or key, and of a
-non-finite field value.
+delimiter, quote or line break; ``write_draws`` formats a run of repeated
+rows once. Matched sets, zone series and fields format each ID once, each
+date once and, for matched sets, each distinct float once (told apart by bit
+pattern, so 0.0 and -0.0 keep their own text); an ID that holds a delimiter,
+quote or line break is formatted by ``csv.writer`` itself, so its quoting
+stays the writer's own. The drop log, coefficients and contrasts go through
+``csv.writer``. Readers name the file and line of a value they cannot parse,
+of a duplicate id or key, and of a non-finite field value.
 
 A daily field is read, chunk by chunk, into a ``DailyTable``, and events into
 three columns. Each distinct date string goes through ``date.fromisoformat``
 once and each value through ``float()``, so a file is accepted exactly when
-a per-row parse accepts it.
+a per-row parse accepts it, and its table, cells by days from its first date
+to its last, fits in ``FIELD_SLOTS``; a field that would not is rejected,
+naming the line of its outlying first or last date.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ __all__ = [
 ]
 
 _EPOCH = Date(1970, 1, 1).toordinal()
+# most (cell, day) slots of a field's table, 128 MiB of float64: nine seasons
+# over 800 cells take 2.6 million, and one mistyped year at 800 cells
+# hundreds of millions. A module constant, not a setting.
+FIELD_SLOTS = 1 << 24
 _NEEDS_WRITER = re.compile('[,"\r\n]').search    # text csv.writer may quote
 
 
@@ -209,7 +215,16 @@ def read_daily_field(path) -> DailyTable:
     named = np.array(list(index), dtype=object)
     ids, cell = named[np.argsort(named)], np.argsort(np.argsort(named))[cell]
     first = int(day.min()) if day.size else _EPOCH
-    values = np.full((ids.size, int(day.max()) - first + 1 if day.size else 0), np.nan)
+    span = int(day.max()) - first + 1 if day.size else 0
+    if ids.size * span > FIELD_SLOTS:
+        # name the end of the span farther from the median day
+        mid = np.median(day)
+        row = int(np.argmax(day) if day.max() - mid > mid - day.min() else np.argmin(day))
+        raise ConfigurationError(
+            f"{path}:{_line(path, row)}: date {Date.fromordinal(int(day[row])).isoformat()} "
+            f"stretches the field to {ids.size} cells x {span} days, over {FIELD_SLOTS} values"
+        )
+    values = np.full((ids.size, span), np.nan)
     values[cell, day - first] = value
     if np.count_nonzero(~np.isnan(values)) < value.size:   # a (cell, day) given twice
         dates = (Date.fromordinal(d).isoformat() for d in day.tolist())
@@ -292,8 +307,20 @@ def write_coefficients(path, labels, estimates, sds) -> None:
 
 
 def write_draws(path, labels, draws) -> None:
-    rows = (row.tolist() for row in np.asarray(draws, dtype=float))
-    write_rows(path, list(labels), rows, numeric=True)
+    """Draws one row each, as ``write_rows(..., numeric=True)`` writes them.
+    A rejected proposal repeats the row before it, so a row whose bits
+    repeat the row before reuses its text, and each run of repeats is
+    formatted once."""
+    draws = np.ascontiguousarray(draws, dtype=float)
+    bits = draws.view(np.int64)
+    repeat = np.zeros(len(draws), dtype=bool)
+    repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    with _csv_file(path, list(labels)) as (handle, _):
+        line = ""
+        for row, same in zip(draws, repeat.tolist()):
+            if not same:
+                line = ",".join(map(str, row.tolist())) + "\n"
+            handle.write(line)
 
 
 def write_contrasts(path, estimates) -> None:

@@ -7,11 +7,11 @@ negative Hessian there (the Laplace approximation), and is accepted with
 probability min(1, w'/w), where w = pi/q is the importance weight of a
 point. Because proposals do not depend on the chain state, a chain draws all
 of its proposals, mixing variables and uniforms up front, evaluates the log
-posterior on them ``K`` at a time, and then runs a scalar accept/reject
-sweep over the weights. ``K`` is fixed rather than configurable because a
-batched evaluation's rounding depends on the batch shape, and a seed must
-pin every draw bit for bit. Everything is driven by a caller-supplied
-``numpy.random.Generator``; identical generators give bit-identical chains.
+posterior on all of them in one call, and then runs a scalar accept/reject
+sweep over the weights. How that call blocks its work is the likelihood
+kernel's affair (see ``clr``); a seed pins every draw bit for bit. Everything
+is driven by a caller-supplied ``numpy.random.Generator``; identical
+generators give bit-identical chains.
 
 The same weights check the proposal at no extra evaluations: ``pareto_k``
 is the shape estimate of a generalized Pareto fit to their upper tail, the
@@ -41,7 +41,6 @@ __all__ = [
     "mcse_mean",
 ]
 
-K = 16      # proposals per log-posterior call
 DF = 5      # degrees of freedom of the t proposal
 PARETO_K_WARN = 0.7
 
@@ -64,10 +63,11 @@ def run_chain(
     """Run one independence Metropolis chain.
 
     Proposals are multivariate t(``DF``) with location ``center`` and scale
-    matrix ``chol @ chol.T``. ``log_post`` maps a (k, dim) array of points,
-    k <= ``K``, to their k log densities. The chain starts at the first of
-    its ``warmup + draws + 1`` proposals; the next ``warmup`` iterations
-    are discarded and the ``draws`` after them are returned.
+    matrix ``chol @ chol.T``. ``log_post`` maps a (k, dim) array of points
+    to their k log densities, and is called once, on all ``warmup + draws +
+    1`` proposals of the chain. The chain starts at the first of them; the
+    next ``warmup`` iterations are discarded and the ``draws`` after them
+    are returned.
     """
     center = np.asarray(center, dtype=float)
     dim = center.size
@@ -79,25 +79,34 @@ def run_chain(
     # t log density up to a constant: the squared Mahalanobis distance of a
     # point is DF |normal|^2 / chi2
     log_q = -0.5 * (DF + dim) * np.log1p((normal**2).sum(axis=1) / chi2)
-    log_p = np.empty(n)
-    for i in range(0, n, K):
-        log_p[i:i + K] = log_post(points[i:i + K])
-    log_w = log_p - log_q
+    log_w = log_post(points) - log_q
     if not np.isfinite(log_w[0]):
         raise ValueError("log posterior is not finite at the chain start")
 
-    state = np.empty(n, dtype=np.intp)
-    current = state[0] = 0
-    for i in range(1, n):
-        if log_u[i - 1] < log_w[i] - log_w[current]:
-            current = i
-        state[i] = current
+    state = _sweep(log_u, log_w)
     moved = state[warmup + 1:] != state[warmup:-1]
     return ChainResult(
         draws=points[state[warmup + 1:]],
         acceptance_rate=float(moved.mean()) if draws else 0.0,
         log_weights=log_w,
     )
+
+
+def _sweep(log_u: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """The chain's state, the index of its current proposal, after each
+    iteration: proposal i replaces the current one when ``log_u[i - 1] <
+    log_w[i] - log_w[current]``. The sweep runs on Python floats, whose
+    subtraction and comparison are the IEEE operations of numpy's scalars,
+    at a fraction of their cost; it holds the GIL throughout, so its cost
+    serializes the chains' threads."""
+    weights = log_w.tolist()
+    current, current_w = 0, weights[0]
+    state = [0]
+    for i, (u, w) in enumerate(zip(log_u.tolist(), weights[1:]), start=1):
+        if u < w - current_w:
+            current, current_w = i, w
+        state.append(current)
+    return np.array(state, dtype=np.intp)
 
 
 def pareto_k(log_weights: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Order-statistic (type-1) empirical quantiles.
 
 Every quantile computed anywhere in this package (trimming thresholds, knot
-placement, contrast levels, credible-interval endpoints) goes through
-``type1_quantile`` so results are bit-reproducible and order statistics
-commute with monotone transforms.
+placement, contrast levels, credible-interval endpoints) is the order
+statistic at ``type1_index``, so results are bit-reproducible and order
+statistics commute with monotone transforms. ``type1_quantiles`` takes
+several of them from one stable sort; an order statistic is an element of
+the sample, so it has the bits of ``type1_quantile`` at each level.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["type1_quantile", "type1_index", "sorted_distinct"]
+__all__ = ["type1_quantile", "type1_quantiles", "type1_index", "sorted_distinct"]
 
 # Guards against q*n landing an ulp above an exact integer (e.g. 0.95*1000).
 _FUZZ = 1e-9
@@ -30,10 +32,15 @@ def type1_index(n: int, q: float) -> int:
 
 def type1_quantile(values, q: float) -> float:
     """Empirical quantile as the order statistic at 1-based index ceil(q*n)."""
+    return type1_quantiles(values, (q,))[0]
+
+
+def type1_quantiles(values, qs) -> tuple[float, ...]:
+    """``type1_quantile`` at each level of ``qs``, from one sort."""
     xs = np.sort(np.asarray(values, dtype=float), kind="stable")
     if xs.ndim != 1:
         raise ValueError("expected a 1-d sample")
-    return float(xs[type1_index(xs.size, q)])
+    return tuple(float(xs[type1_index(xs.size, q)]) for q in qs)
 
 
 def sorted_distinct(values) -> np.ndarray:

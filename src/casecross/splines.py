@@ -24,7 +24,7 @@ import numpy as np
 
 from .design import MatchedRows
 from .errors import ConfigurationError, DegenerateDataError
-from .quantiles import sorted_distinct, type1_quantile
+from .quantiles import type1_index
 
 __all__ = [
     "LINEAR_INTERACTION",
@@ -82,13 +82,14 @@ def fit_knots(values, df: int) -> BasisSpec:
         raise DegenerateDataError("knot fitting sample contains non-finite values")
     if df < 1:
         raise ConfigurationError(f"df must be >= 1, got {df}")
-    n_distinct = sorted_distinct(xs).size
+    lo, hi = float(xs.min()), float(xs.max())
+    xs = np.sort(xs, kind="stable")     # one sort for the count and every knot
+    n_distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     if n_distinct < df + 1:
         raise DegenerateDataError(
             f"need at least {df + 1} distinct values for {df + 1} knots, got {n_distinct}"
         )
-    lo, hi = float(xs.min()), float(xs.max())
-    interior = tuple(type1_quantile(xs, j / df) for j in range(1, df))
+    interior = tuple(float(xs[type1_index(xs.size, j / df)]) for j in range(1, df))
     ks = (lo, *interior, hi)
     if any(a >= b for a, b in zip(ks, ks[1:])):
         raise DegenerateDataError(

@@ -38,6 +38,19 @@ class TestCsvRoundTrips:
         assert field.origin == np.datetime64("2012-06-01")
         assert field.values.tolist() == [[0.1 + 0.2, 7.0]]
 
+    @pytest.mark.parametrize("line, typo", [(5, "2212-06-02"), (2, "1012-06-01")])
+    def test_field_date_span_bounded(self, tmp_path, monkeypatch, line, typo):
+        # two cells: the limit is lowered, so no large table is allocated
+        rows = [("c1", "2012-06-01", 1.0), ("c2", "2012-06-01", 2.0),
+                ("c1", "2012-06-02", 3.0), ("c2", "2012-06-02", 4.0)]
+        io.write_rows(tmp_path / "f.csv", ["cell_id", "date", "value"], rows)
+        monkeypatch.setattr(io, "FIELD_SLOTS", 1000)
+        assert io.read_daily_field(tmp_path / "f.csv").values.shape == (2, 2)
+        rows[line - 2] = (rows[line - 2][0], typo, 1.0)     # a mistyped year
+        io.write_rows(tmp_path / "f.csv", ["cell_id", "date", "value"], rows)
+        with pytest.raises(ConfigurationError, match=f"f.csv:{line}: date {typo} stretches"):
+            io.read_daily_field(tmp_path / "f.csv")
+
     def test_duplicate_field_value_rejected(self, tmp_path):
         rows = [("c1", "2012-06-01", 1.0), ("c1", "2012-06-01", 2.0)]
         io.write_rows(tmp_path / "f.csv", ["cell_id", "date", "value"], rows)
@@ -102,6 +115,24 @@ class TestNumericWriter:
         io.write_rows(folder / "csv.csv", header, rows)
         io.write_rows(folder / "joined.csv", header, rows, numeric=True)
         assert (folder / "joined.csv").read_bytes() == (folder / "csv.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf]) | st.floats(),
+                     min_size=2, max_size=2),
+            st.integers(1, 4),
+        ),
+        max_size=8,
+    ))
+    def test_draws_reuse_repeated_rows_bytes_unchanged(self, tmp_path_factory, rows):
+        # runs of repeated rows, as rejected proposals leave them, beside
+        # rows that differ only in the sign of a zero or a NaN's payload
+        folder = tmp_path_factory.mktemp("draws")
+        draws = np.array([row for row, times in rows for _ in range(times)], dtype=float).reshape(-1, 2)
+        io.write_draws(folder / "draws.csv", ["a", "b"], draws)
+        io.write_rows(folder / "want.csv", ["a", "b"], (row.tolist() for row in draws), numeric=True)
+        assert (folder / "draws.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
     def test_draws_and_tables_match_csv_writer(self, tmp_path):
         draws = np.array([[0.1 + 0.2, -0.0, 5e-324], [1e16, np.inf, -np.inf], [np.nan, 3.0, -1.5e-300]])

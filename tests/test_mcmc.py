@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from casecross.mcmc import K, effective_sample_size, mcse_mean, pareto_k, run_chain, split_rhat
+from casecross.mcmc import _sweep, effective_sample_size, mcse_mean, pareto_k, run_chain, split_rhat
 
 
 def _std_normal_logpost(x):
@@ -171,15 +171,38 @@ class TestRunChain:
         assert np.array_equal(short.draws, long.draws[300:])
         assert short.log_weights.size == 401
 
-    def test_log_post_sees_batches_of_k(self):
-        sizes = []
+    def test_log_post_called_once_on_every_proposal(self):
+        calls = []
 
         def log_post(x):
-            sizes.append(x.shape[0])
+            calls.append(x.shape)
             return _std_normal_logpost(x)
 
         run_chain(log_post, np.zeros(2), np.eye(2), np.random.default_rng(11), warmup=20, draws=30)
-        assert sizes == [K] * (51 // K) + [51 % K]
+        assert calls == [(51, 2)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_matches_numpy_scalar_loop(self, seed):
+        # the Python-float sweep takes the same decisions as a loop over
+        # numpy scalars, with -inf, NaN and +inf weights among the proposals
+        rng = np.random.default_rng(seed)
+        n = 400
+        log_w = rng.normal(scale=2.0, size=n)
+        for value, share in ((-np.inf, 0.1), (np.nan, 0.1), (np.inf, 0.005)):
+            log_w[1:][rng.random(n - 1) < share] = value
+        log_u = np.log(rng.uniform(size=n - 1))
+        log_u[rng.random(n - 1) < 0.05] = -np.inf
+        state = np.empty(n, dtype=np.intp)
+        current = state[0] = 0
+        with np.errstate(invalid="ignore"):      # inf - inf once +inf is current
+            for i in range(1, n):
+                if log_u[i - 1] < log_w[i] - log_w[current]:
+                    current = i
+                state[i] = current
+        got = _sweep(log_u, log_w)
+        assert got.dtype == state.dtype
+        assert np.array_equal(got, state)
+        assert 0 < np.count_nonzero(np.diff(state)) < n - 1
 
     def test_rejects_nonfinite_start(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from casecross.pipeline import _surface_grid
-from casecross.quantiles import sorted_distinct, type1_index, type1_quantile
+from casecross.effects import case_day_levels
+from casecross.errors import DegenerateDataError
+from casecross.quantiles import sorted_distinct, type1_index, type1_quantile, type1_quantiles
+from casecross.splines import fit_knots
 
 
 def test_order_statistic_rule_frozen_values():
@@ -66,6 +71,58 @@ def test_sorted_distinct_is_np_unique(values):
     if zeros:   # np.unique keeps either zero, as its hash table falls; the first given is kept
         want[want == 0.0] = zeros[0]
     assert got.tobytes() == want.tobytes()
+
+
+_LEVELS = st.floats(min_value=1e-9, max_value=1.0)
+
+
+@given(st.lists(_FINITE, min_size=1, max_size=30), st.lists(_LEVELS, max_size=4))
+@example([0.0, -0.0, 1.0], [0.5, 1 / 3, 2 / 3])
+@example([-0.0, 0.0], [0.5, 1.0])
+def test_several_quantiles_from_one_sort_are_type1_quantile(values, levels):
+    got = type1_quantiles(values, levels)
+    assert len(got) == len(levels)
+    for q, x in zip(levels, got):
+        assert np.float64(x).tobytes() == np.float64(type1_quantile(values, q)).tobytes()
+
+
+@given(st.lists(_FINITE, min_size=2, max_size=30), st.integers(1, 4))
+@example([0.0, -0.0, 1.0, -0.0, 2.0, 0.0], 3)
+@example([-0.0, 0.0, 1.0, 2.0, 2.0], 2)
+def test_knots_from_one_sort_are_type1_quantiles(values, df):
+    # one sort serves the distinct count and every interior knot
+    xs = np.array(values)
+    want = [type1_quantile(xs, j / df) for j in range(1, df)]
+    knots = [xs.min(), *want, xs.max()]
+    if np.unique(xs).size < df + 1:
+        with pytest.raises(DegenerateDataError, match="distinct"):
+            fit_knots(xs, df)
+    elif any(a >= b for a, b in zip(knots, knots[1:])):
+        with pytest.raises(DegenerateDataError, match="concentrated"):
+            fit_knots(xs, df)
+    else:
+        spec = fit_knots(xs, df)
+        assert np.array(spec.interior_knots).tobytes() == np.array(want, dtype=float).tobytes()
+        assert np.array(spec.boundary_knots).tobytes() == np.array([xs.min(), xs.max()]).tobytes()
+
+
+class _Rows(SimpleNamespace):
+    """The columns of matched rows that ``case_day_levels`` reads."""
+
+    def __len__(self):
+        return self.is_case.size
+
+
+@given(st.lists(st.tuples(_FINITE, _FINITE, st.booleans()), min_size=1, max_size=30))
+def test_case_day_levels_are_type1_quantiles(rows):
+    temperature, pm25, is_case = (np.array(c) for c in zip(*rows))
+    is_case[0] = True       # at least one case row
+    levels = case_day_levels(_Rows(temperature=temperature, pm25_window=pm25, is_case=is_case))
+    for got, sample, q in (
+        (levels.t0, temperature, 0.5), (levels.t1, temperature, 0.95),
+        (levels.a0, pm25, 0.5), (levels.a1, pm25, 0.95),
+    ):
+        assert np.float64(got).tobytes() == np.float64(type1_quantile(sample[is_case], q)).tobytes()
 
 
 @pytest.mark.parametrize("values, level", [

@@ -14,6 +14,7 @@ full tensor; and coefficients at which exp overflows are checked to score
 finite and exact.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -126,6 +127,22 @@ class TestShippedConfigs:
         assert batched.shape == (16,)
         for beta, ll in zip(betas, batched):
             assert ll == pytest.approx(log_likelihood(beta, lik), rel=1e-12), name
+
+    def test_batch_memory_is_a_few_blocks(self, shipped):
+        """One call over every proposal of a 1,500 + 1,500 chain allocates
+        a work buffer and an lse array sized by ``BLOCK`` and ``COLS``, and
+        the result: 0.70-0.79 MB here, where a (width - 1, strata,
+        proposals) buffer would take 75 MB."""
+        name, _, lik, mle = shipped
+        betas = mle.point + mle.sd * np.random.default_rng(1).standard_normal((3001, mle.point.size))
+        betas *= clr._scales(lik)
+        tracemalloc.start()
+        try:
+            lik.standardized.log_likelihood(betas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, name
 
     def test_reference_newton_step_from_collapsed_mle(self, shipped):
         name, dm, _, mle = shipped
@@ -353,12 +370,16 @@ def stratum_widths(dm):
     return np.array([int(np.frombuffer(k[:8])[0]) for k in sorted(keys)])
 
 
-def padded_kernel(strata, widths):
+def padded_kernel(strata, widths, cols):
     """The kernel over one padded buffer of every stratum's stored rows,
     (width - 1, strata, k), -inf past each stratum's width - 1, with the
     reference row implicit: the reference the spanned kernel must match bit
-    for bit. A batch is log1p of the sum of exp(z.beta); one vector takes
-    the stable form, mx = max(0, max_j z_j.beta), as the kernel does."""
+    for bit. A batch is cut into blocks of ``cols`` vectors, as the kernel
+    cuts it, since the matrix-vector products c.t and n.lse round a vector's
+    value by its place in the block; a lone vector of a batch is scored
+    beside a copy of itself, as in the kernel. Each block is log1p of the sum of
+    exp(z.beta). One vector takes the stable form, mx = max(0, max_j
+    z_j.beta), as the kernel does."""
     pad = np.where(np.arange(widths.max() - 1)[:, np.newaxis] < widths - 1, 0.0, -np.inf)
 
     def stable(beta):
@@ -368,13 +389,18 @@ def padded_kernel(strata, widths):
         norm = w.sum(axis=0) + np.exp(-mx)
         return w, norm, mx + np.log(norm)
 
-    def log_likelihood(beta):
-        cols = np.atleast_2d(beta)
-        if len(cols) == 1:
-            return np.array([strata.t @ cols[0] - strata.n @ stable(cols[0])[2]])
-        e = (strata.z @ cols.T).reshape(*pad.shape, -1)
+    def batch(block):
+        if len(block) == 1:
+            return batch(np.repeat(block, 2, axis=0))[:1]
+        e = (strata.z @ block.T).reshape(*pad.shape, -1)
         e = np.exp(e + pad[..., np.newaxis])
-        return cols @ strata.t - strata.n @ np.log1p(e.sum(axis=0))
+        return block @ strata.t - strata.n @ np.log1p(e.sum(axis=0))
+
+    def log_likelihood(beta):
+        betas = np.atleast_2d(beta)
+        if len(betas) == 1:
+            return np.array([strata.t @ betas[0] - strata.n @ stable(betas[0])[2]])
+        return np.concatenate([batch(betas[c:c + cols]) for c in range(0, len(betas), cols)])
 
     def derivatives(beta):
         w, norm, lse = stable(beta)
@@ -438,13 +464,17 @@ class TestSpanKernel:
         assert any(s1 - s0 > 7 and (s1 - s0) % 7 for _, s0, s1 in runs), name
 
     @pytest.mark.parametrize("block", [clr.BLOCK, 7, 1])
-    @pytest.mark.parametrize("k", [1, 16])
-    def test_bit_identical_to_padded_buffer(self, design, block, k, monkeypatch):
+    # one vector, and 2 * cols + 1 vectors: two full blocks and a short one
+    @pytest.mark.parametrize("cols, k", [
+        (clr.COLS, 1), (clr.COLS, 2 * clr.COLS + 1), (7, 15), (1, 3),
+    ])
+    def test_bit_identical_to_padded_buffer(self, design, block, cols, k, monkeypatch):
         name, dm, widths = design
         monkeypatch.setattr(clr, "BLOCK", block)
+        monkeypatch.setattr(clr, "COLS", cols)
         lik = ConditionalLikelihood.from_design_matrix(dm)
         strata = lik.standardized
-        ref_ll, ref_derivatives = padded_kernel(strata, widths)
+        ref_ll, ref_derivatives = padded_kernel(strata, widths, cols)
         mode = fit_mle(lik).point * clr._scales(lik)
         rng = np.random.default_rng(k)
         betas = mode + 0.3 * rng.standard_normal((k, mode.size))
@@ -457,6 +487,19 @@ class TestSpanKernel:
             assert np.array_equal(g, ref[1]), name
             assert np.array_equal(h, ref[2]), name
             assert strata.derivatives(beta, want_hess=False)[1].tobytes() == ref[1].tobytes(), name
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_one_stratum_bit_identical_to_padded_buffer(self, width):
+        # a set twice over, its case row moved: one stratum, so that no
+        # neighbour can share a lone stratum's product
+        rows = np.random.default_rng(width).normal(size=(width, 3))
+        is_case = np.zeros(2 * width, dtype=bool)
+        is_case[[0, width + 1]] = True
+        lik = ConditionalLikelihood(np.vstack([rows, rows]), np.repeat([0, 1], width), is_case)
+        assert lik.n_strata == 1
+        ref_ll, _ = padded_kernel(lik._strata, np.array([width]), clr.COLS)
+        betas = np.random.default_rng(0).normal(size=(2 * clr.COLS + 1, 3))
+        assert np.array_equal(lik._strata.log_likelihood(betas), ref_ll(betas))
 
     def test_reference_row_dropped_exactly(self, design):
         name, dm, widths = design
