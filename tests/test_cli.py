@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -19,6 +20,15 @@ from casecross.cli import (
 from casecross.config import AnalysisConfig
 from casecross.errors import ConvergenceError
 from casecross.pipeline import run
+
+
+def child_env() -> dict:
+    """This environment with the checkout's ``src`` first on
+    ``PYTHONPATH``, so that a child interpreter imports the code under test
+    as pytest's ``pythonpath`` setting makes this process do."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def make_dataset(tmp_path, seed=42, events=500, zones=15):
@@ -363,21 +373,23 @@ class TestEntryPoint:
         cfg = make_config(tmp_path, data_dir)
         proc = subprocess.run(
             [sys.executable, "-m", "casecross", "validate", "--config", str(cfg)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "ok" in proc.stdout
 
     def test_run_all_does_not_import_numpy_ma(self, tmp_path):
-        # np.unique's hash path imports numpy.ma, about 15 ms of every process
+        # np.unique's hash path imports numpy.ma, about 15 ms of every
+        # process; the thread pool's concurrent.futures loads on first use
         config = Path(__file__).resolve().parent.parent / "configs" / "main.json"
         script = (
             "import sys; from casecross.cli import main; "
+            "futures = 'concurrent.futures' in sys.modules; "
             f"code = main(['-q', 'run-all', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]); "
-            "print(code, 'numpy.ma' in sys.modules)"
+            "print(code, 'numpy.ma' in sys.modules, futures)"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.stdout.split() == [str(EXIT_OK), "False"], proc.stderr
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+        assert proc.stdout.split() == [str(EXIT_OK), "False", "False"], proc.stderr
 
     def test_tensor_model_runs(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=300, zones=8)

@@ -1,8 +1,15 @@
 """Chains and OR-table chunks run on a thread pool: the results must not
 depend on the number of threads, and errors and numpy warnings raised in a
-worker must reach the caller as they do without the pool."""
+worker must reach the caller as they do without the pool. The pool is kept
+for the life of the process: later calls start no thread, a job may call
+``ordered_map`` itself, and a forked child gets a pool of its own."""
 
 import itertools
+import os
+import signal
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +109,86 @@ def test_numpy_warning_in_a_worker_fails(shipped, monkeypatch):
     with pytest.raises(RuntimeWarning, match="overflow"):
         response_curve(fit, model, TEMPERATURE, float(np.median(sets.pm25_window)), grid, float(t.min()))
 
+
+# ---------------------------------------------------------- the kept pool
+
+def _fill_pool(workers):
+    """One call whose jobs wait for each other, so that the pool of
+    ``workers`` threads has started all of them. Returns, per job, the
+    thread it ran on and the number of live threads it saw."""
+    barrier = threading.Barrier(workers)
+
+    def job(x):
+        barrier.wait(timeout=30)
+        return threading.current_thread(), threading.active_count()
+
+    return parallel.ordered_map(job, range(workers))
+
+
+def test_results_in_input_order(monkeypatch):
+    _on(monkeypatch, 2)
+    # later items finish first
+    out = parallel.ordered_map(lambda x: time.sleep(0.002 * (8 - x)) or x * x, range(8))
+    assert out == [x * x for x in range(8)]
+
+
+def test_worker_exception_raised_in_caller(monkeypatch):
+    _on(monkeypatch, 2)
+
+    def job(x):
+        if x == 3:
+            raise KeyError(x)
+        return x
+
+    with pytest.raises(KeyError):
+        parallel.ordered_map(job, range(6))
+    assert parallel.ordered_map(job, [0, 1]) == [0, 1]          # the pool still works
+
+
+def test_second_call_starts_no_thread(monkeypatch):
+    _on(monkeypatch, 2)
+    first = _fill_pool(2)
+    threads = threading.active_count()
+    second = _fill_pool(2)
+    assert {t for t, _ in second} == {t for t, _ in first}
+    assert [n for _, n in second] == [threads, threads]
+    assert threading.active_count() == threads
+
+
+def test_job_that_maps_completes(monkeypatch):
+    # each job's inner map runs inline: were it queued on the pool, both
+    # workers would wait on jobs that no worker is free to run
+    _on(monkeypatch, 2)
+
+    def job(x):
+        return parallel.ordered_map(abs, [x, -x])
+
+    out = []
+    outer = threading.Thread(target=lambda: out.append(parallel.ordered_map(job, range(4))), daemon=True)
+    outer.start()
+    outer.join(timeout=30)
+    assert out == [[[x, x] for x in range(4)]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_maps(monkeypatch):
+    # the child's copy of the parent's pool has no threads
+    _on(monkeypatch, 2)
+    _fill_pool(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)        # fork with threads running
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if parallel.ordered_map(abs, range(-4, 4)) == [4, 3, 2, 1, 0, 1, 2, 3] else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's ordered_map did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0

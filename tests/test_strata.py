@@ -11,7 +11,8 @@ bit against one padded buffer over every stratum: on a BLAS that rounds a
 product's rows differently by matrix size these checks fail. The tensor
 leaves out each stratum's zero reference row, which is checked against the
 full tensor; and coefficients at which exp overflows are checked to score
-finite and exact.
+finite and exact. The build's within-set row sort is checked against one
+lexsort over every column, and so is the tensor it builds.
 """
 
 import tracemalloc
@@ -289,6 +290,48 @@ class TestArrayConstructor:
                 ConditionalLikelihood(broken, set_index, is_case)
         with pytest.raises(ValueError, match="at least one matched set"):
             ConditionalLikelihood(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
+
+
+@st.composite
+def tied_designs(draw):
+    """Sets of 2-5 rows with integer-valued columns, so that rows tie often,
+    zeros of either sign, arbitrary set labels and the rows of all sets
+    shuffled together."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_sets = draw(st.integers(1, 40))
+    sizes = rng.integers(2, 6, n_sets)
+    labels = rng.choice(np.arange(-50, 50), n_sets, replace=False)
+    set_index = np.repeat(labels, sizes)
+    is_case = np.zeros(set_index.size, dtype=bool)
+    is_case[np.cumsum(sizes) - sizes + rng.integers(0, sizes)] = True
+    values = rng.integers(-2, 3, size=(set_index.size, dim)).astype(float)
+    values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
+    order = rng.permutation(set_index.size)
+    return values[order], set_index[order], is_case[order]
+
+
+class TestRowOrder:
+    """The within-set row sort against one lexsort over every column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_designs())
+    def test_permutation_is_lexsort(self, design):
+        values, set_index, _ = design
+        want = np.lexsort((*values.T[::-1], set_index))
+        assert np.array_equal(clr._row_order(values, set_index), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_designs())
+    def test_build_bit_identical_to_lexsort_build(self, design):
+        got = ConditionalLikelihood(*design)._strata
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clr, "_row_order", lambda v, s: np.lexsort((*v.T[::-1], s)))
+            want = ConditionalLikelihood(*design)._strata
+        for key in ("z", "n", "t", "pad"):
+            assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+            assert getattr(got, key).shape == getattr(want, key).shape, key
+        assert got.runs == want.runs
 
 
 # ---------------------------------------------------------- overflow guard
