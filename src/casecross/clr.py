@@ -57,8 +57,12 @@ over the same likelihood plus a per-block Gaussian prior runs the same Newton
 iteration, with the prior precision added, to the posterior mode, and then
 independence Metropolis chains whose multivariate t proposal is centred
 there and scaled by the inverse negative Hessian (see ``mcmc``). Both paths
-standardize columns by their pooled standard deviation internally and return
-coefficients on the original scale.
+run in fit units, coefficients times ``scale``, each column's largest power
+of two at or below its pooled standard deviation, and return coefficients
+on the original scale. Dividing by a power of two is exact, so the one
+tensor scored at beta / scale gives, bit for bit, what a tensor of z / scale
+gives at beta: the units move no product of the kernel and matter only to
+Newton's tolerance, its separation bound, its ridge and its linear algebra.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,6 +94,11 @@ __all__ = [
 ]
 
 RHAT_WARN = 1.05
+# Newton: gradient sup-norm at convergence, most iterations, and the
+# coefficient sup-norm that flags separation, all in fit units
+TOLERANCE = 1e-8
+MAX_ITER = 200
+SEPARATION_BOUND = 50.0
 
 log = logging.getLogger(__name__)
 
@@ -126,20 +134,13 @@ class ConditionalLikelihood:
             raise ValueError("set_index and is_case need one entry per row of values")
         # rows grouped by set, each set's rows in lexicographic value order,
         # sorted within sets (see _row_order)
-        order = _row_order(values, set_index)
+        order, start, size, row_set, pos = _row_order(values, set_index)
         x = values[order]
         case = is_case[order]
-        sid = set_index[order]
-        first_row = np.ones(n_rows, dtype=bool)
-        first_row[1:] = sid[1:] != sid[:-1]
-        start = np.flatnonzero(first_row)
-        size = np.diff(np.append(start, n_rows))
-        row_set = np.cumsum(first_row) - 1
         if np.any(np.bincount(row_set, weights=case) != 1):
             raise ValueError("each set must have exactly one case row")
         if size.min() < 2:
             raise ValueError("each set needs at least one control row")
-        pos = np.arange(n_rows) - start[row_set]
         width = int(size.max())
         n_sets = start.size
 
@@ -180,8 +181,10 @@ class ConditionalLikelihood:
         self.labels = tuple(labels) if labels is not None else None
         self.blocks = tuple(blocks) if blocks is not None else None
         mean = values.sum(axis=0) / n_rows
-        var = (values**2).sum(axis=0) / n_rows - mean**2
-        self.pooled_sd = np.sqrt(np.maximum(var, 0.0))
+        sd = np.sqrt(np.maximum((values**2).sum(axis=0) / n_rows - mean**2, 0.0))
+        # the fits' units: the largest power of two at or below each column's
+        # pooled sd, 0.5 where it is zero (see the module docstring)
+        self.scale = np.ldexp(0.5, np.frexp(sd)[1])
         z = z.reshape(-1, dim)
         n = np.bincount(stratum, minlength=n_strata).astype(float)
         self._strata = _Strata(z, _runs(size[first]), n, counts.ravel() @ z, pad)
@@ -189,13 +192,6 @@ class ConditionalLikelihood:
     @classmethod
     def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
         return cls(dm.values, dm.set_index, dm.is_case, dm.column_labels, dm.blocks)
-
-    @cached_property
-    def standardized(self) -> "_Strata":
-        """The likelihood kernel for coefficients in units of ``_scales(self)``,
-        built on first use and shared by ``fit_mle`` and ``fit_bayes``."""
-        s, inv_scale = self._strata, 1.0 / _scales(self)
-        return _Strata(s.z * inv_scale, s.runs, s.n, s.t * inv_scale, s.pad)
 
     def block_of(self, column: int) -> str:
         if self.blocks:
@@ -207,10 +203,12 @@ class ConditionalLikelihood:
         return f"column {column}"
 
 
-def _row_order(values: np.ndarray, set_index: np.ndarray) -> np.ndarray:
+def _row_order(values: np.ndarray, set_index: np.ndarray):
     """``np.lexsort((*values.T[::-1], set_index))`` for finite ``values``:
     rows grouped by set, each set's rows in lexicographic value order, ties
-    kept in input order.
+    kept in input order. Returned with the set structure of the ordered
+    rows: each set's first row and size, and each row's set and position in
+    its set.
 
     Sets hold a few rows each, so rather than sorting every column of every
     row it sorts the sets stably, then each set's first column in one
@@ -240,7 +238,7 @@ def _row_order(values: np.ndarray, set_index: np.ndarray) -> np.ndarray:
         rows = order[at]
         group = np.cumsum(~joins[at])               # one per run of tied rows
         order[at] = rows[np.lexsort((*values[rows, 1:].T[::-1], group))]
-    return order
+    return order, start, size, row_set, pos
 
 
 # most strata per span and most coefficient vectors per block of a batch:
@@ -520,54 +518,45 @@ class SamplerConfig:
             raise ValueError("sampler seed is required for reproducibility")
 
 
-def _scales(lik: ConditionalLikelihood) -> np.ndarray:
-    s = lik.pooled_sd.copy()
-    s[s <= 0] = 1.0
-    return s
-
-
-def _newton(
-    strata: _Strata,
-    lik: ConditionalLikelihood,
-    tolerance: float,
-    max_iter: int,
-    separation_bound: float,
-    precision: np.ndarray | None = None,
-):
-    """Newton iteration in the standardized parameterization, from zero.
+def _newton(lik: ConditionalLikelihood, precision: np.ndarray | None = None):
+    """Newton iteration in fit units (see the module docstring), from zero.
 
     Maximizes the log-likelihood or, given the diagonal ``precision`` of a
     zero-centred Gaussian prior, the log-posterior. Returns (beta,
     covariance or None, diagnostics); raises on separation or persistent
     failure. Separation, checked for the likelihood alone, is flagged either
-    when the coefficient sup-norm passes ``separation_bound`` while the
+    when the coefficient sup-norm passes ``SEPARATION_BOUND`` while the
     gradient has not converged, or when the likelihood converges onto its
     supremum of zero (every case predicted perfectly).
     """
-    dim = lik.dimension
+    dim, scale = lik.dimension, lik.scale
     mle = precision is None
     if mle:
         precision = np.zeros(dim)   # the likelihood alone
 
     def objective(beta):
-        return strata.log_likelihood(beta) - 0.5 * float(precision @ beta**2)
+        return lik._strata.log_likelihood(beta / scale) - 0.5 * float(precision @ beta**2)
 
     def derivatives(beta):
-        ll, g, h = strata.derivatives(beta)
-        return ll - 0.5 * float(precision @ beta**2), g - precision * beta, h - np.diag(precision)
+        ll, g, h = lik._strata.derivatives(beta / scale)
+        return (
+            ll - 0.5 * float(precision @ beta**2),
+            g / scale - precision * beta,
+            h / np.outer(scale, scale) - np.diag(precision),
+        )
 
     beta = np.zeros(dim)
     ll, g, h = derivatives(beta)
     gnorm = float(np.abs(g).max())
     ridge_used = False
 
-    if mle and gnorm <= tolerance and float(np.abs(h).max()) < 1e-12:
+    if mle and gnorm <= TOLERANCE and float(np.abs(h).max()) < 1e-12:
         diag = MleDiagnostics(True, 0, gnorm, zero_information=True)
         return beta, None, diag
 
     iterations = 0
-    converged = gnorm <= tolerance
-    while not converged and iterations < max_iter:
+    converged = gnorm <= TOLERANCE
+    while not converged and iterations < MAX_ITER:
         iterations += 1
         neg_h = -h
         try:
@@ -596,12 +585,12 @@ def _newton(
             break
         ll, g, h = derivatives(beta)
         gnorm = float(np.abs(g).max())
-        if gnorm <= tolerance:
+        if gnorm <= TOLERANCE:
             converged = True
-        elif mle and float(np.abs(beta).max()) > separation_bound:
+        elif mle and float(np.abs(beta).max()) > SEPARATION_BOUND:
             worst = int(np.abs(beta).argmax())
             raise SeparationError(
-                f"coefficient sup-norm exceeded {separation_bound} (standardized) "
+                f"coefficient sup-norm exceeded {SEPARATION_BOUND} (fit units) "
                 f"with gradient norm {gnorm:.3g}; offending block: {lik.block_of(worst)}",
                 block=lik.block_of(worst),
             )
@@ -631,21 +620,15 @@ def _newton(
     return beta, cov, diag
 
 
-def fit_mle(
-    lik: ConditionalLikelihood,
-    tolerance: float = 1e-8,
-    max_iter: int = 200,
-    separation_bound: float = 50.0,
-) -> FitResult:
+def fit_mle(lik: ConditionalLikelihood) -> FitResult:
     """Maximum likelihood via Newton iteration with step halving.
 
-    Convergence is gradient sup-norm <= ``tolerance`` in the standardized
-    parameterization; the covariance is the inverse observed information,
-    back-transformed to the original scale.
+    Convergence is gradient sup-norm <= ``TOLERANCE`` in fit units; the
+    covariance is the inverse observed information, back-transformed to the
+    original scale.
     """
-    scale = _scales(lik)
-    strata = lik.standardized
-    beta_std, cov_std, diag = _newton(strata, lik, tolerance, max_iter, separation_bound)
+    scale = lik.scale
+    beta_std, cov_std, diag = _newton(lik)
     point = beta_std / scale
     cov = None
     if cov_std is not None:
@@ -679,16 +662,15 @@ def fit_bayes(
     logged as warnings, not raised.
     """
     start = time.perf_counter()
-    scale = _scales(lik)
-    strata = lik.standardized
-    # prior is declared on the original scale; standardizing a column by s
+    scale = lik.scale
+    # prior is declared on the original scale; a column in units of s
     # multiplies its coefficient, hence its prior sd, by s
     precision = 1.0 / (prior.column_sds(lik) * scale) ** 2
 
     def log_post(beta_std: np.ndarray) -> np.ndarray:
-        return strata.log_likelihood(beta_std) - 0.5 * (beta_std**2 @ precision)
+        return lik._strata.log_likelihood(beta_std / scale) - 0.5 * (beta_std**2 @ precision)
 
-    mode, cov, _ = _newton(strata, lik, 1e-8, 200, 50.0, precision)
+    mode, cov, _ = _newton(lik, precision)
     chol = np.linalg.cholesky(cov)
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
     results = ordered_map(

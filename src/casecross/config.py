@@ -71,6 +71,10 @@ class AnalysisConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key in (*_INPUT_KEYS, "output_dir", "model_kind"):
+            value = raw.get(key, "")
+            if type(value) is not str:
+                raise ConfigurationError(f"{key} must be a string, got {value!r}")
         for key in _INT_KEYS:
             value = raw.get(key, 0)
             # bool is a subclass of int, and JSON true is no count

@@ -83,9 +83,7 @@ _SCENARIOS = {
 def _extrapolates(model: ModelBasis, which: str, levels: ContrastLevels) -> bool:
     t_lo, t_hi = model.temperature.boundary_knots
     a_lo, a_hi = model.pm25.boundary_knots
-    ts = {"10": (levels.t0, levels.t1), "01": (levels.t0,), "11": (levels.t0, levels.t1)}[which]
-    avs = {"10": (levels.a0,), "01": (levels.a0, levels.a1), "11": (levels.a0, levels.a1)}[which]
-    return any(not t_lo <= t <= t_hi for t in ts) or any(not a_lo <= a <= a_hi for a in avs)
+    return any(not (t_lo <= t <= t_hi and a_lo <= a <= a_hi) for t, a in _SCENARIOS[which](levels))
 
 
 def _contrast_row(model: ModelBasis, hi: tuple[float, float], lo: tuple[float, float]) -> np.ndarray:

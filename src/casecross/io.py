@@ -121,15 +121,10 @@ def _csv_file(path, header: list[str]):
         yield handle, writer
 
 
-def write_rows(path, header: list[str], rows, numeric: bool = False) -> None:
-    """The header and ``rows`` through ``csv.writer``; with ``numeric``, rows
-    of numbers only, each joined from its fields' ``str`` as ``csv.writer``
-    would write them."""
-    with _csv_file(path, header) as (handle, writer):
-        if numeric:
-            handle.writelines(",".join(map(str, row)) + "\n" for row in rows)
-        else:
-            writer.writerows(rows)
+def write_rows(path, header: list[str], rows) -> None:
+    """The header and ``rows`` through ``csv.writer``."""
+    with _csv_file(path, header) as (_, writer):
+        writer.writerows(rows)
 
 
 def _quoted(names) -> list[str]:
@@ -307,10 +302,10 @@ def write_coefficients(path, labels, estimates, sds) -> None:
 
 
 def write_draws(path, labels, draws) -> None:
-    """Draws one row each, as ``write_rows(..., numeric=True)`` writes them.
-    A rejected proposal repeats the row before it, so a row whose bits
-    repeat the row before reuses its text, and each run of repeats is
-    formatted once."""
+    """Rows of floats, one draw each, as ``csv.writer`` writes them: each
+    row joined from its fields' ``str``. A rejected proposal repeats the row
+    before it, so a row whose bits repeat the row before reuses its text,
+    and each run of repeats is formatted once."""
     draws = np.ascontiguousarray(draws, dtype=float)
     bits = draws.view(np.int64)
     repeat = np.zeros(len(draws), dtype=bool)
@@ -332,8 +327,8 @@ def write_contrasts(path, estimates) -> None:
 
 
 def write_effect_table(path, table: list[dict]) -> None:
-    rows = [(r["t"], r["a"], r["or"], r["lo95"], r["hi95"]) for r in table]
-    write_rows(path, ["t", "a", "or", "lo95", "hi95"], rows, numeric=True)
+    header = ["t", "a", "or", "lo95", "hi95"]
+    write_draws(path, header, np.array([[r[k] for k in header] for r in table], dtype=float).reshape(-1, len(header)))
 
 
 def write_json(path, payload: dict) -> None:

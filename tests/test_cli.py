@@ -203,6 +203,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert str(cfg) in err and key in err and "integer" in err
 
+    @pytest.mark.parametrize("command", ["validate", "run-all"])
+    @pytest.mark.parametrize("key, value", [
+        ("events", 5), ("pm25_field", ["a.csv"]), ("grid", None),
+        ("output_dir", None), ("output_dir", 1.5), ("model_kind", 2),
+    ])
+    def test_non_string_path_or_kind_exits_2(self, tmp_path, capsys, command, key, value):
+        data_dir = make_dataset(tmp_path, events=50, zones=4)
+        cfg = make_config(tmp_path, data_dir, **{key: value})
+        assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert str(cfg) in err and key in err and "string" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [
         ("prior_sd", {"temperature": "a"}),
         ("prior_sd", [1, 2]),

@@ -93,27 +93,25 @@ class TestCsvRoundTrips:
         assert (tmp_path / "d.csv").read_text() == "subject_id,reason\ns1,missing_exposure\n"
 
 
-_NUMBERS = (
+_FLOATS = (
     st.floats(allow_subnormal=True)
     | st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
                        1e16, -1e16, 1e-5, 1e22, 123456789012345680.0])
-    | st.floats().map(np.float64)
-    | st.integers()
-    | st.integers(-2**63, 2**63 - 1).map(np.int64)
 )
 
 
 class TestNumericWriter:
-    """Rows of numbers are joined without ``csv.writer``; the file must hold
+    """Rows of floats are joined without ``csv.writer``; the file must hold
     the bytes ``csv.writer`` writes for them."""
 
     @settings(max_examples=200, deadline=None)
     @given(header=st.lists(st.text(alphabet='ab,"\n 1:', min_size=1, max_size=4), min_size=1, max_size=4),
-           rows=st.lists(st.lists(_NUMBERS, min_size=1, max_size=6), max_size=12))
+           rows=st.lists(st.lists(_FLOATS, min_size=6, max_size=6), max_size=12))
     def test_bytes_equal_csv_writer(self, tmp_path_factory, header, rows):
         folder = tmp_path_factory.mktemp("numeric")
-        io.write_rows(folder / "csv.csv", header, rows)
-        io.write_rows(folder / "joined.csv", header, rows, numeric=True)
+        draws = np.array(rows, dtype=float).reshape(-1, 6)[:, :len(header)]
+        io.write_rows(folder / "csv.csv", header, draws.tolist())
+        io.write_draws(folder / "joined.csv", header, draws)
         assert (folder / "joined.csv").read_bytes() == (folder / "csv.csv").read_bytes()
 
     @settings(max_examples=150, deadline=None)
@@ -131,7 +129,7 @@ class TestNumericWriter:
         folder = tmp_path_factory.mktemp("draws")
         draws = np.array([row for row, times in rows for _ in range(times)], dtype=float).reshape(-1, 2)
         io.write_draws(folder / "draws.csv", ["a", "b"], draws)
-        io.write_rows(folder / "want.csv", ["a", "b"], (row.tolist() for row in draws), numeric=True)
+        io.write_rows(folder / "want.csv", ["a", "b"], draws.tolist())
         assert (folder / "draws.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
     def test_draws_and_tables_match_csv_writer(self, tmp_path):

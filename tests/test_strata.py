@@ -12,7 +12,9 @@ product's rows differently by matrix size these checks fail. The tensor
 leaves out each stratum's zero reference row, which is checked against the
 full tensor; and coefficients at which exp overflows are checked to score
 finite and exact. The build's within-set row sort is checked against one
-lexsort over every column, and so is the tensor it builds.
+lexsort over every column, and so is the tensor it builds. The fits score
+the one tensor in units of a power of two per column, which is checked to
+give, bit for bit, what a tensor in those units gives.
 """
 
 import tracemalloc
@@ -136,10 +138,9 @@ class TestShippedConfigs:
         proposals) buffer would take 75 MB."""
         name, _, lik, mle = shipped
         betas = mle.point + mle.sd * np.random.default_rng(1).standard_normal((3001, mle.point.size))
-        betas *= clr._scales(lik)
         tracemalloc.start()
         try:
-            lik.standardized.log_likelihood(betas)
+            lik._strata.log_likelihood(betas)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,19 +320,91 @@ class TestRowOrder:
     def test_permutation_is_lexsort(self, design):
         values, set_index, _ = design
         want = np.lexsort((*values.T[::-1], set_index))
-        assert np.array_equal(clr._row_order(values, set_index), want)
+        assert np.array_equal(clr._row_order(values, set_index)[0], want)
 
     @settings(max_examples=100, deadline=None)
     @given(tied_designs())
     def test_build_bit_identical_to_lexsort_build(self, design):
         got = ConditionalLikelihood(*design)._strata
+
+        def lexsort_order(v, s):
+            # the order by one lexsort, its set structure derived from it
+            order = np.lexsort((*v.T[::-1], s))
+            sid = s[order]
+            first_row = np.append(True, sid[1:] != sid[:-1])
+            start = np.flatnonzero(first_row)
+            row_set = np.cumsum(first_row) - 1
+            size = np.diff(np.append(start, sid.size))
+            return order, start, size, row_set, np.arange(sid.size) - start[row_set]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(clr, "_row_order", lambda v, s: np.lexsort((*v.T[::-1], s)))
+            mp.setattr(clr, "_row_order", lexsort_order)
             want = ConditionalLikelihood(*design)._strata
         for key in ("z", "n", "t", "pad"):
             assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
             assert getattr(got, key).shape == getattr(want, key).shape, key
         assert got.runs == want.runs
+
+
+# --------------------------------------------------------------- fit units
+
+def assert_fit_units_exact(lik, betas):
+    """The raw tensor at ``betas / lik.scale``, as the fits score it, against
+    a tensor of z / scale at ``betas``, bit for bit: the value at one vector
+    and at the batch, the gradient times scale and the Hessian times
+    scale scale'."""
+    s, scale = lik._strata, lik.scale
+    scaled = clr._Strata(s.z / scale, s.runs, s.n, s.t / scale, s.pad)
+    assert np.array_equal(scaled.log_likelihood(betas), s.log_likelihood(betas / scale))
+    beta = betas[0]
+    assert scaled.log_likelihood(beta) == s.log_likelihood(beta / scale)
+    ll_scaled, g_scaled, h_scaled = scaled.derivatives(beta)
+    ll, g, h = s.derivatives(beta / scale)
+    assert ll_scaled == ll
+    assert (g_scaled * scale).tobytes() == g.tobytes()
+    assert (h_scaled * np.outer(scale, scale)).tobytes() == h.tobytes()
+
+
+@st.composite
+def scaled_designs(draw):
+    """Sets of 2-5 rows, an even number of rows in all, with a column of a
+    dyadic constant, whose sd is zero, a column of +-2**k in turn, whose sd
+    is exactly 2**k, and columns of normal values of any magnitude."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_sets, dim = draw(st.integers(1, 30)), draw(st.integers(2, 5))
+    sizes = rng.integers(2, 6, n_sets)
+    sizes[0] += sizes.sum() % 2
+    set_index = np.repeat(np.arange(n_sets), sizes)
+    is_case = np.zeros(set_index.size, dtype=bool)
+    is_case[np.cumsum(sizes) - sizes + rng.integers(0, sizes)] = True
+    values = rng.normal(size=(set_index.size, dim)) * 10.0 ** rng.uniform(-4, 4, dim)
+    values[:, 0] = rng.integers(-512, 512) / 64.0
+    values[:, 1] = 2.0 ** draw(st.integers(-20, 20)) * (-1.0) ** np.arange(set_index.size)
+    return values, set_index, is_case, rng
+
+
+class TestFitUnits:
+    """Each column's unit is a power of two, so the fits' change of units
+    is exact: the one tensor scored at beta / scale matches a tensor of
+    z / scale scored at beta."""
+
+    def test_shipped_designs_exact(self, shipped):
+        name, _, lik, mle = shipped
+        rng = np.random.default_rng(3)
+        betas = mle.point * lik.scale + 0.3 * rng.standard_normal((2 * clr.COLS + 1, lik.dimension))
+        assert np.all(np.frexp(lik.scale)[0] == 0.5), name
+        assert_fit_units_exact(lik, betas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_designs())
+    def test_constant_and_power_of_two_columns_exact(self, design):
+        values, set_index, is_case, rng = design
+        lik = ConditionalLikelihood(values, set_index, is_case)
+        assert lik.scale[0] == 0.5
+        assert lik.scale[1] == abs(values[0, 1])
+        sd = values.std(axis=0)
+        assert np.all((lik.scale[2:] <= sd[2:]) & (sd[2:] < 2 * lik.scale[2:]))
+        assert_fit_units_exact(lik, rng.normal(size=(2 * clr.COLS + 1, values.shape[1])))
 
 
 # ---------------------------------------------------------- overflow guard
@@ -516,11 +589,11 @@ class TestSpanKernel:
         monkeypatch.setattr(clr, "BLOCK", block)
         monkeypatch.setattr(clr, "COLS", cols)
         lik = ConditionalLikelihood.from_design_matrix(dm)
-        strata = lik.standardized
+        strata = lik._strata
         ref_ll, ref_derivatives = padded_kernel(strata, widths, cols)
-        mode = fit_mle(lik).point * clr._scales(lik)
+        mode = fit_mle(lik).point
         rng = np.random.default_rng(k)
-        betas = mode + 0.3 * rng.standard_normal((k, mode.size))
+        betas = mode + 0.3 * rng.standard_normal((k, mode.size)) / lik.scale
         assert np.array_equal(strata.log_likelihood(betas), ref_ll(betas)), name
         for beta in betas[:4]:
             assert strata.log_likelihood(beta) == float(ref_ll(beta)[0]), name
