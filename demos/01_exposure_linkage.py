@@ -14,9 +14,9 @@ from datetime import date
 
 import numpy as np
 
-from casecross import DailyTable, GridCell, WindowSpec, Zone, build_matched_sets
+from casecross import DailyTable, GridCell, Zone, build_matched_sets
 from casecross import link_pm25, link_temperature
-from casecross.exposure import PM25, TEMPERATURE, trailing_mean
+from casecross.exposure import trailing_mean
 
 rng = np.random.default_rng(20120601)
 
@@ -81,5 +81,5 @@ events = (
     np.array(["2012-06-19", "2012-06-19"], dtype="datetime64[D]"),
 )
 for name, pm in (("complete", pm_series), ("June 18 missing downtown", broken)):
-    sets, drops = build_matched_sets(events, temp_series, pm, WindowSpec(TEMPERATURE, 1), WindowSpec(PM25, 3))
+    sets, drops = build_matched_sets(events, temp_series, pm, 1, 3)  # 1-day temperature, 3-day pm25
     print(f"  {name:25s} sets kept: {sets.subject_id.tolist()}  dropped: {[(d.subject_id, d.reason) for d in drops]}")

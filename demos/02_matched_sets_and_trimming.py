@@ -12,10 +12,8 @@
 
 from datetime import date
 
-from casecross import TrimPolicy, apply_trimming, build_matched_sets, select_referents
+from casecross import apply_trimming, build_matched_sets, select_referents
 from casecross import generate, linear_truth
-from casecross.exposure import WindowSpec
-from casecross.exposure import PM25, TEMPERATURE
 
 print("=" * 60)
 print("1. Referent selection")
@@ -39,8 +37,8 @@ sets, drops = build_matched_sets(
     data.events,
     data.temperature_series,
     data.pm25_series,
-    WindowSpec(TEMPERATURE, 1),
-    WindowSpec(PM25, 3),
+    temperature_window_days=1,
+    pm25_window_days=3,
 )
 n_events = len(data.events[0])  # events are (subject_id, zone_id, case_day) columns
 print(f"\nevents in: {n_events}  sets out: {len(sets)}  dropped: {len(drops)}")
@@ -58,9 +56,9 @@ print("=" * 60)
 print("3. Trimming at the pooled 95th percentile")
 print("=" * 60)
 
-kept, policy, trim_drops = apply_trimming(sets, TrimPolicy(0.95))
+kept, threshold, trim_drops = apply_trimming(sets, 0.95)
 print(f"\npooled rows: {sets.pm25_window.size}")
-print(f"computed threshold (pm25 ug/m3): {policy.computed_threshold:.3f}")
+print(f"computed threshold (pm25 ug/m3): {threshold:.3f}")
 print(f"sets kept: {len(kept)}   sets discarded in trimming: {len(trim_drops)}")
 print(f"day rows: {sets.day.size} -> {kept.day.size}")
 reasons = {}

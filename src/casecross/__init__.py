@@ -24,7 +24,6 @@ from .design import (
     DayRecord,
     MatchedRows,
     MatchedSet,
-    TrimPolicy,
     apply_trimming,
     build_matched_sets,
     select_referents,
@@ -53,7 +52,6 @@ from .exposure import (
     TEMPERATURE,
     DailyTable,
     GridCell,
-    WindowSpec,
     Zone,
     link_pm25,
     link_temperature,
@@ -98,10 +96,8 @@ __all__ = [
     "SamplerConfig",
     "SeparationError",
     "TEMPERATURE",
-    "TrimPolicy",
     "TruthSpec",
     "UnsupportedModelError",
-    "WindowSpec",
     "Zone",
     "apply_trimming",
     "brute_force_set_probability",

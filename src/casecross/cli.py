@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: link, match, fit, effects, run-all, synth, validate. A config
-file drives everything; flags override the corresponding config keys. Exit
+file drives everything; ``--out`` and ``--seed`` override its keys. Exit
 codes distinguish input errors (2), an empty analysis (3), a sampler
 non-convergence warning (4), and separation (5).
 """
@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config (or run manifest)")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed", type=int, help="override the sampler seed" + (" (required unless in config)" if need_seed else ""))
-        p.add_argument("--trim-quantile", type=float, dest="trim_quantile")
-        p.add_argument("--model-kind", dest="model_kind", choices=("spline_linear", "spline_tensor"))
-        p.add_argument("--temperature-window-days", type=int, dest="temperature_window_days")
-        p.add_argument("--pm25-window-days", type=int, dest="pm25_window_days")
 
     for name, help_text in (
         ("link", "link gridded fields to zones and write exposure series"),
@@ -83,12 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: AnalysisConfig, args) -> AnalysisConfig:
     updates = {}
-    if getattr(args, "out", None):
+    if args.out:
         updates["output_dir"] = args.out
-    for key in ("seed", "trim_quantile", "model_kind", "temperature_window_days", "pm25_window_days"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
+    if args.seed is not None:
+        updates["seed"] = args.seed
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -126,7 +120,7 @@ def _cmd_validate(args) -> int:
 def _cmd_synth(args) -> int:
     if args.seed is None:
         raise ConfigurationError("synth requires --seed")
-    for flag, value, low in (("--events", args.events, 0), ("--zones", args.zones, 1)):
+    for flag, value, low in (("--seed", args.seed, 0), ("--events", args.events, 0), ("--zones", args.zones, 1)):
         if value < low:
             raise ConfigurationError(f"{flag} must be at least {low}, got {value}")
     slopes = {"--slope-t": args.slope_t, "--slope-a": args.slope_a, "--gamma": args.gamma}

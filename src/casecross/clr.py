@@ -30,10 +30,11 @@ per-set term -logsumexp_j(z_j . beta) itself. That reference row is zero
 and is not stored: it enters each logsumexp as exp(0) = 1. The form is exact
 whatever the data; what it saves depends on their density. With sets that
 are all distinct, every stratum holds one event and the cost is that of the
-per-set form. The strata are stored as one tensor of row differences, one
-slice per row position up to the largest set size less one, zero past a
-stratum's own rows, and one kernel evaluates the likelihood, its gradient
-and its Hessian; the likelihood also at a batch of coefficient vectors.
+per-set form. ``ConditionalLikelihood`` stores the strata as one tensor of
+row differences, one slice per row position up to the largest set size less
+one, zero past a stratum's own rows, and its methods, one kernel, evaluate
+the likelihood, its gradient and its Hessian; the likelihood also at a
+batch of coefficient vectors.
 Strata are ordered by a key that starts with their size, so strata of one
 width are contiguous runs. A batch of coefficient vectors, however many, is
 scored in blocks of at most ``COLS`` vectors, each block run by run, never
@@ -104,7 +105,8 @@ log = logging.getLogger(__name__)
 
 
 class ConditionalLikelihood:
-    """Matched-set data collapsed into count-weighted strata.
+    """Matched-set data collapsed into count-weighted strata: the one
+    likelihood kernel.
 
     ``values`` holds one (dim,) covariate row per matched row, finite;
     ``set_index`` names each row's set and ``is_case`` marks the one case
@@ -113,6 +115,17 @@ class ConditionalLikelihood:
     bit-identical share a stratum (see the module docstring). Strata are
     ordered by their key bytes, so the reduction order, and hence every
     evaluation, is a function of the data alone and repeats bit for bit.
+
+    ``z`` holds the (width - 1, strata, dim) tensor of row differences
+    against each stratum's zero reference row, which is not stored,
+    flattened to ((width - 1) * strata, dim) and zero past a stratum's own
+    rows; ``runs`` the ``(width, s0, s1)`` runs of strata of one width (see
+    ``_runs``), which tile the strata once; ``n`` the events per stratum;
+    ``t`` the summed case-row differences sum_s sum_d c_sd z_sd, so that the
+    log-likelihood is t.beta - n.lse with lse_s = log(1 + sum_j
+    exp(z_sj.beta)); ``pad`` the (width - 1, strata) mask, 0 on a stratum's
+    stored rows and -inf past them. A batch of any size is scored in blocks
+    of ``COLS`` vectors over work arrays allocated once per call.
     """
 
     def __init__(
@@ -172,7 +185,7 @@ class ConditionalLikelihood:
         kept_set = row_set[keep]
         z = np.zeros((width - 1, n_strata, dim))
         z[slot[keep], stratum[kept_set]] = x[keep] - x[case_rows[kept_set]]
-        pad = np.where(np.arange(width - 1)[:, np.newaxis] < size[first] - 1, 0.0, -np.inf)
+        self.pad = np.where(np.arange(width - 1)[:, np.newaxis] < size[first] - 1, 0.0, -np.inf)
 
         self.dimension = dim
         self.n_sets = n_sets
@@ -185,9 +198,10 @@ class ConditionalLikelihood:
         # the fits' units: the largest power of two at or below each column's
         # pooled sd, 0.5 where it is zero (see the module docstring)
         self.scale = np.ldexp(0.5, np.frexp(sd)[1])
-        z = z.reshape(-1, dim)
-        n = np.bincount(stratum, minlength=n_strata).astype(float)
-        self._strata = _Strata(z, _runs(size[first]), n, counts.ravel() @ z, pad)
+        self.z = z.reshape(-1, dim)
+        self.runs = _runs(size[first])
+        self.n = np.bincount(stratum, minlength=n_strata).astype(float)
+        self.t = counts.ravel() @ self.z
 
     @classmethod
     def from_design_matrix(cls, dm: DesignMatrix) -> "ConditionalLikelihood":
@@ -201,87 +215,6 @@ class ConditionalLikelihood:
         if self.labels:
             return self.labels[column]
         return f"column {column}"
-
-
-def _row_order(values: np.ndarray, set_index: np.ndarray):
-    """``np.lexsort((*values.T[::-1], set_index))`` for finite ``values``:
-    rows grouped by set, each set's rows in lexicographic value order, ties
-    kept in input order. Returned with the set structure of the ordered
-    rows: each set's first row and size, and each row's set and position in
-    its set.
-
-    Sets hold a few rows each, so rather than sorting every column of every
-    row it sorts the sets stably, then each set's first column in one
-    stable row-wise sort of a (sets, width) table, +inf past a set's rows,
-    and lexsorts the other columns only over rows tied with a neighbour on
-    (set, first column). -0.0 and 0.0 tie, as in ``lexsort``.
-    """
-    by_set = np.argsort(set_index, kind="stable")
-    sid = set_index[by_set]
-    n_rows = sid.size
-    new_set = np.ones(n_rows, dtype=bool)
-    new_set[1:] = sid[1:] != sid[:-1]
-    start = np.flatnonzero(new_set)
-    size = np.diff(np.append(start, n_rows))
-    row_set = np.cumsum(new_set) - 1
-    pos = np.arange(n_rows) - start[row_set]
-    table = np.full((start.size, int(size.max())), np.inf)
-    table[row_set, pos] = values[by_set, 0]
-    within = np.argsort(table, axis=1, kind="stable")
-    real = np.arange(table.shape[1]) < size[:, np.newaxis]
-    order = by_set[(start[:, np.newaxis] + within)[real]]
-    first = values[order, 0]
-    tie = ~new_set[1:] & (first[1:] == first[:-1])
-    if values.shape[1] > 1 and tie.any():
-        joins = np.append(False, tie)               # tied with the row before
-        at = np.flatnonzero(joins | np.append(tie, False))
-        rows = order[at]
-        group = np.cumsum(~joins[at])               # one per run of tied rows
-        order[at] = rows[np.lexsort((*values[rows, 1:].T[::-1], group))]
-    return order, start, size, row_set, pos
-
-
-# most strata per span and most coefficient vectors per block of a batch:
-# the (width - 1, span, cols) work buffer, (4, 512, 32) at widths up to 5,
-# is 524 kB, so with its span's rows it stays in a 2 MB L2. At paper shape
-# (80,789 strata, runs of up to 49,843) that beats one span per run; smaller
-# spans cost more in calls than they save in cache, and spans or blocks whose
-# temporaries were allocated per span crossed glibc's mmap threshold call by
-# call (sized with two sampler threads running). Module constants, not
-# settings (see above).
-BLOCK = 512
-COLS = 32
-
-
-def _runs(widths: np.ndarray) -> tuple[tuple[int, int, int], ...]:
-    """``(width, s0, s1)``: the runs of strata ``s0:s1`` of one width, in
-    stratum order."""
-    edges = np.flatnonzero(np.diff(widths)) + 1
-    starts, stops = np.append(0, edges).tolist(), np.append(edges, widths.size).tolist()
-    return tuple((int(widths[a]), a, b) for a, b in zip(starts, stops))
-
-
-@dataclass(frozen=True, eq=False)
-class _Strata:
-    """Count-weighted strata: the one likelihood kernel.
-
-    ``z`` holds the (width - 1, strata, dim) tensor of row differences
-    against each stratum's zero reference row, which is not stored,
-    flattened to ((width - 1) * strata, dim) and zero past a stratum's own
-    rows; ``runs`` the ``(width, s0, s1)`` runs of strata of one width (see
-    ``_runs``), which tile the strata once; ``n`` the events per stratum;
-    ``t`` the summed case-row differences sum_s sum_d c_sd z_sd, so that the
-    log-likelihood is t.beta - n.lse with lse_s = log(1 + sum_j
-    exp(z_sj.beta)); ``pad`` the (width - 1, strata) mask, 0 on a stratum's
-    stored rows and -inf past them. A batch of any size is scored in blocks
-    of ``COLS`` vectors over work arrays allocated once per call.
-    """
-
-    z: np.ndarray
-    runs: tuple[tuple[int, int, int], ...]
-    n: np.ndarray
-    t: np.ndarray
-    pad: np.ndarray
 
     def log_likelihood(self, beta: np.ndarray):
         """Log-likelihood at one (dim,) vector, as a float, or at each row of
@@ -387,16 +320,74 @@ class _Strata:
         return ll, g, h
 
 
+def _row_order(values: np.ndarray, set_index: np.ndarray):
+    """``np.lexsort((*values.T[::-1], set_index))`` for finite ``values``:
+    rows grouped by set, each set's rows in lexicographic value order, ties
+    kept in input order. Returned with the set structure of the ordered
+    rows: each set's first row and size, and each row's set and position in
+    its set.
+
+    Sets hold a few rows each, so rather than sorting every column of every
+    row it sorts the sets stably, then each set's first column in one
+    stable row-wise sort of a (sets, width) table, +inf past a set's rows,
+    and lexsorts the other columns only over rows tied with a neighbour on
+    (set, first column). -0.0 and 0.0 tie, as in ``lexsort``.
+    """
+    by_set = np.argsort(set_index, kind="stable")
+    sid = set_index[by_set]
+    n_rows = sid.size
+    new_set = np.ones(n_rows, dtype=bool)
+    new_set[1:] = sid[1:] != sid[:-1]
+    start = np.flatnonzero(new_set)
+    size = np.diff(np.append(start, n_rows))
+    row_set = np.cumsum(new_set) - 1
+    pos = np.arange(n_rows) - start[row_set]
+    table = np.full((start.size, int(size.max())), np.inf)
+    table[row_set, pos] = values[by_set, 0]
+    within = np.argsort(table, axis=1, kind="stable")
+    real = np.arange(table.shape[1]) < size[:, np.newaxis]
+    order = by_set[(start[:, np.newaxis] + within)[real]]
+    first = values[order, 0]
+    tie = ~new_set[1:] & (first[1:] == first[:-1])
+    if values.shape[1] > 1 and tie.any():
+        joins = np.append(False, tie)               # tied with the row before
+        at = np.flatnonzero(joins | np.append(tie, False))
+        rows = order[at]
+        group = np.cumsum(~joins[at])               # one per run of tied rows
+        order[at] = rows[np.lexsort((*values[rows, 1:].T[::-1], group))]
+    return order, start, size, row_set, pos
+
+
+# most strata per span and most coefficient vectors per block of a batch:
+# the (width - 1, span, cols) work buffer, (4, 512, 32) at widths up to 5,
+# is 524 kB, so with its span's rows it stays in a 2 MB L2. At paper shape
+# (80,789 strata, runs of up to 49,843) that beats one span per run; smaller
+# spans cost more in calls than they save in cache, and spans or blocks whose
+# temporaries were allocated per span crossed glibc's mmap threshold call by
+# call (sized with two sampler threads running). Module constants, not
+# settings (see above).
+BLOCK = 512
+COLS = 32
+
+
+def _runs(widths: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """``(width, s0, s1)``: the runs of strata ``s0:s1`` of one width, in
+    stratum order."""
+    edges = np.flatnonzero(np.diff(widths)) + 1
+    starts, stops = np.append(0, edges).tolist(), np.append(edges, widths.size).tolist()
+    return tuple((int(widths[a]), a, b) for a, b in zip(starts, stops))
+
+
 def log_likelihood(beta, lik: ConditionalLikelihood) -> float:
     """Conditional log-likelihood at ``beta`` (original covariate scale)."""
     beta = _check_beta(beta, lik)
-    return lik._strata.log_likelihood(beta)
+    return lik.log_likelihood(beta)
 
 
 def gradient(beta, lik: ConditionalLikelihood) -> np.ndarray:
     """Score vector: sum over sets of (x_case - softmax-weighted row mean)."""
     beta = _check_beta(beta, lik)
-    _, g = lik._strata.derivatives(beta, want_hess=False)
+    _, g = lik.derivatives(beta, want_hess=False)
     return g
 
 
@@ -405,7 +396,7 @@ def hessian(beta, lik: ConditionalLikelihood) -> np.ndarray:
     matrices of the rows under softmax weights (symmetric, negative
     semidefinite)."""
     beta = _check_beta(beta, lik)
-    _, _, h = lik._strata.derivatives(beta)
+    _, _, h = lik.derivatives(beta)
     return h
 
 
@@ -516,6 +507,8 @@ class SamplerConfig:
             raise ValueError("warmup and draws must each be at least 10")
         if self.seed is None:
             raise ValueError("sampler seed is required for reproducibility")
+        if self.seed < 0:
+            raise ValueError(f"sampler seed must be at least 0, got {self.seed}")
 
 
 def _newton(lik: ConditionalLikelihood, precision: np.ndarray | None = None):
@@ -535,10 +528,10 @@ def _newton(lik: ConditionalLikelihood, precision: np.ndarray | None = None):
         precision = np.zeros(dim)   # the likelihood alone
 
     def objective(beta):
-        return lik._strata.log_likelihood(beta / scale) - 0.5 * float(precision @ beta**2)
+        return lik.log_likelihood(beta / scale) - 0.5 * float(precision @ beta**2)
 
     def derivatives(beta):
-        ll, g, h = lik._strata.derivatives(beta / scale)
+        ll, g, h = lik.derivatives(beta / scale)
         return (
             ll - 0.5 * float(precision @ beta**2),
             g / scale - precision * beta,
@@ -668,7 +661,7 @@ def fit_bayes(
     precision = 1.0 / (prior.column_sds(lik) * scale) ** 2
 
     def log_post(beta_std: np.ndarray) -> np.ndarray:
-        return lik._strata.log_likelihood(beta_std / scale) - 0.5 * (beta_std**2 @ precision)
+        return lik.log_likelihood(beta_std / scale) - 0.5 * (beta_std**2 @ precision)
 
     mode, cov, _ = _newton(lik, precision)
     chol = np.linalg.cholesky(cov)

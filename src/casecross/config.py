@@ -162,6 +162,8 @@ def validate_config(cfg: AnalysisConfig, need_seed: bool = False, check_files: b
         problems.append("curve_points and surface_points must be at least 2")
     if need_seed and cfg.seed is None:
         problems.append("seed is required (set it in the config or pass --seed)")
+    if cfg.seed is not None and cfg.seed < 0:
+        problems.append(f"seed {cfg.seed} must be at least 0")
     if check_files:
         for key in _INPUT_KEYS:
             value = getattr(cfg, key)

@@ -3,38 +3,37 @@
 Referent (control) days share the calendar month, year, and day-of-week of
 the case day, which yields 3 or 4 referents per case. Each event becomes one
 matched set with windowed exposures attached; sets touching a missing
-exposure are dropped (and counted), never patched. A pooled-quantile trim
-then removes extreme pollution days.
+exposure are dropped (and counted), never patched. A trim at a pooled
+quantile then removes extreme pollution days and returns its threshold.
 
 Events arrive as three columns, ``(subject_id, zone_id, case_day)``, and
 matched sets travel as one columnar table, ``MatchedRows``, which trimming,
 knots, the design matrix, contrast levels, grids and the writer all take.
 The table also reads as a sequence of checked ``MatchedSet`` objects of
 ``DayRecord``s, built only when an element is first read; no library
-function reads it so. Exposure windows come from the zone tables
-(``DailyTable``, NaN for gaps), each windowed once by shifted adds summed
-left to right: bit for bit the per-day ``sum(window) / len(window)`` of
-every row, where differences of cumulative sums would differ in the last
-bit.
+function reads it so. Exposure windows, given as numbers of days, come from
+the zone tables (``DailyTable``, NaN for gaps), each windowed once by
+shifted adds summed left to right: bit for bit the per-day
+``sum(window) / len(window)`` of every row, where differences of
+cumulative sums would differ in the last bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, EmptyAnalysisError
-from .exposure import PM25, TEMPERATURE, DailyTable, WindowSpec, trailing_mean
+from .exposure import DailyTable, trailing_mean
 from .quantiles import type1_quantile
 
 __all__ = [
     "DayRecord",
     "MatchedSet",
     "MatchedRows",
-    "TrimPolicy",
     "DroppedEvent",
     "REASON_OUTSIDE_SEASON",
     "REASON_DUPLICATE_SUBJECT",
@@ -149,18 +148,6 @@ class MatchedRows:
         )
 
 
-@dataclass
-class TrimPolicy:
-    """Pooled-quantile exclusion rule for extreme pm25 windows."""
-
-    quantile: float = 0.95
-    computed_threshold: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.quantile <= 1.0:
-            raise ConfigurationError(f"trim quantile must be in (0, 1], got {self.quantile}")
-
-
 def select_referents(case_date: Date) -> list[Date]:
     """All other dates in the case month sharing the case day-of-week.
 
@@ -183,8 +170,8 @@ def build_matched_sets(
     events: tuple[np.ndarray, np.ndarray, np.ndarray],
     temperature_series: DailyTable,
     pm25_series: DailyTable,
-    temperature_window: WindowSpec,
-    pm25_window: WindowSpec,
+    temperature_window_days: int,
+    pm25_window_days: int,
     season_months: tuple[int, int] = (6, 9),
 ) -> tuple[MatchedRows, list[DroppedEvent]]:
     """Join events to windowed exposures, one matched set per retained event.
@@ -196,14 +183,16 @@ def build_matched_sets(
     subject, outside season, unknown zone (not a row of both zone tables)
     and missing exposure. Only a subject's first event (earliest case date,
     then first listed) is kept. Sets keep event order and their days are
-    ascending.
+    ascending. Each exposure is the mean over its window of days ending on
+    the day: 1 day is the same-day value, 3 that day and the two before.
     """
     lo, hi = season_months
     if not (1 <= lo <= hi <= 12):
         raise ConfigurationError(f"invalid season months {season_months}")
-    for spec, kind in ((temperature_window, TEMPERATURE), (pm25_window, PM25)):
-        if spec.exposure_kind != kind:
-            raise ConfigurationError(f"window spec is for {spec.exposure_kind}, series holds {kind}")
+    if temperature_window_days < 1 or pm25_window_days < 1:
+        raise ConfigurationError(
+            f"window days must be >= 1, got {temperature_window_days} and {pm25_window_days}"
+        )
 
     subject, zones, case_day = events
     n = len(subject)
@@ -223,8 +212,8 @@ def build_matched_sets(
 
     cand = np.flatnonzero(reason == "")
     set_of_row, week, row_day = _stratum_days(case_day[cand])
-    t = _windowed(temperature_series, temperature_window, t_row[cand][set_of_row], row_day)
-    a = _windowed(pm25_series, pm25_window, a_row[cand][set_of_row], row_day)
+    t = _windowed(temperature_series, temperature_window_days, t_row[cand][set_of_row], row_day)
+    a = _windowed(pm25_series, pm25_window_days, a_row[cand][set_of_row], row_day)
     missing = np.bincount(set_of_row, weights=np.isnan(t) | np.isnan(a), minlength=cand.size) > 0
     reason[cand[missing]] = REASON_MISSING_EXPOSURE
     dropped = [DroppedEvent(subject[i], reason[i]) for i in np.flatnonzero(reason != "")]
@@ -232,28 +221,30 @@ def build_matched_sets(
     return rows.select(~missing[set_of_row], ~missing), dropped
 
 
-def _windowed(table: DailyTable, spec: WindowSpec, row: np.ndarray, day: np.ndarray) -> np.ndarray:
+def _windowed(table: DailyTable, window_days: int, row: np.ndarray, day: np.ndarray) -> np.ndarray:
     """Windowed exposure on each (table row, day), NaN where the window has a
     gap or starts before the table."""
     col = (day - table.origin).astype(int)
     inside = (col >= 0) & (col < table.values.shape[1])
     out = np.full(day.size, np.nan)
-    out[inside] = trailing_mean(table.values, spec.window_days)[row[inside], col[inside]]
+    out[inside] = trailing_mean(table.values, window_days)[row[inside], col[inside]]
     return out
 
 
-def apply_trimming(rows: MatchedRows, policy: TrimPolicy) -> tuple[MatchedRows, TrimPolicy, list[DroppedEvent]]:
+def apply_trimming(rows: MatchedRows, quantile: float) -> tuple[MatchedRows, float, list[DroppedEvent]]:
     """Remove day rows whose pm25 window exceeds the pooled quantile threshold.
 
-    The threshold is the type-1 quantile of ``pm25_window`` pooled over all
-    case AND control rows before any exclusion. Rows are trimmed
-    individually; a set whose case row is trimmed dies, as does a set left
-    without controls. Discarded sets are returned as drops, in set order.
+    The threshold is the type-1 ``quantile``, in (0, 1], of ``pm25_window``
+    pooled over all case AND control rows before any exclusion. Rows are
+    trimmed individually; a set whose case row is trimmed dies, as does a
+    set left without controls. Returns the kept rows, the threshold and the
+    discarded sets as drops, in set order.
     """
+    if not 0.0 < quantile <= 1.0:
+        raise ConfigurationError(f"trim quantile must be in (0, 1], got {quantile}")
     if not len(rows):
         raise EmptyAnalysisError("no matched sets to trim")
-    threshold = type1_quantile(rows.pm25_window, policy.quantile)
-    fitted = replace(policy, computed_threshold=threshold)
+    threshold = type1_quantile(rows.pm25_window, quantile)
 
     kept = rows.pm25_window <= threshold
     case_kept = np.bincount(rows.set_index, weights=kept & rows.is_case, minlength=len(rows)) > 0
@@ -262,7 +253,7 @@ def apply_trimming(rows: MatchedRows, policy: TrimPolicy) -> tuple[MatchedRows, 
     dropped = [DroppedEvent(rows.subject_id[i], why[i]) for i in np.flatnonzero(~survives)]
     if not survives.any():
         raise EmptyAnalysisError(
-            f"trimming at quantile {policy.quantile} (threshold {threshold}) discarded every set"
+            f"trimming at quantile {quantile} (threshold {threshold}) discarded every set"
         )
-    return rows.select(kept & survives[rows.set_index], survives), fitted, dropped
+    return rows.select(kept & survives[rows.set_index], survives), threshold, dropped
 

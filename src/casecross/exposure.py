@@ -29,7 +29,6 @@ __all__ = [
     "GridCell",
     "Zone",
     "DailyTable",
-    "WindowSpec",
     "haversine_km",
     "nearest_cells",
     "link_temperature",
@@ -100,22 +99,6 @@ class DailyTable:
         """The row of each of ``ids``, -1 for an id not in the table."""
         index = {i: k for k, i in enumerate(self.ids.tolist())}
         return np.array([index.get(i, -1) for i in ids], dtype=int)
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Lagged exposure window ending on the index day.
-
-    ``window_days=1`` is the same-day value; ``window_days=3`` covers the
-    index day plus the two preceding days.
-    """
-
-    exposure_kind: str
-    window_days: int = 1
-
-    def __post_init__(self):
-        if self.window_days < 1:
-            raise ConfigurationError(f"window_days must be >= 1, got {self.window_days}")
 
 
 def haversine_km(lat1, lon1, lat2, lon2):

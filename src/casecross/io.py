@@ -14,7 +14,8 @@ pattern, so 0.0 and -0.0 keep their own text); an ID that holds a delimiter,
 quote or line break is formatted by ``csv.writer`` itself, so its quoting
 stays the writer's own. The drop log, coefficients and contrasts go through
 ``csv.writer``. Readers name the file and line of a value they cannot parse,
-of a duplicate id or key, and of a non-finite field value.
+of a coordinate out of range, of a duplicate id or key, and of a non-finite
+field value.
 
 A daily field is read, chunk by chunk, into a ``DailyTable``, and events into
 three columns. Each distinct date string goes through ``date.fromisoformat``
@@ -90,14 +91,15 @@ def _line(path, index: int) -> int:
 
 
 def _read(path, expected: list[str], parse) -> list:
-    """``parse`` of each row after the header, naming the line of a bad value."""
+    """``parse`` of each row after the header, naming the line of a bad or
+    out-of-range value."""
     parsed = []
-    try:
-        for chunk in _chunks(path, expected):
-            for row in chunk:
+    for chunk in _chunks(path, expected):
+        for row in chunk:
+            try:
                 parsed.append(parse(row))
-    except (ValueError, IndexError) as exc:
-        raise ConfigurationError(f"{path}:{_line(path, len(parsed))}: {exc}") from None
+            except (ValueError, IndexError, ConfigurationError) as exc:
+                raise ConfigurationError(f"{path}:{_line(path, len(parsed))}: {exc}") from None
     return parsed
 
 

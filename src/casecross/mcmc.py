@@ -152,16 +152,20 @@ def _split(chains: np.ndarray) -> np.ndarray:
     return np.concatenate([chains[:, :half, :], chains[:, n - half:, :]], axis=0)
 
 
+def _split_moments(chains: np.ndarray):
+    """The split chains (see ``_split``) with, per column, the mean
+    within-chain variance W and var+ = (n - 1) / n W + B / n, B / n being
+    the variance of the split chains' means."""
+    s = _split(chains)
+    n = s.shape[1]
+    w = s.var(axis=1, ddof=1).mean(axis=0)
+    return s, w, (n - 1) / n * w + s.mean(axis=1).var(axis=0, ddof=1)
+
+
 def split_rhat(chains: np.ndarray) -> np.ndarray:
     """Split-chain potential scale reduction factor, one value per column."""
-    s = _split(chains)
-    m, n, d = s.shape
-    chain_means = s.mean(axis=1)
-    chain_vars = s.var(axis=1, ddof=1)
-    w = chain_vars.mean(axis=0)
-    b_over_n = chain_means.var(axis=0, ddof=1)
-    var_plus = (n - 1) / n * w + b_over_n
-    out = np.ones(d)
+    s, w, var_plus = _split_moments(chains)
+    out = np.ones(s.shape[2])
     ok = w > 0
     out[ok] = np.sqrt(var_plus[ok] / w[ok])
     return out
@@ -176,11 +180,9 @@ def effective_sample_size(chains: np.ndarray) -> np.ndarray:
     transform over every chain would hold (chains, columns, lags) complex
     arrays, several MB at a shipped config, and raise the run's peak memory.
     """
-    s = _split(chains)
+    s, w, var_plus = _split_moments(chains)
     m, n, d = s.shape
     total = m * n
-    w = s.var(axis=1, ddof=1).mean(axis=0)
-    var_plus = (n - 1) / n * w + s.mean(axis=1).var(axis=0, ddof=1)
     ess = np.full(d, float(total))
     ok = (var_plus > 0) & (w > 0)             # a constant column keeps ess = total
     size = 1 << (2 * n - 1).bit_length()

@@ -18,10 +18,10 @@ import numpy as np
 from . import __version__, io
 from .clr import ConditionalLikelihood, FitResult, PriorSpec, SamplerConfig, fit_bayes, fit_mle
 from .config import AnalysisConfig, validate_config
-from .design import TrimPolicy, apply_trimming, build_matched_sets
+from .design import apply_trimming, build_matched_sets
 from .effects import case_day_levels, mult_interaction, or_contrast, reri, response_curve, risk_surface
 from .errors import ConfigurationError, EmptyAnalysisError
-from .exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
+from .exposure import PM25, TEMPERATURE, link_pm25, link_temperature
 from .quantiles import sorted_distinct
 from .splines import LINEAR_INTERACTION, design_matrix, fit_model_basis
 
@@ -74,26 +74,22 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
     # match + trim
     events = io.read_events(cfg.events)
     sets, drops = build_matched_sets(
-        events,
-        temp_series,
-        pm_series,
-        WindowSpec(TEMPERATURE, cfg.temperature_window_days),
-        WindowSpec(PM25, cfg.pm25_window_days),
+        events, temp_series, pm_series, cfg.temperature_window_days, cfg.pm25_window_days,
         season_months=cfg.season_months,
     )
     if not len(sets):
         io.write_drop_log(out / "drop_log.csv", drops)
         raise EmptyAnalysisError("no events survived the exposure join")
-    sets, policy, trim_drops = apply_trimming(sets, TrimPolicy(cfg.trim_quantile))
+    sets, threshold, trim_drops = apply_trimming(sets, cfg.trim_quantile)
     drops = drops + trim_drops
     io.write_matched_sets(out / "matched_sets.csv", sets)
     io.write_drop_log(out / "drop_log.csv", drops)
     log.info(
         "matched %d sets (threshold %.4g, %d events dropped)",
-        len(sets), policy.computed_threshold, len(drops),
+        len(sets), threshold, len(drops),
     )
     if depth == 1:
-        _write_manifest(cfg, verbatim, artifacts, policy=policy)
+        _write_manifest(cfg, verbatim, artifacts, threshold=threshold)
         return artifacts
 
     # basis + fit
@@ -116,7 +112,7 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         fit.diagnostics.acceptance_rate, fit.diagnostics.pareto_k,
     )
     if depth == 2:
-        _write_manifest(cfg, verbatim, artifacts, policy=policy, model=model)
+        _write_manifest(cfg, verbatim, artifacts, threshold=threshold, model=model)
         return artifacts
 
     # effects
@@ -148,7 +144,7 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         out / "surface.csv",
         risk_surface(fit, model, t_surf, a_surf, (levels.t0, levels.a0)),
     )
-    _write_manifest(cfg, verbatim, artifacts, policy=policy, model=model, levels=levels)
+    _write_manifest(cfg, verbatim, artifacts, threshold=threshold, model=model, levels=levels)
     return artifacts
 
 
@@ -158,7 +154,7 @@ def _surface_grid(values: np.ndarray, points: int, level: float) -> np.ndarray:
     return sorted_distinct(np.append(np.linspace(values.min(), values.max(), points), level))
 
 
-def _write_manifest(cfg, verbatim, artifacts, policy=None, model=None, levels=None):
+def _write_manifest(cfg, verbatim, artifacts, threshold=None, model=None, levels=None):
     payload = {
         "config": verbatim if verbatim is not None else cfg.to_dict(),
         "resolved_config": cfg.to_dict(),
@@ -169,8 +165,8 @@ def _write_manifest(cfg, verbatim, artifacts, policy=None, model=None, levels=No
             "numpy": np.__version__,
         },
     }
-    if policy is not None:
-        payload["trim_threshold"] = policy.computed_threshold
+    if threshold is not None:
+        payload["trim_threshold"] = threshold
     if model is not None:
         payload["basis"] = {
             "temperature": {

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .design import MatchedRows, _stratum_days
-from .exposure import PM25, TEMPERATURE, DailyTable, GridCell, WindowSpec, Zone, trailing_mean
+from .exposure import DailyTable, GridCell, Zone, trailing_mean
 
 __all__ = [
     "TruthSpec",
@@ -89,8 +89,8 @@ class SyntheticData:
     cells: list[GridCell]
     zones: list[Zone]
     membership: list[tuple[str, str]] = field(default_factory=list)
-    temperature_window: WindowSpec = WindowSpec(TEMPERATURE, 1)
-    pm25_window: WindowSpec = WindowSpec(PM25, 3)
+    temperature_window_days: int = 1
+    pm25_window_days: int = 3
 
     @property
     def sets(self) -> MatchedRows:
@@ -219,8 +219,8 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
         cells=cells,
         zones=zones,
         membership=membership,
-        temperature_window=WindowSpec(TEMPERATURE, truth.temperature_window_days),
-        pm25_window=WindowSpec(PM25, truth.pm25_window_days),
+        temperature_window_days=truth.temperature_window_days,
+        pm25_window_days=truth.pm25_window_days,
     )
 
 

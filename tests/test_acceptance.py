@@ -23,7 +23,7 @@ from casecross.clr import (
     hessian,
     log_likelihood,
 )
-from casecross.design import TrimPolicy, apply_trimming, select_referents
+from casecross.design import apply_trimming, select_referents
 from casecross.effects import ContrastLevels, or_contrast, reri
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import (
@@ -261,8 +261,8 @@ def test_09_trimming_rule():
             vals = [1.0 + 4 * k + j for j in range(4)]
             rows = [DayRecord(days[j], j == 0, 25.0, vals[j]) for j in range(4)]
             sets.append(MatchedSet(f"s{k:03d}", rows))
-        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.95))
-        assert policy.computed_threshold == 950.0
+        kept, threshold, drops = apply_trimming(rows_of(sets), 0.95)
+        assert threshold == 950.0
         surviving = sorted(kept.pm25_window.tolist())
         # sets whose case row (value 4k+1) exceeds 950 die whole: k >= 238;
         # the set holding 949..952 only loses its rows above the threshold

@@ -147,6 +147,7 @@ class TestSynth:
     @pytest.mark.parametrize(
         "flag, value",
         [
+            ("--seed", "-1"),
             ("--events", "-1"),
             ("--zones", "0"),
             ("--gamma", "inf"),
@@ -256,6 +257,18 @@ class TestValidate:
         cfg = make_config(tmp_path, data_dir)
         assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
         assert f"{path}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run-all"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, flag):
+        # from the flag or from the config, before any input is read
+        data_dir = make_dataset(tmp_path, events=50, zones=4)
+        cfg = make_config(tmp_path, data_dir, **({} if flag else {"seed": -1}))
+        args = ["--seed", "-1"] if flag else []
+        assert main(["-q", command, "--config", str(cfg), *args]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "seed -1 must be at least 0" in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_trim_quantile_zero_rejected_before_computation(self, tmp_path):
         data_dir = make_dataset(tmp_path, events=50, zones=4)

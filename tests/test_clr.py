@@ -195,13 +195,13 @@ class TestFitMle:
         # both fits score the likelihood's one tensor, in fit units
         rng = np.random.default_rng(13)
         lik, _, _ = random_instance(rng, n_sets=30)
-        strata, built = clr._Strata, []
+        init, built = ConditionalLikelihood.__init__, []
 
-        def counted(*fields):
-            built.append(fields)
-            return strata(*fields)
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(clr, "_Strata", counted)
+        monkeypatch.setattr(ConditionalLikelihood, "__init__", counted)
         fit_mle(lik)
         fit_bayes(lik, PriorSpec(sd={}, default_sd=1.0), SamplerConfig(chains=2, warmup=10, draws=10, seed=1))
         assert built == []
@@ -332,6 +332,8 @@ class TestFitBayes:
             SamplerConfig(chains=1, seed=1)
         with pytest.raises(ValueError):
             SamplerConfig(seed=None)
+        with pytest.raises(ValueError, match="at least 0"):
+            SamplerConfig(seed=-1)
 
     def test_prior_spec_validation(self):
         with pytest.raises(ValueError):

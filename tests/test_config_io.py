@@ -324,6 +324,20 @@ class TestReaderChecks:
         _edit(data / file, lambda rows: rows[:3] + [rows[1]] + rows[3:])
         self._exits_2_naming(capsys, cfg, command, f"{data / file}:4", f"duplicate {key}")
 
+    @pytest.mark.parametrize("command", ["link", "validate"])
+    @pytest.mark.parametrize("file", ["grid.csv", "zones.csv"])
+    @pytest.mark.parametrize("column, value", [(1, "95.0"), (2, "-181.0")])
+    def test_coordinate_out_of_range(self, tmp_path, capsys, command, file, column, value):
+        data, cfg = _dataset(tmp_path)
+
+        def edit(rows):
+            rows[2][column] = value
+            return rows
+
+        _edit(data / file, edit)
+        what = ("latitude", "longitude")[column - 1]
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:3", f"{what} {value} out of range")
+
     def test_validate_parses_every_value(self, tmp_path, capsys):
         data, cfg = _dataset(tmp_path)
 

@@ -17,7 +17,6 @@ from casecross.design import (
     DroppedEvent,
     MatchedRows,
     MatchedSet,
-    TrimPolicy,
     apply_trimming,
     build_matched_sets,
     select_referents,
@@ -26,10 +25,7 @@ from casecross import io
 from casecross.effects import case_day_levels
 from casecross.errors import ConfigurationError, EmptyAnalysisError
 from casecross.exposure import (
-    PM25,
-    TEMPERATURE,
     DailyTable,
-    WindowSpec,
     Zone,
     link_pm25,
     link_temperature,
@@ -60,8 +56,8 @@ def _build(events, temp, pm, temp_w, pm_w, season=(6, 9)):
     return build_matched_sets(event_columns(events), table_of(temp), table_of(pm), temp_w, pm_w, season_months=season)
 
 
-TEMP_W = WindowSpec(TEMPERATURE, 1)
-PM_W = WindowSpec(PM25, 3)
+TEMP_W = 1
+PM_W = 3
 
 
 class TestSelectReferents:
@@ -236,18 +232,18 @@ class TestMatchedSetInvariants:
 class TestTrimming:
     def test_quantile_one_changes_nothing(self):
         sets = [_set_with_pm(f"s{k}", [5 + k, 6, 7, 8]) for k in range(4)]
-        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(1.0))
+        kept, threshold, drops = apply_trimming(rows_of(sets), 1.0)
         assert kept.subject_id.tolist() == [s.subject_id for s in sets]
         assert np.bincount(kept.set_index).tolist() == [len(s.rows) for s in sets]
         assert drops == []
-        assert policy.computed_threshold == max(r.pm25_window for s in sets for r in s.rows)
+        assert threshold == max(r.pm25_window for s in sets for r in s.rows)
 
     def test_pooled_1_to_100_at_95(self):
         # 25 sets x 4 rows pooled to exactly 1..100
         values = np.arange(1, 101, dtype=float).reshape(25, 4)
         sets = [_set_with_pm(f"s{k:02d}", values[k]) for k in range(25)]
-        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.95))
-        assert policy.computed_threshold == 95.0
+        kept, threshold, drops = apply_trimming(rows_of(sets), 0.95)
+        assert threshold == 95.0
         surviving = kept.pm25_window.tolist()
         assert max(surviving) <= 95.0
         dropped_rows = 100 - len(surviving) - sum(
@@ -265,8 +261,8 @@ class TestTrimming:
             _set_with_pm("high_case", [99.0, 1.0, 2.0, 3.0], case_pos=0),
             _set_with_pm("ok", [4.0, 5.0, 6.0, 7.0], case_pos=0),
         ]
-        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.8))
-        assert policy.computed_threshold == 7.0
+        kept, threshold, drops = apply_trimming(rows_of(sets), 0.8)
+        assert threshold == 7.0
         assert kept.subject_id.tolist() == ["ok"]
         assert drops[0].subject_id == "high_case"
         assert drops[0].reason == REASON_CASE_TRIMMED
@@ -277,19 +273,19 @@ class TestTrimming:
             _set_with_pm("fragile", [1.0, 99.0], case_pos=0),
             _set_with_pm("ok", [2.0, 3.0, 4.0, 5.0], case_pos=0),
         ]
-        kept, policy, drops = apply_trimming(rows_of(sets), TrimPolicy(0.8))
-        assert policy.computed_threshold == 5.0
+        kept, threshold, drops = apply_trimming(rows_of(sets), 0.8)
+        assert threshold == 5.0
         assert kept.subject_id.tolist() == ["ok"]
         assert drops[0].reason == REASON_NO_CONTROLS
 
     def test_threshold_invariant_to_order(self):
         rng = np.random.default_rng(8)
         sets = [_set_with_pm(f"s{k:02d}", rng.uniform(0, 30, size=4)) for k in range(30)]
-        _, p1, _ = apply_trimming(rows_of(sets), TrimPolicy(0.9))
+        _, t1, _ = apply_trimming(rows_of(sets), 0.9)
         shuffled = list(sets)
         rng.shuffle(shuffled)
-        _, p2, _ = apply_trimming(rows_of(shuffled), TrimPolicy(0.9))
-        assert p1.computed_threshold == p2.computed_threshold
+        _, t2, _ = apply_trimming(rows_of(shuffled), 0.9)
+        assert t1 == t2
 
     def test_removal_bound(self):
         # rows exceeding the fitted threshold number at most ceil((1-q)*N)+1
@@ -298,20 +294,21 @@ class TestTrimming:
             sets = [_set_with_pm(f"s{k:02d}", rng.uniform(0, 50, size=5)) for k in range(20)]
             pooled = [r.pm25_window for s in sets for r in s.rows]
             q = float(rng.uniform(0.5, 1.0))
-            _, policy, _ = apply_trimming(rows_of(sets), TrimPolicy(q))
-            above = sum(v > policy.computed_threshold for v in pooled)
+            _, threshold, _ = apply_trimming(rows_of(sets), q)
+            above = sum(v > threshold for v in pooled)
             assert above <= np.ceil((1 - q) * len(pooled)) + 1
 
     def test_all_sets_discarded_raises(self):
         sets = [_set_with_pm("s", [1.0, 99.0], case_pos=1)]
         with pytest.raises(EmptyAnalysisError):
-            apply_trimming(rows_of(sets), TrimPolicy(0.5))
+            apply_trimming(rows_of(sets), 0.5)
 
     def test_invalid_quantile(self):
+        rows = rows_of([_set_with_pm("s", [1.0, 2.0])])
         with pytest.raises(ConfigurationError):
-            TrimPolicy(0.0)
+            apply_trimming(rows, 0.0)
         with pytest.raises(ConfigurationError):
-            TrimPolicy(1.5)
+            apply_trimming(rows, 1.5)
 
 
 def _thr(sets, q):
@@ -345,8 +342,8 @@ def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
         try:
             values = [
                 (
-                    windowed_exposure(temp[ev.zone_id], d, temp_w.window_days),
-                    windowed_exposure(pm[ev.zone_id], d, pm_w.window_days),
+                    windowed_exposure(temp[ev.zone_id], d, temp_w),
+                    windowed_exposure(pm[ev.zone_id], d, pm_w),
                 )
                 for d in days
             ]
@@ -389,9 +386,7 @@ class TestMatchedRowsExactness:
         temp = by_day(link_temperature(cells, zones, io.read_daily_field(data / "temperature_field.csv")))
         pm = by_day(link_pm25(cells, zones, io.read_daily_field(data / "pm25_field.csv")))
         events = events_of(io.read_events(data / "events.csv"))
-        rows, drops = _assert_exact(
-            events, temp, pm, WindowSpec(TEMPERATURE, temp_days), WindowSpec(PM25, pm_days)
-        )
+        rows, drops = _assert_exact(events, temp, pm, temp_days, pm_days)
         assert len(rows) + len(drops) == len(events)
 
     @pytest.mark.parametrize("window", [1, 3, 7])
@@ -424,9 +419,7 @@ class TestMatchedRowsExactness:
         ]
         order = rng.permutation(len(events))
         events = [events[k] for k in order]
-        rows, drops = _assert_exact(
-            events, temp, pm, WindowSpec(TEMPERATURE, window), WindowSpec(PM25, window)
-        )
+        rows, drops = _assert_exact(events, temp, pm, window, window)
         reasons = {d.reason for d in drops}
         assert reasons == {
             REASON_DUPLICATE_SUBJECT, REASON_OUTSIDE_SEASON, REASON_UNKNOWN_ZONE, REASON_MISSING_EXPOSURE,
@@ -460,7 +453,7 @@ class TestMatchedRowsExactness:
         temp, pm = by_day(data.temperature_series), by_day(data.pm25_series)
         pm = {z: {d: v for d, v in pm[z].items() if d >= date(2012, 7, 1)} for z in reversed(list(pm))}
         for window in (1, 3):
-            rows, drops = _assert_exact(events_of(data.events), temp, pm, WindowSpec(TEMPERATURE, window), WindowSpec(PM25, window))
+            rows, drops = _assert_exact(events_of(data.events), temp, pm, window, window)
             assert {d.reason for d in drops} == {REASON_MISSING_EXPOSURE} and len(rows) > 0
 
     def test_no_events(self):
@@ -516,17 +509,18 @@ class TestMatchedRowsSequence:
         events = events_of(data.events)
         events[4:6] = [Event("gone", "nowhere", date(2012, 7, 18)), Event("late", "z001", date(2012, 10, 3))]
         built, drops = build_matched_sets(
-            event_columns(events), data.temperature_series, data.pm25_series, data.temperature_window, data.pm25_window,
+            event_columns(events), data.temperature_series, data.pm25_series,
+            data.temperature_window_days, data.pm25_window_days,
         )
         assert len(drops) == 2
         assert same_sets(list(built), set_objects(built))
-        kept, policy, trim_drops = apply_trimming(built, TrimPolicy(0.8))
+        kept, threshold, trim_drops = apply_trimming(built, 0.8)
         assert trim_drops and len(kept) == len(built) - len(trim_drops)
         assert same_sets(list(kept), set_objects(kept))
         # the renumbered view: each surviving set, its rows under the threshold
         dropped_ids = {d.subject_id for d in trim_drops}
         want = [
-            MatchedSet(s.subject_id, [r for r in s.rows if r.pm25_window <= policy.computed_threshold])
+            MatchedSet(s.subject_id, [r for r in s.rows if r.pm25_window <= threshold])
             for s in built if s.subject_id not in dropped_ids
         ]
         assert same_sets(list(kept), want)
@@ -573,7 +567,7 @@ class TestMatchedRowsSequence:
         data = generate(TruthSpec(n_zones=5, seed=14), 200)
         model = fit_model_basis(data.sets, "spline_linear", 1, 1)
         design_matrix(data.sets, model)
-        kept, _, _ = apply_trimming(data.sets, TrimPolicy(0.9))
+        kept, _, _ = apply_trimming(data.sets, 0.9)
         design_matrix(kept, fit_model_basis(kept, "spline_tensor", 3, 3))
         case_day_levels(data.sets)
         io.write_matched_sets(tmp_path / "matched_sets.csv", data.sets)

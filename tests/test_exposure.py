@@ -14,7 +14,6 @@ from casecross.exposure import (
     TEMPERATURE,
     DailyTable,
     GridCell,
-    WindowSpec,
     Zone,
     link_pm25,
     link_temperature,
@@ -274,13 +273,12 @@ class TestWindowedExposure:
                 # bit for bit, signed zeros included
                 assert np.array(out[k]).tobytes() == np.array(want).tobytes(), k
 
-    def test_kind_mismatch(self):
+    def test_window_days_validation(self):
         temp = table_of({"z": self._series([1.0, 2.0, 3.0])})
         events = event_columns([Event("s", "z", D)])
-        with pytest.raises(ConfigurationError, match="window spec is for pm25"):
-            build_matched_sets(events, temp, temp, WindowSpec(PM25, 1), WindowSpec(PM25, 1))
-        with pytest.raises(ConfigurationError, match="window spec is for temperature_max"):
-            build_matched_sets(events, temp, temp, WindowSpec(TEMPERATURE, 1), WindowSpec(TEMPERATURE, 1))
+        for days in ((1, 0), (0, 1)):
+            with pytest.raises(ConfigurationError, match="window days must be >= 1"):
+                build_matched_sets(events, temp, temp, *days)
 
 
 class TestValidation:
@@ -327,7 +325,3 @@ class TestValidation:
             GridCell("a", 91.0, 0.0)
         with pytest.raises(ConfigurationError):
             Zone("z", 0.0, 181.0)
-
-    def test_window_spec_validation(self):
-        with pytest.raises(ConfigurationError):
-            WindowSpec(PM25, 0)

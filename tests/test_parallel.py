@@ -18,9 +18,9 @@ import pytest
 from casecross import io, mcmc, parallel
 from casecross.clr import ConditionalLikelihood, PriorSpec, SamplerConfig, fit_bayes
 from casecross.config import load_config
-from casecross.design import TrimPolicy, apply_trimming, build_matched_sets
+from casecross.design import apply_trimming, build_matched_sets
 from casecross.effects import CHUNK, case_day_levels, response_curve, risk_surface
-from casecross.exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
+from casecross.exposure import TEMPERATURE, link_pm25, link_temperature
 from casecross.splines import design_matrix, fit_model_basis
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,11 +38,11 @@ def shipped(request):
         io.read_events(cfg.events),
         link_temperature(cells, zones, io.read_daily_field(cfg.temperature_field)),
         link_pm25(cells, zones, io.read_daily_field(cfg.pm25_field)),
-        WindowSpec(TEMPERATURE, cfg.temperature_window_days),
-        WindowSpec(PM25, cfg.pm25_window_days),
+        cfg.temperature_window_days,
+        cfg.pm25_window_days,
         season_months=cfg.season_months,
     )
-    sets, _, _ = apply_trimming(sets, TrimPolicy(cfg.trim_quantile))
+    sets, _, _ = apply_trimming(sets, cfg.trim_quantile)
     model = fit_model_basis(sets, cfg.model_kind, cfg.temperature_df, cfg.pm25_df)
     lik = ConditionalLikelihood.from_design_matrix(design_matrix(sets, model))
     sampler = SamplerConfig(chains=cfg.chains, warmup=cfg.warmup, draws=cfg.draws, seed=cfg.seed)

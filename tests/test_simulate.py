@@ -125,8 +125,8 @@ class TestGenerate:
             data.events,
             data.temperature_series,
             data.pm25_series,
-            data.temperature_window,
-            data.pm25_window,
+            data.temperature_window_days,
+            data.pm25_window_days,
         )
         assert drops == []
         assert len(sets) == 300
@@ -138,8 +138,8 @@ class TestGenerate:
             data.events,
             data.temperature_series,
             data.pm25_series,
-            data.temperature_window,
-            data.pm25_window,
+            data.temperature_window_days,
+            data.pm25_window_days,
         )
         # both sides window through exposure.trailing_mean: equal bit for bit
         for name in COLUMNS:

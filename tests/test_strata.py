@@ -17,6 +17,7 @@ the one tensor in units of a power of two per column, which is checked to
 give, bit for bit, what a tensor in those units gives.
 """
 
+import copy
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -32,8 +33,8 @@ from casecross import clr, io
 from casecross.clr import ConditionalLikelihood, fit_mle, gradient, hessian, log_likelihood
 from casecross.config import load_config
 from casecross.mcmc import run_chain
-from casecross.design import TrimPolicy, apply_trimming, build_matched_sets
-from casecross.exposure import PM25, TEMPERATURE, WindowSpec, link_pm25, link_temperature
+from casecross.design import apply_trimming, build_matched_sets
+from casecross.exposure import link_pm25, link_temperature
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import design_matrix, fit_model_basis
 from per_day import pairs_likelihood
@@ -51,11 +52,11 @@ def shipped_design(name):
         io.read_events(cfg.events),
         link_temperature(cells, zones, io.read_daily_field(cfg.temperature_field)),
         link_pm25(cells, zones, io.read_daily_field(cfg.pm25_field)),
-        WindowSpec(TEMPERATURE, cfg.temperature_window_days),
-        WindowSpec(PM25, cfg.pm25_window_days),
+        cfg.temperature_window_days,
+        cfg.pm25_window_days,
         season_months=cfg.season_months,
     )
-    sets, _, _ = apply_trimming(sets, TrimPolicy(cfg.trim_quantile))
+    sets, _, _ = apply_trimming(sets, cfg.trim_quantile)
     model = fit_model_basis(sets, cfg.model_kind, cfg.temperature_df, cfg.pm25_df)
     return design_matrix(sets, model)
 
@@ -126,7 +127,7 @@ class TestShippedConfigs:
         name, _, lik, mle = shipped
         rng = np.random.default_rng(0)
         betas = mle.point + mle.sd * rng.standard_normal((16, mle.point.size))
-        batched = lik._strata.log_likelihood(betas)
+        batched = lik.log_likelihood(betas)
         assert batched.shape == (16,)
         for beta, ll in zip(betas, batched):
             assert ll == pytest.approx(log_likelihood(beta, lik), rel=1e-12), name
@@ -140,7 +141,7 @@ class TestShippedConfigs:
         betas = mle.point + mle.sd * np.random.default_rng(1).standard_normal((3001, mle.point.size))
         tracemalloc.start()
         try:
-            lik._strata.log_likelihood(betas)
+            lik.log_likelihood(betas)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -272,7 +273,7 @@ class TestArrayConstructor:
         assert (b.n_sets, b.n_rows, b.n_strata) == (a.n_sets, a.n_rows, a.n_strata)
         for beta in rng.normal(size=(4, values.shape[1])):
             assert log_likelihood(beta, a) == log_likelihood(beta, b)
-            for x, y in zip(a._strata.derivatives(beta), b._strata.derivatives(beta)):
+            for x, y in zip(a.derivatives(beta), b.derivatives(beta)):
                 assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
     def test_malformed_sets_rejected(self):
@@ -325,7 +326,7 @@ class TestRowOrder:
     @settings(max_examples=100, deadline=None)
     @given(tied_designs())
     def test_build_bit_identical_to_lexsort_build(self, design):
-        got = ConditionalLikelihood(*design)._strata
+        got = ConditionalLikelihood(*design)
 
         def lexsort_order(v, s):
             # the order by one lexsort, its set structure derived from it
@@ -339,7 +340,7 @@ class TestRowOrder:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(clr, "_row_order", lexsort_order)
-            want = ConditionalLikelihood(*design)._strata
+            want = ConditionalLikelihood(*design)
         for key in ("z", "n", "t", "pad"):
             assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
             assert getattr(got, key).shape == getattr(want, key).shape, key
@@ -353,13 +354,14 @@ def assert_fit_units_exact(lik, betas):
     a tensor of z / scale at ``betas``, bit for bit: the value at one vector
     and at the batch, the gradient times scale and the Hessian times
     scale scale'."""
-    s, scale = lik._strata, lik.scale
-    scaled = clr._Strata(s.z / scale, s.runs, s.n, s.t / scale, s.pad)
-    assert np.array_equal(scaled.log_likelihood(betas), s.log_likelihood(betas / scale))
+    scale = lik.scale
+    scaled = copy.copy(lik)
+    scaled.z, scaled.t = lik.z / scale, lik.t / scale
+    assert np.array_equal(scaled.log_likelihood(betas), lik.log_likelihood(betas / scale))
     beta = betas[0]
-    assert scaled.log_likelihood(beta) == s.log_likelihood(beta / scale)
+    assert scaled.log_likelihood(beta) == lik.log_likelihood(beta / scale)
     ll_scaled, g_scaled, h_scaled = scaled.derivatives(beta)
-    ll, g, h = s.derivatives(beta / scale)
+    ll, g, h = lik.derivatives(beta / scale)
     assert ll_scaled == ll
     assert (g_scaled * scale).tobytes() == g.tobytes()
     assert (h_scaled * np.outer(scale, scale)).tobytes() == h.tobytes()
@@ -421,14 +423,14 @@ class TestOverflowGuard:
         lik = ConditionalLikelihood(values, set_index, is_case)
         dm = SimpleNamespace(values=values, set_index=set_index, is_case=is_case)
         betas = np.array([300.0, -200.0, 150.0]) + rng.normal(size=(16, 3))
-        assert np.all((lik._strata.z @ betas.T).max(axis=0) > 709.0)
+        assert np.all((lik.z @ betas.T).max(axis=0) > 709.0)
         return lik, dm, betas
 
     def test_batch_and_vector_finite_and_exact(self, sharp):
         lik, dm, betas = sharp
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = lik._strata.log_likelihood(betas)
+            batch = lik.log_likelihood(betas)
             single = [log_likelihood(beta, lik) for beta in betas]
             derivatives = [(gradient(beta, lik), hessian(beta, lik)) for beta in betas[:4]]
         assert np.all(np.isfinite(batch)) and np.all(np.isfinite(single))
@@ -449,7 +451,7 @@ class TestOverflowGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chain = run_chain(
-                lik._strata.log_likelihood, betas[0], 0.1 * np.eye(3),
+                lik.log_likelihood, betas[0], 0.1 * np.eye(3),
                 np.random.default_rng(1), warmup=20, draws=20,
             )
         assert np.all(np.isfinite(chain.log_weights))
@@ -569,7 +571,7 @@ def design(request):
 class TestSpanKernel:
     def test_runs_tile_strata_at_their_widths(self, design):
         name, dm, widths = design
-        runs = ConditionalLikelihood.from_design_matrix(dm)._strata.runs
+        runs = ConditionalLikelihood.from_design_matrix(dm).runs
         assert [s0 for _, s0, _ in runs] == [0] + [s1 for _, _, s1 in runs[:-1]], name
         assert runs[-1][2] == widths.size, name
         assert all(s0 < s1 for _, s0, s1 in runs), name
@@ -589,20 +591,19 @@ class TestSpanKernel:
         monkeypatch.setattr(clr, "BLOCK", block)
         monkeypatch.setattr(clr, "COLS", cols)
         lik = ConditionalLikelihood.from_design_matrix(dm)
-        strata = lik._strata
-        ref_ll, ref_derivatives = padded_kernel(strata, widths, cols)
+        ref_ll, ref_derivatives = padded_kernel(lik, widths, cols)
         mode = fit_mle(lik).point
         rng = np.random.default_rng(k)
         betas = mode + 0.3 * rng.standard_normal((k, mode.size)) / lik.scale
-        assert np.array_equal(strata.log_likelihood(betas), ref_ll(betas)), name
+        assert np.array_equal(lik.log_likelihood(betas), ref_ll(betas)), name
         for beta in betas[:4]:
-            assert strata.log_likelihood(beta) == float(ref_ll(beta)[0]), name
-            ll, g, h = strata.derivatives(beta)
+            assert lik.log_likelihood(beta) == float(ref_ll(beta)[0]), name
+            ll, g, h = lik.derivatives(beta)
             ref = ref_derivatives(beta)
             assert ll == ref[0], name
             assert np.array_equal(g, ref[1]), name
             assert np.array_equal(h, ref[2]), name
-            assert strata.derivatives(beta, want_hess=False)[1].tobytes() == ref[1].tobytes(), name
+            assert lik.derivatives(beta, want_hess=False)[1].tobytes() == ref[1].tobytes(), name
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_one_stratum_bit_identical_to_padded_buffer(self, width):
@@ -613,13 +614,13 @@ class TestSpanKernel:
         is_case[[0, width + 1]] = True
         lik = ConditionalLikelihood(np.vstack([rows, rows]), np.repeat([0, 1], width), is_case)
         assert lik.n_strata == 1
-        ref_ll, _ = padded_kernel(lik._strata, np.array([width]), clr.COLS)
+        ref_ll, _ = padded_kernel(lik, np.array([width]), clr.COLS)
         betas = np.random.default_rng(0).normal(size=(2 * clr.COLS + 1, 3))
-        assert np.array_equal(lik._strata.log_likelihood(betas), ref_ll(betas))
+        assert np.array_equal(lik.log_likelihood(betas), ref_ll(betas))
 
     def test_reference_row_dropped_exactly(self, design):
         name, dm, widths = design
-        strata = ConditionalLikelihood.from_design_matrix(dm)._strata
+        lik = ConditionalLikelihood.from_design_matrix(dm)
         full, counts, ref = full_tensor(dm)
         width, n_strata, dim = full.shape
         cols = np.arange(n_strata)
@@ -627,10 +628,10 @@ class TestSpanKernel:
         # the stored rows are the others, in position order, then zeros
         pos = np.arange(width - 1)[:, np.newaxis]
         kept = full[pos + (pos >= ref), cols]
-        z = strata.z.reshape(width - 1, n_strata, dim)
+        z = lik.z.reshape(width - 1, n_strata, dim)
         assert np.array_equal(z, kept), name
         assert not np.any(z[pos >= widths - 1]), name
-        assert np.array_equal(strata.n, counts.sum(axis=0)), name
+        assert np.array_equal(lik.n, counts.sum(axis=0)), name
         flat = full.reshape(-1, dim)
         scale = counts.ravel() @ np.abs(flat)
-        assert np.all(np.abs(strata.t - counts.ravel() @ flat) <= 1e-15 * scale), name
+        assert np.all(np.abs(lik.t - counts.ravel() @ flat) <= 1e-15 * scale), name
