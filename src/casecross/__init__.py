@@ -114,6 +114,8 @@ __all__ = [
     "gradient",
     "hessian",
     "linear_truth",
+    "link_pm25",
+    "link_temperature",
     "load_config",
     "log_likelihood",
     "mult_interaction",

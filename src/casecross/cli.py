@@ -27,7 +27,7 @@ from .errors import (
     SeparationError,
 )
 from .pipeline import run
-from .simulate import TruthSpec, generate, linear_truth
+from .simulate import generate, linear_truth
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2

@@ -249,7 +249,7 @@ class ConditionalLikelihood:
             ll = self.t @ cols[0] - self.n @ self._softmax(cols[0])[2]
             return float(ll) if np.ndim(beta) == 1 else np.array([ll])
         z3 = self.z.reshape(*self.pad.shape, -1)
-        step = min(COLS, len(cols))
+        step = max(1, min(COLS, len(cols)))     # an empty batch scores nothing
         span = min(BLOCK, max(b - a for _, a, b in self.runs))
         # the work arrays of the whole call, viewed per span and per block
         work = np.empty(len(self.pad) * max(span, 2) * max(step, 2))
@@ -425,8 +425,9 @@ class BayesDiagnostics:
     mcse: np.ndarray
     acceptance_rate: float          # mean over chains
     converged: bool                 # every split-Rhat <= RHAT_WARN
-    pareto_k: float                 # PSIS k-hat of the proposal's weights
+    pareto_k: float                 # PSIS k-hat of the kept proposals' weights
     acceptance_per_chain: tuple[float, ...]
+    proposal_df_per_chain: tuple[int, ...]  # t degrees of freedom of each chain's kept proposals
     log_post_evals: int             # points at which the log posterior was evaluated
     sampler_s: float                # wall time of the mode search and the chains
 
@@ -648,11 +649,14 @@ def fit_bayes(
     Each chain then runs independence Metropolis with a multivariate t
     proposal centred at the mode, with the inverse negative Hessian there as
     its scale matrix, from its own generator spawned from ``config.seed``;
-    the chains run on a thread pool and are kept in seed order. Runs with
-    identical seeds and configs are bit-identical, whatever the number of
-    threads. Non-convergence (any split-Rhat above 1.05) and a proposal
-    whose Pareto k-hat exceeds 0.7 are recorded on the diagnostics and
-    logged as warnings, not raised.
+    its warmup picks the kept proposals' degrees of freedom (see
+    ``mcmc.run_chain``), recorded per chain on the diagnostics. The chains
+    run on a thread pool and are kept in seed order. Runs with identical
+    seeds and configs are bit-identical, whatever the number of threads.
+    ``log_post_evals`` counts the points scored, chains x (warmup + draws +
+    1), and the Pareto k-hat is that of the kept proposals' weights.
+    Non-convergence (any split-Rhat above 1.05) and a k-hat above 0.7 are
+    recorded on the diagnostics and logged as warnings, not raised.
     """
     start = time.perf_counter()
     scale = lik.scale
@@ -660,7 +664,10 @@ def fit_bayes(
     # multiplies its coefficient, hence its prior sd, by s
     precision = 1.0 / (prior.column_sds(lik) * scale) ** 2
 
+    evals = []      # points per call; list.append is atomic across the chains' threads
+
     def log_post(beta_std: np.ndarray) -> np.ndarray:
+        evals.append(len(beta_std))
         return lik.log_likelihood(beta_std / scale) - 0.5 * (beta_std**2 @ precision)
 
     mode, cov, _ = _newton(lik, precision)
@@ -689,7 +696,8 @@ def fit_bayes(
         converged=bool(np.all(rhat <= RHAT_WARN)),
         pareto_k=mcmc.pareto_k(np.concatenate([r.log_weights for r in results])),
         acceptance_per_chain=accept,
-        log_post_evals=sum(r.log_weights.size for r in results),
+        proposal_df_per_chain=tuple(r.tail_df for r in results),
+        log_post_evals=sum(evals),
         sampler_s=sampler_s,
     )
     if not diag.converged:

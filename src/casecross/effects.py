@@ -20,7 +20,7 @@ from .design import MatchedRows
 from .errors import EmptyAnalysisError, UnsupportedModelError
 from .parallel import ordered_map
 from .quantiles import type1_index, type1_quantiles
-from .splines import LINEAR_INTERACTION, ModelBasis
+from .splines import ModelBasis
 
 __all__ = [
     "ContrastLevels",

@@ -1,17 +1,30 @@
 """Independence Metropolis sampling and convergence diagnostics.
 
 The kernel is independence Metropolis (Tierney 1994, Ann. Statist.
-22:1701): every proposal is drawn from one fixed multivariate t with ``DF``
-degrees of freedom, centred at the posterior mode and scaled by the inverse
-negative Hessian there (the Laplace approximation), and is accepted with
-probability min(1, w'/w), where w = pi/q is the importance weight of a
-point. Because proposals do not depend on the chain state, a chain draws all
-of its proposals, mixing variables and uniforms up front, evaluates the log
-posterior on all of them in one call, and then runs a scalar accept/reject
-sweep over the weights. How that call blocks its work is the likelihood
-kernel's affair (see ``clr``); a seed pins every draw bit for bit. Everything
-is driven by a caller-supplied ``numpy.random.Generator``; identical
-generators give bit-identical chains.
+22:1701): every proposal is drawn from a multivariate t centred at the
+posterior mode and scaled by the inverse negative Hessian there (the
+Laplace approximation), and is accepted with probability min(1, w'/w),
+where w = pi/q is the importance weight of a point. Because proposals do
+not depend on the chain state, a chain draws its proposals, mixing
+variables and uniforms in batches, evaluates the log posterior on each
+batch in one call, and runs a scalar accept/reject sweep over the weights.
+How that call blocks its work is the likelihood kernel's affair (see
+``clr``); a seed pins every draw bit for bit. Everything is driven by a
+caller-supplied ``numpy.random.Generator``; identical generators give
+bit-identical chains.
+
+The warmup adapts the proposal's tail weight and nothing else. Its
+proposals are t(``DF``); from those already scored points the chain picks,
+among the degrees of freedom in ``TAILS``, the nu whose importance-sampling
+estimate of the chi^2 divergence of the posterior from t(nu) is smallest,
+and draws its kept proposals from t(nu) with the same scale matrix. A nu
+other than ``DF`` is eligible only when the Pareto k-hat of its estimate's
+terms passes the sample-size-dependent threshold of Vehtari et al. 2024,
+so a short warmup, or a posterior whose tails the Laplace approximation
+misses, keeps t(``DF``). Every nu in ``TAILS`` is finite, so under a
+Gaussian prior times a concave log-likelihood the weights stay bounded and
+the kept chain is a fixed-kernel, uniformly ergodic independence sampler
+(Mengersen & Tweedie 1996, Ann. Statist. 24:101).
 
 The same weights check the proposal at no extra evaluations: ``pareto_k``
 is the shape estimate of a generalized Pareto fit to their upper tail, the
@@ -27,6 +40,7 @@ error of the posterior mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +55,8 @@ __all__ = [
     "mcse_mean",
 ]
 
-DF = 5      # degrees of freedom of the t proposal
+DF = 5      # degrees of freedom of the warmup's t proposal
+TAILS = (5, 10, 20, 50)     # the kept proposal's candidate degrees of freedom
 PARETO_K_WARN = 0.7
 
 
@@ -49,7 +64,8 @@ PARETO_K_WARN = 0.7
 class ChainResult:
     draws: np.ndarray          # (n_draws, dim), post-warmup only
     acceptance_rate: float     # post-warmup acceptance fraction
-    log_weights: np.ndarray    # log pi - log q (up to a constant) of every proposal
+    log_weights: np.ndarray    # log pi - log q (up to a constant) of every kept proposal
+    tail_df: int               # degrees of freedom of the kept proposals
 
 
 def run_chain(
@@ -62,34 +78,95 @@ def run_chain(
 ) -> ChainResult:
     """Run one independence Metropolis chain.
 
-    Proposals are multivariate t(``DF``) with location ``center`` and scale
-    matrix ``chol @ chol.T``. ``log_post`` maps a (k, dim) array of points
-    to their k log densities, and is called once, on all ``warmup + draws +
-    1`` proposals of the chain. The chain starts at the first of them; the
-    next ``warmup`` iterations are discarded and the ``draws`` after them
-    are returned.
+    Proposals are multivariate t with location ``center`` and scale matrix
+    ``chol @ chol.T``. ``log_post`` maps a (k, dim) array of points to their
+    k log densities. It is called twice: on the ``warmup + 1`` warmup
+    proposals, drawn from t(``DF``), and on the ``draws`` kept proposals,
+    drawn from t(``tail_df``), the tail weight ``_choose_tail`` picks from
+    the scored warmup. The chain starts at the first warmup proposal and
+    runs ``warmup`` iterations; it then continues from the warmup's last
+    state, whose weight is recomputed under t(``tail_df``), and returns the
+    ``draws`` states after it. The generator's draws come in one order,
+    normals, warmup chi^2, kept chi^2 and uniforms, so a chain that keeps
+    t(``DF``) returns the draws of a single t(``DF``) batch bit for bit.
     """
     center = np.asarray(center, dtype=float)
     dim = center.size
     n = warmup + draws + 1
     normal = rng.standard_normal((n, dim))
-    chi2 = rng.chisquare(DF, n)
-    log_u = np.log(rng.uniform(size=n - 1))
-    points = center + np.sqrt(DF / chi2)[:, np.newaxis] * (normal @ chol.T)
-    # t log density up to a constant: the squared Mahalanobis distance of a
-    # point is DF |normal|^2 / chi2
-    log_q = -0.5 * (DF + dim) * np.log1p((normal**2).sum(axis=1) / chi2)
-    log_w = log_post(points) - log_q
-    if not np.isfinite(log_w[0]):
+    # the squared Mahalanobis distance of a point is nu |normal|^2 / chi2
+    radius = (normal**2).sum(axis=1)
+    steps = normal @ chol.T
+    del normal
+    chi2 = rng.chisquare(DF, warmup + 1)
+    points = center + np.sqrt(DF / chi2)[:, np.newaxis] * steps[:warmup + 1]
+    log_p = log_post(points)
+    if not np.isfinite(log_p[0]):
         raise ValueError("log posterior is not finite at the chain start")
+    ratio = radius[:warmup + 1] / chi2       # m^2 / DF
+    tail_df = _choose_tail(log_p, ratio, dim)
+    chi2 = rng.chisquare(tail_df, draws)
+    log_u = np.log(rng.uniform(size=n - 1))
 
-    state = _sweep(log_u, log_w)
-    moved = state[warmup + 1:] != state[warmup:-1]
+    # t log density up to a constant: -(nu + dim) / 2 log1p(m^2 / nu)
+    warm_w = log_p + 0.5 * (DF + dim) * np.log1p(ratio)
+    last = _sweep(log_u[:warmup], warm_w)[-1]
+    start = points[last].copy()     # a row, not a view that keeps the warmup's points
+    start_w = log_p[last] + 0.5 * (tail_df + dim) * np.log1p(ratio[last] * (DF / tail_df))
+    points = center + np.sqrt(tail_df / chi2)[:, np.newaxis] * steps[warmup + 1:]
+    log_w = log_post(points) + 0.5 * (tail_df + dim) * np.log1p(radius[warmup + 1:] / chi2)
+
+    state = _sweep(log_u[warmup:], np.append(start_w, log_w))
+    moved = state[1:] != state[:-1]
+    kept = state[1:] - 1            # -1 while the chain stays at the warmup's last state
+    out = points[kept]
+    out[kept < 0] = start
     return ChainResult(
-        draws=points[state[warmup + 1:]],
+        draws=out,
         acceptance_rate=float(moved.mean()) if draws else 0.0,
         log_weights=log_w,
+        tail_df=tail_df,
     )
+
+
+def _tail_scores(log_p: np.ndarray, ratio: np.ndarray, dim: int):
+    """Per nu in ``TAILS``, the log of the sum over S t(``DF``) draws of
+    pi^2 / (t_DF t_nu), S times the importance-sampling estimate of the
+    integral of pi^2 / t_nu, which is the chi^2 divergence of the posterior
+    from t(nu) up to terms common to every nu; and the (len(TAILS), S) log
+    terms 2 log pi - log t_DF - log t_nu that it sums. ``ratio`` is each
+    point's squared Mahalanobis distance over ``DF``; the t log densities
+    carry their normalizing constants, and the scale matrix's log
+    determinant, common to every nu, is left out. Non-finite terms are
+    dropped from the sum."""
+    const = [
+        math.lgamma((nu + dim) / 2) - math.lgamma(nu / 2) - 0.5 * dim * math.log(nu * math.pi)
+        for nu in TAILS
+    ]
+    nu = np.array(TAILS, dtype=float)[:, np.newaxis]
+    log_t = np.array(const)[:, np.newaxis] - 0.5 * (nu + dim) * np.log1p(ratio * (DF / nu))
+    terms = 2.0 * log_p - log_t[TAILS.index(DF)] - log_t
+    finite = np.where(np.isfinite(terms), terms, -np.inf)
+    top = finite.max(axis=1, keepdims=True)
+    scores = top + np.log(np.exp(finite - top).sum(axis=1, keepdims=True))
+    return scores.ravel().tolist(), terms
+
+
+def _choose_tail(log_p: np.ndarray, ratio: np.ndarray, dim: int) -> int:
+    """The nu of ``TAILS`` with the smallest ``_tail_scores`` score, ties to
+    the smaller nu, among those eligible: ``DF`` always, another nu only
+    when the Pareto k-hat of its score's terms is at most min(1 - 1/log10 S,
+    ``PARETO_K_WARN``) for S points, the sample-size-dependent threshold of
+    Vehtari et al. 2024, so with S <= 10 the chain keeps ``DF``. Candidates
+    are tried from the best score down, so a chain usually fits one k-hat."""
+    s = log_p.size
+    if s <= 10:
+        return DF
+    scores, terms = _tail_scores(log_p, ratio, dim)
+    bound = min(1.0 - 1.0 / math.log10(s), PARETO_K_WARN)
+    for i in sorted(range(len(TAILS)), key=scores.__getitem__):
+        if TAILS[i] == DF or pareto_k(terms[i]) <= bound:
+            return TAILS[i]
 
 
 def _sweep(log_u: np.ndarray, log_w: np.ndarray) -> np.ndarray:

@@ -107,9 +107,10 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
     _write_diagnostics(out / "diagnostics.txt", lik.labels, mle, fit)
     log.info(
         "fit %d coefficients to %d sets in %d strata; max rhat %.3f; acceptance %.2f; "
-        "pareto k %.3f",
+        "pareto k %.3f; proposal df per chain %s",
         lik.dimension, lik.n_sets, lik.n_strata, float(fit.diagnostics.rhat.max()),
         fit.diagnostics.acceptance_rate, fit.diagnostics.pareto_k,
+        " ".join(map(str, fit.diagnostics.proposal_df_per_chain)),
     )
     if depth == 2:
         _write_manifest(cfg, verbatim, artifacts, threshold=threshold, model=model)
@@ -205,6 +206,7 @@ def _write_diagnostics(path, labels, mle, fit):
     lines.append(f"pareto_k: {float(b.pareto_k)!r}")
     lines.append(f"log_post_evals: {b.log_post_evals}")
     lines.append("acceptance_per_chain: " + " ".join(repr(float(a)) for a in b.acceptance_per_chain))
+    lines.append("proposal_df_per_chain: " + " ".join(map(str, b.proposal_df_per_chain)))
     lines.append(f"sampler_s: {b.sampler_s!r}")
     lines.append(f"min_ess_per_s: {float(b.ess.min()) / b.sampler_s!r}")
     lines.append("")

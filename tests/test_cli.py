@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from casecross import mcmc
 from casecross.cli import (
     EXIT_EMPTY_ANALYSIS,
     EXIT_INPUT_ERROR,
@@ -340,6 +341,8 @@ class TestRunAll:
         assert float(fields["pareto_k"]) <= 0.7
         assert int(fields["log_post_evals"]) == 2 * (300 + 300 + 1)
         assert len(fields["acceptance_per_chain"].split()) == 2
+        assert all(int(df) in mcmc.TAILS for df in fields["proposal_df_per_chain"].split())
+        assert len(fields["proposal_df_per_chain"].split()) == 2
         assert float(fields["sampler_s"]) > 0
         assert float(fields["min_ess_per_s"]) > 0
 

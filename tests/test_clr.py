@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,9 @@ from casecross.clr import (
     hessian,
     log_likelihood,
 )
+from casecross.config import load_config
 from casecross.errors import SeparationError
+from casecross.pipeline import run
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import design_matrix, fit_model_basis
 from per_day import pairs_likelihood
@@ -271,6 +276,20 @@ class TestFitBayes:
         assert len(d.acceptance_per_chain) == cfg.chains
         assert d.log_post_evals == cfg.chains * (cfg.warmup + cfg.draws + 1)
         assert d.sampler_s > 0
+
+    def test_ess_per_evaluation_on_shipped_main(self, tmp_path, caplog):
+        # the shipped main analysis at its own sampler settings; a t(5)
+        # proposal throughout reaches a min ESS of about half the draws,
+        # below this gate
+        cfg, _ = load_config(Path(__file__).resolve().parent.parent / "configs" / "main.json")
+        with caplog.at_level("INFO", logger="casecross.pipeline"):
+            d = run(replace(cfg, output_dir=str(tmp_path)), upto="fit").fit.diagnostics
+        assert d.log_post_evals == cfg.chains * (cfg.warmup + cfg.draws + 1)
+        assert d.ess.min() >= 0.65 * cfg.chains * cfg.draws
+        assert len(d.proposal_df_per_chain) == cfg.chains
+        assert set(d.proposal_df_per_chain) <= set(mcmc.TAILS)
+        df_text = " ".join(map(str, d.proposal_df_per_chain))
+        assert [r for r in caplog.records if r.getMessage().endswith(f"proposal df per chain {df_text}")]
 
     def test_separated_sets_sample_within_prior_scale(self, caplog):
         # the likelihood alone has no maximum; the Gaussian prior bounds

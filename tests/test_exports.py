@@ -18,3 +18,10 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names {missing}"
+
+
+def test_star_import_binds_linkers():
+    # demos import the exposure linkers from the package
+    namespace = {}
+    exec("from casecross import *", namespace)
+    assert {"link_pm25", "link_temperature"} <= namespace.keys()

@@ -1,11 +1,50 @@
+import math
+
 import numpy as np
 import pytest
 
-from casecross.mcmc import _sweep, effective_sample_size, mcse_mean, pareto_k, run_chain, split_rhat
+from casecross.mcmc import (
+    DF,
+    TAILS,
+    _sweep,
+    _tail_scores,
+    effective_sample_size,
+    mcse_mean,
+    pareto_k,
+    run_chain,
+    split_rhat,
+)
 
 
 def _std_normal_logpost(x):
     return -0.5 * (x**2).sum(axis=-1)
+
+
+def _t3_logpost(x):
+    # a multivariate t(3) target: tails heavier than any proposal in TAILS
+    return -0.5 * (3 + x.shape[-1]) * np.log1p((x**2).sum(axis=-1) / 3)
+
+
+def reference_chain(log_post, center, chol, rng, warmup, draws):
+    """A one-call t(DF) chain: every proposal from t(DF), scored in one
+    call, the sweep a loop over numpy scalars, the first ``warmup``
+    iterations discarded. ``run_chain`` must return its draws and kept
+    weights bit for bit whenever its chain keeps t(DF)."""
+    dim = center.size
+    n = warmup + draws + 1
+    normal = rng.standard_normal((n, dim))
+    chi2 = rng.chisquare(DF, n)
+    log_u = np.log(rng.uniform(size=n - 1))
+    points = center + np.sqrt(DF / chi2)[:, np.newaxis] * (normal @ chol.T)
+    log_q = -0.5 * (DF + dim) * np.log1p((normal**2).sum(axis=1) / chi2)
+    log_w = log_post(points) - log_q
+    state = np.empty(n, dtype=np.intp)
+    current = state[0] = 0
+    for i in range(1, n):
+        if log_u[i - 1] < log_w[i] - log_w[current]:
+            current = i
+        state[i] = current
+    return points[state[warmup + 1:]], log_w[warmup + 1:]
 
 
 def loop_ess(chains):
@@ -159,19 +198,46 @@ class TestRunChain:
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.log_weights, b.log_weights)
 
-    def test_warmup_discards_leading_iterations(self):
-        # the same generator draws the same proposals whatever the split
-        # between warmup and draws, and warmup adapts nothing
-        short = run_chain(
-            _std_normal_logpost, np.zeros(2), np.eye(2), np.random.default_rng(10), warmup=300, draws=100
-        )
-        long = run_chain(
-            _std_normal_logpost, np.zeros(2), np.eye(2), np.random.default_rng(10), warmup=0, draws=400
-        )
-        assert np.array_equal(short.draws, long.draws[300:])
-        assert short.log_weights.size == 401
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heavy_tailed_target_keeps_df_and_reference_draws(self, seed):
+        center = np.array([0.2, -0.1, 0.4])
+        chol = np.array([[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.3, 0.2, 0.7]])
+        chain = run_chain(_t3_logpost, center, chol, np.random.default_rng(seed), warmup=400, draws=600)
+        draws, log_w = reference_chain(_t3_logpost, center, chol, np.random.default_rng(seed), 400, 600)
+        assert chain.tail_df == DF
+        assert np.array_equal(chain.draws, draws)
+        assert np.array_equal(chain.log_weights, log_w)
 
-    def test_log_post_called_once_on_every_proposal(self):
+    def test_split_between_warmup_and_draws(self):
+        # the same generator draws the same proposals whatever the split
+        # between warmup and draws, while the tails stay at DF
+        short = run_chain(
+            _t3_logpost, np.zeros(2), np.eye(2), np.random.default_rng(10), warmup=300, draws=100
+        )
+        long = run_chain(_t3_logpost, np.zeros(2), np.eye(2), np.random.default_rng(10), warmup=0, draws=400)
+        assert short.tail_df == long.tail_df == DF
+        assert np.array_equal(short.draws, long.draws[300:])
+        assert np.array_equal(short.log_weights, long.log_weights[300:])
+        assert short.log_weights.size == 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gaussian_target_picks_lightest_tails(self, seed):
+        chain = run_chain(
+            _std_normal_logpost, np.zeros(3), np.eye(3), np.random.default_rng(40 + seed), 500, 1000
+        )
+        assert chain.tail_df == max(TAILS)
+        assert chain.acceptance_rate > 0.9
+
+    def test_short_warmup_keeps_df(self):
+        # a warmup of ten or fewer iterations cannot vouch for lighter tails
+        for warmup in range(11):
+            for seed in range(20):
+                chain = run_chain(
+                    _std_normal_logpost, np.zeros(3), np.eye(3), np.random.default_rng(seed), warmup, 50
+                )
+                assert chain.tail_df == DF, (warmup, seed)
+
+    def test_log_post_called_on_warmup_then_kept_proposals(self):
         calls = []
 
         def log_post(x):
@@ -179,7 +245,38 @@ class TestRunChain:
             return _std_normal_logpost(x)
 
         run_chain(log_post, np.zeros(2), np.eye(2), np.random.default_rng(11), warmup=20, draws=30)
-        assert calls == [(51, 2)]
+        assert calls == [(21, 2), (30, 2)]
+
+    def test_tail_scores_match_direct_chi2_estimate(self):
+        # log of the sum over t(DF) draws of pi^2 / (t_DF t_nu), with full
+        # densities in Python floats; the module leaves out the scale's log
+        # determinant, twice
+        rng = np.random.default_rng(21)
+        dim, s = 3, 200
+        center = np.array([0.1, -0.2, 0.3])
+        chol = np.array([[1.2, 0.0, 0.0], [0.3, 0.8, 0.0], [-0.2, 0.1, 0.5]])
+        normal = rng.standard_normal((s, dim))
+        chi2 = rng.chisquare(DF, s)
+        x = center + np.sqrt(DF / chi2)[:, np.newaxis] * (normal @ chol.T)
+        log_p = -0.5 * ((x - 0.2) ** 2).sum(axis=1)
+        scores, terms = _tail_scores(log_p, (normal**2).sum(axis=1) / chi2, dim)
+        assert terms.shape == (len(TAILS), s)
+        log_det = sum(math.log(chol[i, i]) for i in range(dim))
+        inv = np.linalg.inv(chol)
+
+        def density(nu, m2):
+            return math.exp(
+                math.lgamma((nu + dim) / 2) - math.lgamma(nu / 2) - log_det
+                - 0.5 * dim * math.log(nu * math.pi) - 0.5 * (nu + dim) * math.log(1 + m2 / nu)
+            )
+
+        for nu, score in zip(TAILS, scores):
+            total = 0.0
+            for xi, lp in zip(x, log_p.tolist()):
+                y = inv @ (xi - center)
+                m2 = float(y @ y)
+                total += math.exp(2 * lp) / (density(DF, m2) * density(nu, m2))
+            assert score == pytest.approx(math.log(total) - 2 * log_det, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sweep_matches_numpy_scalar_loop(self, seed):

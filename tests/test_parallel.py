@@ -7,6 +7,7 @@ for the life of the process: later calls start no thread, a job may call
 import itertools
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -71,6 +72,8 @@ def test_fit_and_tables_do_not_depend_on_thread_count(shipped, monkeypatch):
             "ess": d.ess.tobytes(),
             "acceptance_per_chain": d.acceptance_per_chain,
             "pareto_k": d.pareto_k,
+            "proposal_df_per_chain": d.proposal_df_per_chain,
+            "log_post_evals": d.log_post_evals,
             "curve": response_curve(fit, model, TEMPERATURE, levels.a0, t_grid, levels.t0),
             "surface": risk_surface(fit, model, t_surf, a_surf, (levels.t0, levels.a0)),
         })
@@ -108,6 +111,20 @@ def test_numpy_warning_in_a_worker_fails(shipped, monkeypatch):
     grid = np.linspace(t.min(), t.max(), 3 * CHUNK)
     with pytest.raises(RuntimeWarning, match="overflow"):
         response_curve(fit, model, TEMPERATURE, float(np.median(sets.pm25_window)), grid, float(t.min()))
+
+
+def test_evaluation_count_survives_thread_switches(shipped, monkeypatch):
+    # the chains' threads all add to one count of scored points: with more
+    # threads than cores and a short switch interval, a lost update shows
+    _, _, _, lik, prior, _ = shipped
+    _on(monkeypatch, max(CPUS))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fit = fit_bayes(lik, prior, SamplerConfig(chains=8, warmup=40, draws=40, seed=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fit.diagnostics.log_post_evals == 8 * (40 + 40 + 1)
 
 
 # ---------------------------------------------------------- the kept pool

@@ -129,6 +129,7 @@ class TestShippedConfigs:
         betas = mle.point + mle.sd * rng.standard_normal((16, mle.point.size))
         batched = lik.log_likelihood(betas)
         assert batched.shape == (16,)
+        assert lik.log_likelihood(betas[:0]).shape == (0,)
         for beta, ll in zip(betas, batched):
             assert ll == pytest.approx(log_likelihood(beta, lik), rel=1e-12), name
 
