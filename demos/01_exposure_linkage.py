@@ -2,6 +2,8 @@
 # ============================================================
 # DEMO 1 - Linking gridded daily fields to zones
 #
+#   * cells and zones are (ids, lat, lon) columns, membership
+#     is (zone_id, cell_id) columns, as the readers return them
 #   * a field and a zone series take one form: DailyTable, a
 #     dense (ids x days) array from a first day, NaN = missing
 #   * nearest-centroid assignment (temperature role)
@@ -14,7 +16,7 @@ from datetime import date
 
 import numpy as np
 
-from casecross import DailyTable, GridCell, Zone, build_matched_sets
+from casecross import DailyTable, build_matched_sets
 from casecross import link_pm25, link_temperature
 from casecross.exposure import trailing_mean
 
@@ -24,24 +26,23 @@ print("=" * 60)
 print("1. A toy grid: 3 x 3 cells, two zones")
 print("=" * 60)
 
-cells = [
-    GridCell(f"c{i}{j}", 40.0 + 0.1 * i, -74.0 + 0.1 * j)
-    for i in range(3)
-    for j in range(3)
-]
-zones = [
-    Zone("downtown", 40.02, -73.97, member_cells=frozenset({"c00", "c01", "c10"})),
-    Zone("uptown", 40.21, -73.82, member_cells=frozenset({"c21", "c22"})),
-]
+# columns as io.read_grid_cells, io.read_zones and io.read_membership return them
+i, j = np.divmod(np.arange(9), 3)
+cell_ids = np.array([f"c{a}{b}" for a, b in zip(i, j)], dtype=object)
+cells = (cell_ids, 40.0 + 0.1 * i, -74.0 + 0.1 * j)
+zones = (np.array(["downtown", "uptown"], dtype=object), np.array([40.02, 40.21]), np.array([-73.97, -73.82]))
+membership = (
+    np.array(["downtown", "downtown", "downtown", "uptown", "uptown"], dtype=object),
+    np.array(["c00", "c01", "c10", "c21", "c22"], dtype=object),
+)
 
 # a field as read from cell_id,date,value rows: one row per cell (in
 # cell_id order), one column per day from June 1, 2012
-cell_ids = np.array([c.cell_id for c in cells], dtype=object)
 origin = np.datetime64("2012-06-01")
 day = np.arange(30)
-lat = np.array([c.lat for c in cells])
+lat = cells[1]
 temp_field = DailyTable(cell_ids, origin, 24.0 + 4 * np.sin((day + 1) / 3) + 5.0 * (lat[:, None] - 40.0))
-pm_field = DailyTable(cell_ids, origin, rng.uniform(4, 14, size=(len(cells), day.size)))
+pm_field = DailyTable(cell_ids, origin, rng.uniform(4, 14, size=(cell_ids.size, day.size)))
 print(f"\nfield: {temp_field.values.shape[0]} cells x {temp_field.values.shape[1]} days from {origin}")
 
 
@@ -54,7 +55,7 @@ temp_series = link_temperature(cells, zones, temp_field)
 print("\nnearest-cell temperature series (first 3 days):")
 show(temp_series)
 
-pm_series = link_pm25(cells, zones, pm_field)
+pm_series = link_pm25(zones, membership, pm_field)
 print("\nzonal-mean pm25 series (first 3 days):")
 show(pm_series)
 

@@ -51,8 +51,6 @@ from .exposure import (
     PM25,
     TEMPERATURE,
     DailyTable,
-    GridCell,
-    Zone,
     link_pm25,
     link_temperature,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "EffectEstimate",
     "EmptyAnalysisError",
     "FitResult",
-    "GridCell",
     "InteractionSpec",
     "MatchedRows",
     "MatchedSet",
@@ -98,7 +95,6 @@ __all__ = [
     "TEMPERATURE",
     "TruthSpec",
     "UnsupportedModelError",
-    "Zone",
     "apply_trimming",
     "brute_force_set_probability",
     "build_matched_sets",

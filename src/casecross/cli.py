@@ -133,17 +133,15 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:  # finite slopes whose log-odds overflow
         raise ConfigurationError(f"{', '.join(slopes)}: {exc}") from None
     out = Path(args.out)
-    io.write_rows(out / "grid.csv", ["cell_id", "lat", "lon"],
-                  [(c.cell_id, c.lat, c.lon) for c in data.cells])
-    io.write_rows(out / "zones.csv", ["zone_id", "lat", "lon"],
-                  [(z.zone_id, z.lat, z.lon) for z in data.zones])
-    io.write_rows(out / "membership.csv", ["zone_id", "cell_id"], data.membership)
+    for name, header, columns in (("grid", ["cell_id", "lat", "lon"], data.cells),
+                                  ("zones", ["zone_id", "lat", "lon"], data.zones),
+                                  ("membership", ["zone_id", "cell_id"], data.membership)):
+        io.write_rows(out / f"{name}.csv", header, zip(*(c.tolist() for c in columns)))
     # each zone's series is its one cell's field, written in zone_id order
-    cell_of = dict(data.membership)
+    order = np.argsort(data.membership[0])
+    zone, cell = (c[order] for c in data.membership)
     for name, table in (("temperature_field", data.temperature_series), ("pm25_field", data.pm25_series)):
-        order = np.argsort(table.ids)
-        cells = np.array([cell_of[z] for z in table.ids[order]], dtype=object)
-        io.write_field(out / f"{name}.csv", replace(table, ids=cells, values=table.values[order]))
+        io.write_field(out / f"{name}.csv", replace(table, ids=cell, values=table.values[table.row(zone)]))
     subject, zone, day = data.events
     io.write_rows(
         out / "events.csv", ["subject_id", "zone_id", "case_date"],

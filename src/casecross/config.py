@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigurationError
+from .io import open_input
 
 __all__ = ["AnalysisConfig", "load_config", "validate_config"]
 
@@ -122,7 +123,8 @@ def load_config(path) -> tuple[AnalysisConfig, dict]:
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        with open_input(path) as handle:
+            raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

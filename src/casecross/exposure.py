@@ -10,6 +10,9 @@ used:
 * zonal mean: each zone averages, per day, the cells whose centroids fall
   inside it (membership is a precomputed input, not polygon geometry).
 
+Cells and zones are ``(ids, lat, lon)`` columns (object ids, float64
+degrees) and membership is ``(zone_id, cell_id)`` columns, as ``io`` reads them.
+
 Missing daily values are never imputed: a (zone, day) with no data stays
 NaN, and so does every window that touches it.
 """
@@ -17,7 +20,7 @@ NaN, and so does every window that touches it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +29,6 @@ from .errors import ConfigurationError
 __all__ = [
     "TEMPERATURE",
     "PM25",
-    "GridCell",
-    "Zone",
     "DailyTable",
     "haversine_km",
     "nearest_cells",
@@ -42,42 +43,9 @@ TEMPERATURE = "temperature_max"
 PM25 = "pm25"
 
 EARTH_RADIUS_KM = 6371.0088
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """One cell of a gridded exposure product, identified by its centroid."""
-
-    cell_id: str
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ConfigurationError(f"cell {self.cell_id}: latitude {self.lat} out of range")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ConfigurationError(f"cell {self.cell_id}: longitude {self.lon} out of range")
-
-
-@dataclass(frozen=True)
-class Zone:
-    """An aggregation zone (ZIP-code role) with a representative centroid.
-
-    ``member_cells`` lists the grid cells whose centroids fall inside the
-    zone; it may be empty, in which case the zone cannot receive zonal-mean
-    exposures and is excluded with a warning.
-    """
-
-    zone_id: str
-    lat: float
-    lon: float
-    member_cells: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ConfigurationError(f"zone {self.zone_id}: latitude {self.lat} out of range")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ConfigurationError(f"zone {self.zone_id}: longitude {self.lon} out of range")
+# most (zone, cell) distances taken at once, 8 MiB of float64 for each of
+# haversine_km's temporaries. A module constant, not a setting.
+LINK_SLOTS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,26 +78,25 @@ def haversine_km(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_KM * 2.0 * np.arcsin(np.sqrt(a))
 
 
-def nearest_cells(cells: list[GridCell], zones: list[Zone]) -> dict[str, str]:
-    """Assign each zone the id of its nearest cell by centroid distance.
+def nearest_cells(cells, zones) -> np.ndarray:
+    """The id of each zone's nearest cell by centroid distance, in zone order.
 
     Distance ties break to the lexicographically smallest cell_id, so the
     assignment does not depend on input ordering.
     """
-    if not cells:
+    order = np.argsort(cells[0], kind="stable")
+    ids, lat, lon = (np.asarray(c)[order] for c in cells)
+    if not ids.size:
         raise ConfigurationError("cannot assign zones to an empty grid")
-    ordered = sorted(cells, key=lambda c: c.cell_id)
-    ids = [c.cell_id for c in ordered]
-    if len(set(ids)) != len(ids):
+    if (ids[1:] == ids[:-1]).any():
         raise ConfigurationError("duplicate cell_id in grid")
-    cell_lat = np.array([c.lat for c in ordered])
-    cell_lon = np.array([c.lon for c in ordered])
-    out: dict[str, str] = {}
-    for zone in zones:
-        d = haversine_km(zone.lat, zone.lon, cell_lat, cell_lon)
+    nearest = np.empty(len(zones[0]), dtype=np.intp)
+    step = max(1, LINK_SLOTS // ids.size)
+    for lo in range(0, nearest.size, step):
+        d = haversine_km(zones[1][lo : lo + step, np.newaxis], zones[2][lo : lo + step, np.newaxis], lat, lon)
         # first minimum in cell_id order = lexicographic tie-break
-        out[zone.zone_id] = ids[int(np.argmin(d))]
-    return out
+        nearest[lo : lo + step] = d.argmin(axis=1)
+    return ids[nearest]
 
 
 def _gather(table: DailyTable, rows: np.ndarray) -> np.ndarray:
@@ -150,38 +117,43 @@ def _checked(table: DailyTable, kind: str) -> DailyTable:
     return table
 
 
-def link_temperature(cells: list[GridCell], zones: list[Zone], daily_field: DailyTable) -> DailyTable:
+def link_temperature(cells, zones, daily_field: DailyTable) -> DailyTable:
     """Nearest-centroid linkage: each zone copies its assigned cell's row.
 
     Every zone gets a row, in ``zones`` order; a cell without data gives an
     all-NaN row.
     """
-    assignment = nearest_cells(cells, zones)
-    rows = daily_field.row([assignment[z.zone_id] for z in zones])
-    ids = np.array([z.zone_id for z in zones], dtype=object)
+    rows = daily_field.row(nearest_cells(cells, zones).tolist())
+    ids = np.array(zones[0], dtype=object)
     return _checked(DailyTable(ids, daily_field.origin, _gather(daily_field, rows)), TEMPERATURE)
 
 
-def link_pm25(cells: list[GridCell], zones: list[Zone], daily_field: DailyTable) -> DailyTable:
+def link_pm25(zones, membership, daily_field: DailyTable) -> DailyTable:
     """Zonal-mean linkage over each zone's member cells.
 
     Per (zone, day) the value is the arithmetic mean over member cells with
     data on that day, summed from 0 in cell_id order, so it equals
     ``sum(present) / len(present)`` bit for bit; with no member present it
-    is NaN. Zones with no member cells are excluded with a warning.
+    is NaN. Zones with no member cells are excluded with a warning, and a
+    repeated membership pair counts once.
     """
-    if not cells:
-        raise ConfigurationError("cannot aggregate over an empty grid")
-    for zone in (z for z in zones if not z.member_cells):
-        log.warning("zone %s has no member cells; excluded from pm25 linkage", zone.zone_id)
-    zones = [z for z in zones if z.member_cells]
-    members = [sorted(z.member_cells) for z in zones]
-    width = max(map(len, members), default=0)
+    zone_ids = np.array(zones[0], dtype=object)
+    index = {z: k for k, z in enumerate(zone_ids.tolist())}
+    cell_ids, cell = np.unique(np.asarray(membership[1], dtype=object), return_inverse=True)
+    # each pair of a zone in ``zones`` once, by zone and then in cell_id order
+    # (a sort, not np.unique, whose hash path imports numpy.ma)
+    pair = np.sort(np.array([index.get(z, -1) for z in membership[0]], dtype=int) * cell_ids.size + cell)
+    zone, cell = np.divmod(pair[(np.diff(pair, prepend=-1) > 0) & (pair >= 0)], max(cell_ids.size, 1))
+    size = np.bincount(zone, minlength=zone_ids.size)
+    for zone_id in zone_ids[size == 0].tolist():
+        log.warning("zone %s has no member cells; excluded from pm25 linkage", zone_id)
     # row of each zone's k-th member in column k, -1 past its last member
-    at = daily_field.row([c for m in members for c in m + [None] * (width - len(m))]).reshape(len(zones), width)
-    total = np.zeros((len(zones), daily_field.values.shape[1]))
+    at = np.full((zone_ids.size, size.max(initial=0)), -1)
+    at[zone, np.arange(zone.size) - (np.cumsum(size) - size)[zone]] = daily_field.row(cell_ids.tolist())[cell]
+    at = at[size > 0]
+    total = np.zeros((len(at), daily_field.values.shape[1]))
     count = np.zeros(total.shape, dtype=np.int32)
-    for k in range(width):
+    for k in range(at.shape[1]):
         values = _gather(daily_field, at[:, k])
         present = ~np.isnan(values)
         values[~present] = 0.0
@@ -189,8 +161,7 @@ def link_pm25(cells: list[GridCell], zones: list[Zone], daily_field: DailyTable)
         count += present
     np.divide(total, count, out=total, where=count > 0)
     total[count == 0] = np.nan
-    ids = np.array([z.zone_id for z in zones], dtype=object)
-    return _checked(DailyTable(ids, daily_field.origin, total), PM25)
+    return _checked(DailyTable(zone_ids[size > 0], daily_field.origin, total), PM25)
 
 
 def trailing_mean(values, window_days: int) -> np.ndarray:

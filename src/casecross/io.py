@@ -13,16 +13,18 @@ date once and, for matched sets, each distinct float once (told apart by bit
 pattern, so 0.0 and -0.0 keep their own text); an ID that holds a delimiter,
 quote or line break is formatted by ``csv.writer`` itself, so its quoting
 stays the writer's own. The drop log, coefficients and contrasts go through
-``csv.writer``. Readers name the file and line of a value they cannot parse,
-of a coordinate out of range, of a duplicate id or key, and of a non-finite
+``csv.writer``. Readers decode every file as UTF-8 and name the file and line
+of a byte that is not UTF-8, of a value they cannot parse, of a coordinate out
+of range or NaN, of a repeated id, key or membership pair, and of a non-finite
 field value.
 
-A daily field is read, chunk by chunk, into a ``DailyTable``, and events into
-three columns. Each distinct date string goes through ``date.fromisoformat``
-once and each value through ``float()``, so a file is accepted exactly when
-a per-row parse accepts it, and its table, cells by days from its first date
-to its last, fits in ``FIELD_SLOTS``; a field that would not is rejected,
-naming the line of its outlying first or last date.
+A daily field is read, chunk by chunk, into a ``DailyTable``; events, grid
+cells, zones and membership into columns, as ``exposure`` takes them. Each
+distinct date string goes through ``date.fromisoformat`` once and each value
+through ``float()``, so a file is accepted exactly when a per-row parse
+accepts it, and its table, cells by days from its first date to its last,
+fits in ``FIELD_SLOTS``; a field that would not is rejected, naming the line
+of its outlying first or last date.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ import numpy as np
 
 from .design import DroppedEvent, MatchedRows
 from .errors import ConfigurationError
-from .exposure import DailyTable, GridCell, Zone
+from .exposure import DailyTable
 
 __all__ = [
+    "open_input",
     "read_grid_cells",
     "read_zones",
     "read_membership",
@@ -68,12 +71,31 @@ FIELD_SLOTS = 1 << 24
 _NEEDS_WRITER = re.compile('[,"\r\n]').search    # text csv.writer may quote
 
 
+@contextmanager
+def open_input(path):
+    """``path`` open for reading as UTF-8 text. A byte that is not UTF-8
+    raises ``ConfigurationError`` naming its line: the ``\\n`` bytes before it
+    in the raw file, plus one."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raw = path.read_bytes()    # the decoder's own offset counts from its last block
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ConfigurationError(f"{path}:{line}: byte {raw[exc.start]:#04x} is not UTF-8 text") from None
+        raise
+
+
 def _chunks(path, expected: list[str]):
     """The rows after the header, checked against ``expected``, 8,192 at a time."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"input file not found: {path}")
-    with path.open(newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != expected:
@@ -84,21 +106,20 @@ def _chunks(path, expected: list[str]):
 
 def _line(path, index: int) -> int:
     """The file line on which data row ``index`` ends."""
-    with Path(path).open(newline="") as handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         next(islice(reader, index + 1, None))     # the header, then rows 0 to index
         return reader.line_num
 
 
 def _read(path, expected: list[str], parse) -> list:
-    """``parse`` of each row after the header, naming the line of a bad or
-    out-of-range value."""
+    """``parse`` of each row after the header, naming the line of a bad value."""
     parsed = []
     for chunk in _chunks(path, expected):
         for row in chunk:
             try:
                 parsed.append(parse(row))
-            except (ValueError, IndexError, ConfigurationError) as exc:
+            except (ValueError, IndexError) as exc:
                 raise ConfigurationError(f"{path}:{_line(path, len(parsed))}: {exc}") from None
     return parsed
 
@@ -114,10 +135,11 @@ def _unique(path, keys, what: str) -> None:
 
 @contextmanager
 def _csv_file(path, header: list[str]):
-    """``path`` open for writing, with ``header`` written, and its ``csv.writer``."""
+    """``path`` open for writing as UTF-8, as the readers decode it, with
+    ``header`` written, and its ``csv.writer``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         yield handle, writer
@@ -165,27 +187,36 @@ def _reprs(values: np.ndarray) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
-def read_grid_cells(path) -> list[GridCell]:
-    cells = _read(path, ["cell_id", "lat", "lon"], lambda r: GridCell(r[0], float(r[1]), float(r[2])))
-    _unique(path, (c.cell_id for c in cells), "cell_id")
-    return cells
+def _places(path, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(ids, lat, lon)`` columns of ``{kind}_id,lat,lon`` rows, in file
+    order, naming the line of the first coordinate out of range."""
+    rows = _read(path, [f"{kind}_id", "lat", "lon"], lambda r: (r[0], float(r[1]), float(r[2])))
+    ids = np.array([r[0] for r in rows], dtype=object)
+    lat, lon = np.array([r[1:] for r in rows], dtype=float).reshape(-1, 2).T
+    bad_lat = ~((lat >= -90.0) & (lat <= 90.0))     # not (lat < -90) | (lat > 90): NaN is out of range
+    bad = bad_lat | ~((lon >= -180.0) & (lon <= 180.0))
+    if bad.any():
+        row = int(bad.argmax())
+        what, value = ("latitude", lat[row]) if bad_lat[row] else ("longitude", lon[row])
+        raise ConfigurationError(f"{path}:{_line(path, row)}: {kind} {ids[row]}: {what} {float(value)} out of range")
+    _unique(path, ids.tolist(), f"{kind}_id")
+    return ids, lat, lon
 
 
-def read_zones(path, membership: dict[str, set[str]] | None = None) -> list[Zone]:
-    membership = membership or {}
-    zones = _read(
-        path, ["zone_id", "lat", "lon"],
-        lambda r: Zone(r[0], float(r[1]), float(r[2]), frozenset(membership.get(r[0], set()))),
-    )
-    _unique(path, (z.zone_id for z in zones), "zone_id")
-    return zones
+def read_grid_cells(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _places(path, "cell")
 
 
-def read_membership(path) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for zone_id, cell_id in _read(path, ["zone_id", "cell_id"], lambda r: (r[0], r[1])):
-        out.setdefault(zone_id, set()).add(cell_id)
-    return out
+def read_zones(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _places(path, "zone")
+
+
+def read_membership(path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(zone_id, cell_id)`` columns, naming the line of a repeated pair."""
+    pairs = _read(path, ["zone_id", "cell_id"], lambda r: (r[0], r[1]))
+    _unique(path, pairs, "(zone_id, cell_id)")
+    zone, cell = np.array(pairs, dtype=object).reshape(-1, 2).T
+    return zone, cell
 
 
 def read_daily_field(path) -> DailyTable:

@@ -61,10 +61,10 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
     # link
     cells = io.read_grid_cells(cfg.grid)
     membership = io.read_membership(cfg.membership)
-    zones = io.read_zones(cfg.zones, membership)
+    zones = io.read_zones(cfg.zones)
     # the fields are dropped once linked
     temp_series = link_temperature(cells, zones, io.read_daily_field(cfg.temperature_field))
-    pm_series = link_pm25(cells, zones, io.read_daily_field(cfg.pm25_field))
+    pm_series = link_pm25(zones, membership, io.read_daily_field(cfg.pm25_field))
     io.write_series(out / "exposure_series.csv", {TEMPERATURE: temp_series, PM25: pm_series})
     log.info("linked %d zones (%d with pm25 membership)", len(temp_series.ids), len(pm_series.ids))
     if depth == 0:

@@ -13,19 +13,22 @@ array, and every case day is drawn at once into one ``MatchedRows`` table,
 ``.sets`` is that same table: per-set ``MatchedSet`` objects are built only
 when one of its elements is read.
 
+The grid has one cell per zone, at the zone's centroid, in the columns the
+readers of ``io`` return: ``(ids, lat, lon)`` and ``(zone_id, cell_id)``.
+
 The module also houses the deliberately naive brute-force oracle used to
 check the stabilized likelihood.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .design import MatchedRows, _stratum_days
-from .exposure import DailyTable, GridCell, Zone, trailing_mean
+from .exposure import DailyTable, trailing_mean
 
 __all__ = [
     "TruthSpec",
@@ -86,9 +89,9 @@ class SyntheticData:
     temperature_series: DailyTable
     pm25_series: DailyTable
     rows: MatchedRows
-    cells: list[GridCell]
-    zones: list[Zone]
-    membership: list[tuple[str, str]] = field(default_factory=list)
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]    # cell_id, lat, lon
+    zones: tuple[np.ndarray, np.ndarray, np.ndarray]    # zone_id, lat, lon
+    membership: tuple[np.ndarray, np.ndarray]           # zone_id, cell_id
     temperature_window_days: int = 1
     pm25_window_days: int = 3
 
@@ -156,17 +159,12 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     design modules consume, plus the already-joined matched rows.
     """
     rng = np.random.default_rng(np.random.SeedSequence(truth.seed))
-    zone_ids = [f"z{k:03d}" for k in range(truth.n_zones)]
-    zones = []
-    cells = []
-    membership = []
-    for k, zid in enumerate(zone_ids):
-        lat = 32.0 + 0.2 * (k % 25)
-        lon = -110.0 + 0.5 * (k // 25) + 0.01 * k
-        cid = f"c{k:03d}"
-        cells.append(GridCell(cid, lat, lon))
-        zones.append(Zone(zid, lat, lon, frozenset({cid})))
-        membership.append((zid, cid))
+    # zone k and its one cell k share a centroid
+    k = np.arange(truth.n_zones)
+    lat = 32.0 + 0.2 * (k % 25)
+    lon = -110.0 + 0.5 * (k // 25) + 0.01 * k
+    ids = np.array([f"z{j:03d}" for j in k.tolist()], dtype=object)
+    cell_ids = np.array([f"c{j:03d}" for j in k.tolist()], dtype=object)
 
     seasons = [_season_days(truth, year) for year in truth.years]
     days = np.concatenate(seasons)
@@ -210,15 +208,14 @@ def generate(truth: TruthSpec, n_events: int) -> SyntheticData:
     row_zone, row_s = zone[set_index], s[set_index]
     rows = MatchedRows(subject, set_index, padded[row_s, col], col == pos[set_index],
                        t[row_zone, row_s, col], a[row_zone, row_s, col])
-    ids = np.array(zone_ids, dtype=object)
     return SyntheticData(
         events=(subject, ids[zone], padded[s, pos]),
         temperature_series=DailyTable(ids, origin, temp),
         pm25_series=DailyTable(ids, origin, pm),
         rows=rows,
-        cells=cells,
-        zones=zones,
-        membership=membership,
+        cells=(cell_ids, lat, lon),
+        zones=(ids, lat, lon),
+        membership=(ids, cell_ids),
         temperature_window_days=truth.temperature_window_days,
         pm25_window_days=truth.pm25_window_days,
     )

@@ -2,7 +2,8 @@
 ``{date: value}`` mapping, windows summed one day at a time with ``sum()``;
 per-set objects of a matched-row table, built row by row, and the table of
 a hand-built list of them; events as one record per row, and their columns;
-and the likelihood of ``(case_row, control_rows)`` pairs."""
+grid cells, zones and membership as the columns the readers return; and the
+likelihood of ``(case_row, control_rows)`` pairs."""
 
 import struct
 from datetime import date, timedelta
@@ -125,3 +126,18 @@ def event_columns(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def events_of(columns) -> list[Event]:
     """The ``Event`` rows of event columns, with Python ``str`` and ``date``."""
     return [Event(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def places(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(ids, lat, lon)`` columns of ``(id, lat, lon)`` rows, as
+    ``io.read_grid_cells`` and ``io.read_zones`` return them."""
+    ids, lat, lon = zip(*rows) if rows else ((), (), ())
+    return np.array(ids, dtype=object), np.array(lat, dtype=float), np.array(lon, dtype=float)
+
+
+def membership(members: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(zone_id, cell_id)`` columns of ``{zone_id: [cell_id, ...]}``,
+    a pair per listed cell, as ``io.read_membership`` returns them."""
+    pairs = [(zone, cell) for zone, cells in members.items() for cell in cells]
+    zone, cell = zip(*pairs) if pairs else ((), ())
+    return np.array(zone, dtype=object), np.array(cell, dtype=object)

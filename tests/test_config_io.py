@@ -26,9 +26,13 @@ class TestCsvRoundTrips:
     def test_grid_and_zones(self, tmp_path):
         io.write_rows(tmp_path / "grid.csv", ["cell_id", "lat", "lon"],
                       [("c1", 40.123456789012345, -74.0), ("c2", 41.0, -75.5)])
-        cells = io.read_grid_cells(tmp_path / "grid.csv")
-        assert cells[0].cell_id == "c1"
-        assert cells[0].lat == 40.123456789012345  # repr round-trip is exact
+        ids, lat, lon = io.read_grid_cells(tmp_path / "grid.csv")
+        assert (ids.dtype, lat.dtype, lon.dtype) == (np.dtype(object), np.dtype(float), np.dtype(float))
+        assert ids.tolist() == ["c1", "c2"]
+        assert lat.tolist() == [40.123456789012345, 41.0]  # repr round-trip is exact
+        assert lon.tolist() == [-74.0, -75.5]
+        io.write_rows(tmp_path / "zones.csv", ["zone_id", "lat", "lon"], [("z1", -90.0, 180.0)])
+        assert [c.tolist() for c in io.read_zones(tmp_path / "zones.csv")] == [["z1"], [-90.0], [180.0]]
 
     def test_field_round_trip(self, tmp_path):
         rows = [("c1", "2012-06-01", 0.1 + 0.2), ("c1", "2012-06-02", 7.0)]
@@ -289,7 +293,7 @@ class TestReaderChecks:
     def _exits_2_naming(self, capsys, cfg, command, where, what):
         assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
-        message = captured.err if command == "link" else captured.out
+        message = captured.out if command == "validate" else captured.err
         assert f"{where}:" in message and what in message, message
 
     @pytest.mark.parametrize("command", ["link", "validate"])
@@ -318,7 +322,9 @@ class TestReaderChecks:
         self._exits_2_naming(capsys, cfg, command, f"{data / 'pm25_field.csv'}:{n}", "duplicate")
 
     @pytest.mark.parametrize("command", ["link", "validate"])
-    @pytest.mark.parametrize("file, key", [("zones.csv", "zone_id"), ("grid.csv", "cell_id")])
+    @pytest.mark.parametrize("file, key", [
+        ("zones.csv", "zone_id"), ("grid.csv", "cell_id"), ("membership.csv", "(zone_id, cell_id)"),
+    ])
     def test_duplicate_id(self, tmp_path, capsys, command, file, key):
         data, cfg = _dataset(tmp_path)
         _edit(data / file, lambda rows: rows[:3] + [rows[1]] + rows[3:])
@@ -326,7 +332,7 @@ class TestReaderChecks:
 
     @pytest.mark.parametrize("command", ["link", "validate"])
     @pytest.mark.parametrize("file", ["grid.csv", "zones.csv"])
-    @pytest.mark.parametrize("column, value", [(1, "95.0"), (2, "-181.0")])
+    @pytest.mark.parametrize("column, value", [(1, "95.0"), (2, "-181.0"), (1, "nan"), (2, "inf")])
     def test_coordinate_out_of_range(self, tmp_path, capsys, command, file, column, value):
         data, cfg = _dataset(tmp_path)
 
@@ -337,6 +343,27 @@ class TestReaderChecks:
         _edit(data / file, edit)
         what = ("latitude", "longitude")[column - 1]
         self._exits_2_naming(capsys, cfg, command, f"{data / file}:3", f"{what} {value} out of range")
+
+    # match links first, then reads the events
+    @pytest.mark.parametrize("command", ["match", "validate"])
+    @pytest.mark.parametrize("file, line, byte", [
+        ("events.csv", 3, b"\xe9"), ("grid.csv", 2, b"\xff"), ("zones.csv", 4, b"\xe9"),
+        ("membership.csv", 1, b"\x80"), ("temperature_field.csv", 5, b"\xc3("),
+        ("pm25_field.csv", 300, b"\xff"),    # past the decoder's first 8 KiB block
+    ])
+    def test_byte_not_utf8(self, tmp_path, capsys, command, file, line, byte):
+        data, cfg = _dataset(tmp_path)
+        lines = (data / file).read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:2] + byte + lines[line - 1][2:]
+        (data / file).write_bytes(b"\n".join(lines))
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:{line}", f"byte {byte[0]:#04x} is not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["link", "validate"])
+    def test_config_byte_not_utf8(self, tmp_path, capsys, command):
+        _, cfg = _dataset(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"seed"', b'"s\xe9ed"'))
+        assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
+        assert f"{cfg}:1: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
 
     def test_validate_parses_every_value(self, tmp_path, capsys):
         data, cfg = _dataset(tmp_path)

@@ -26,7 +26,6 @@ from casecross.effects import case_day_levels
 from casecross.errors import ConfigurationError, EmptyAnalysisError
 from casecross.exposure import (
     DailyTable,
-    Zone,
     link_pm25,
     link_temperature,
 )
@@ -382,9 +381,10 @@ class TestMatchedRowsExactness:
     def test_shipped_data(self, temp_days, pm_days):
         data = Path(__file__).resolve().parent.parent / "data" / "synth"
         cells = io.read_grid_cells(data / "grid.csv")
-        zones = io.read_zones(data / "zones.csv", io.read_membership(data / "membership.csv"))
+        zones = io.read_zones(data / "zones.csv")
         temp = by_day(link_temperature(cells, zones, io.read_daily_field(data / "temperature_field.csv")))
-        pm = by_day(link_pm25(cells, zones, io.read_daily_field(data / "pm25_field.csv")))
+        pm = by_day(link_pm25(zones, io.read_membership(data / "membership.csv"),
+                              io.read_daily_field(data / "pm25_field.csv")))
         events = events_of(io.read_events(data / "events.csv"))
         rows, drops = _assert_exact(events, temp, pm, temp_days, pm_days)
         assert len(rows) + len(drops) == len(events)
@@ -430,14 +430,14 @@ class TestMatchedRowsExactness:
         # z001 has no member cells: no pm25 row, so its events are unknown;
         # c002, z002's nearest cell, has no temperature: an all-NaN row
         data = generate(TruthSpec(n_zones=4, seed=5), 200)
-        zones = list(data.zones)
-        zones[1] = Zone(zones[1].zone_id, zones[1].lat, zones[1].lon)
-        cell_ids = np.array([c.cell_id for c in data.cells], dtype=object)
+        zone_of, cell_of = data.membership
+        membership = (zone_of[zone_of != "z001"], cell_of[zone_of != "z001"])
+        cell_ids = data.cells[0]
         temp = data.temperature_series
         temp_field = DailyTable(cell_ids[[0, 1, 3]], temp.origin, temp.values[[0, 1, 3]])
         pm_field = DailyTable(cell_ids, temp.origin, data.pm25_series.values)
-        temp = by_day(link_temperature(data.cells, zones, temp_field))
-        pm = by_day(link_pm25(data.cells, zones, pm_field))
+        temp = by_day(link_temperature(data.cells, data.zones, temp_field))
+        pm = by_day(link_pm25(data.zones, membership, pm_field))
         assert list(temp) == ["z000", "z001", "z002", "z003"] and temp["z002"] == {}
         assert list(pm) == ["z000", "z002", "z003"]
         events = events_of(data.events)

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casecross import exposure
 from casecross.design import build_matched_sets
 from casecross.errors import ConfigurationError
 from casecross.exposure import (
     PM25,
     TEMPERATURE,
     DailyTable,
-    GridCell,
-    Zone,
     link_pm25,
     link_temperature,
     trailing_mean,
@@ -23,7 +22,7 @@ from casecross.exposure import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from per_day import Event, Gap, by_day, event_columns, table_of, windowed_exposure  # noqa: E402
+from per_day import Event, Gap, by_day, event_columns, membership, places, table_of, windowed_exposure  # noqa: E402
 
 D = date(2012, 6, 15)
 
@@ -48,15 +47,18 @@ def oracle_haversine(lat1, lon1, lat2, lon2):
     return 6371.0088 * 2 * math.asin(math.sqrt(a))
 
 
+def _random_places(rng, prefix, n):
+    return [(f"{prefix}{k:03d}", float(rng.uniform(30, 45)), float(rng.uniform(-110, -80))) for k in range(n)]
+
+
 class TestNearestAssignment:
     def test_strictly_closer_cell_wins(self):
-        cells = [GridCell("a", 40.0, -74.01), GridCell("b", 41.0, -74.0)]
-        zones = [Zone("z", 40.0, -74.0)]
-        assert nearest_cells(cells, zones) == {"z": "a"}
+        cells = places([("a", 40.0, -74.01), ("b", 41.0, -74.0)])
+        assert nearest_cells(cells, places([("z", 40.0, -74.0)])).tolist() == ["a"]
 
     def test_coincident_centroid_copies_series_verbatim(self):
-        cells = [GridCell("a", 40.0, -74.0), GridCell("b", 45.0, -80.0)]
-        zones = [Zone("z", 40.0, -74.0)]
+        cells = places([("a", 40.0, -74.0), ("b", 45.0, -80.0)])
+        zones = places([("z", 40.0, -74.0)])
         dates = [D + timedelta(days=k) for k in range(5)]
         field = _field(["a", "b"], dates, lambda c, d: 20.0 + d.day + (100 if c == "b" else 0))
         series = link_temperature(cells, zones, _table(field))
@@ -64,55 +66,50 @@ class TestNearestAssignment:
 
     def test_tie_breaks_to_smallest_cell_id(self):
         # two cells at identical coordinates: identical distances bit for bit
-        cells = [GridCell("b", 40.0, -74.0), GridCell("a", 40.0, -74.0)]
-        zones = [Zone("z", 40.5, -74.2)]
-        assert nearest_cells(cells, zones) == {"z": "a"}
+        cells = places([("b", 40.0, -74.0), ("a", 40.0, -74.0)])
+        assert nearest_cells(cells, places([("z", 40.5, -74.2)])).tolist() == ["a"]
 
-    def test_matches_exhaustive_scan(self):
+    # one zone per block; 7 zones per block, the last block 2; all 100 at once
+    @pytest.mark.parametrize("slots", [1, 7 * 500 + 499, None])
+    def test_matches_exhaustive_scan(self, monkeypatch, slots):
+        if slots is not None:
+            monkeypatch.setattr(exposure, "LINK_SLOTS", slots)
         rng = np.random.default_rng(7)
-        cells = [
-            GridCell(f"c{k:03d}", float(rng.uniform(30, 45)), float(rng.uniform(-110, -80)))
-            for k in range(500)
-        ]
-        zones = [
-            Zone(f"z{k:03d}", float(rng.uniform(30, 45)), float(rng.uniform(-110, -80)))
-            for k in range(100)
-        ]
-        got = nearest_cells(cells, zones)
-        for z in zones:
-            best = min(cells, key=lambda c: (oracle_haversine(z.lat, z.lon, c.lat, c.lon), c.cell_id))
-            assert got[z.zone_id] == best.cell_id
+        cells = _random_places(rng, "c", 500)
+        zones = _random_places(rng, "z", 100)
+        # ties inside a block and across block edges: zones on a cell, twin cells
+        zones[6:9] = [(z, *cells[40][1:]) for z, *_ in zones[6:9]]
+        cells[41] = (cells[41][0], *cells[40][1:])
+        cells[499] = (cells[499][0], *cells[40][1:])
+        got = nearest_cells(places(cells), places(zones)).tolist()
+        for (_, zlat, zlon), cell_id in zip(zones, got):
+            best = min(cells, key=lambda c: (oracle_haversine(zlat, zlon, c[1], c[2]), c[0]))
+            assert cell_id == best[0]
+        assert got[6:9] == ["c040"] * 3
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
-        cells = [
-            GridCell(f"c{k}", float(rng.uniform(30, 45)), float(rng.uniform(-110, -80)))
-            for k in range(40)
-        ]
-        zones = [
-            Zone(f"z{k}", float(rng.uniform(30, 45)), float(rng.uniform(-110, -80)))
-            for k in range(15)
-        ]
-        base = nearest_cells(cells, zones)
-        shuffled = list(cells)
-        rng.shuffle(shuffled)
-        assert nearest_cells(shuffled, zones) == base
+        cells = _random_places(rng, "c", 40)
+        zones = places(_random_places(rng, "z", 15))
+        base = nearest_cells(places(cells), zones).tolist()
+        rng.shuffle(cells)
+        assert nearest_cells(places(cells), zones).tolist() == base
 
     def test_empty_grid_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
-            link_temperature([], [Zone("z", 0.0, 0.0)], _table({}))
+            link_temperature(places([]), places([("z", 0.0, 0.0)]), _table({}))
 
     def test_missing_date_left_out_of_series(self):
-        cells = [GridCell("a", 40.0, -74.0)]
-        zones = [Zone("z", 40.0, -74.0)]
+        cells = places([("a", 40.0, -74.0)])
+        zones = places([("z", 40.0, -74.0)])
         field = {("a", D): 21.0, ("b", D + timedelta(days=1)): 5.0}
         series = link_temperature(cells, zones, _table(field))
         assert by_day(series) == {"z": {D: 21.0}}
         assert np.isnan(series.values[0, 1])
 
     def test_cell_without_data_gives_an_all_nan_row(self):
-        cells = [GridCell("a", 40.0, -74.0), GridCell("b", 45.0, -80.0)]
-        zones = [Zone("z", 40.0, -74.0), Zone("y", 45.0, -80.0)]
+        cells = places([("a", 40.0, -74.0), ("b", 45.0, -80.0)])
+        zones = places([("z", 40.0, -74.0), ("y", 45.0, -80.0)])
         series = link_temperature(cells, zones, _table({("b", D): 21.0}))
         assert series.ids.tolist() == ["z", "y"]
         assert by_day(series) == {"z": {}, "y": {D: 21.0}}
@@ -120,72 +117,66 @@ class TestNearestAssignment:
 
 class TestZonalMean:
     def test_two_point_mean(self):
-        cells = [GridCell("a", 40.0, -74.0), GridCell("b", 40.1, -74.0)]
-        zones = [Zone("z", 40.0, -74.0, frozenset({"a", "b"}))]
+        zones = places([("z", 40.0, -74.0)])
         field = {("a", D): 4.0, ("b", D): 6.0}
-        series = link_pm25(cells, zones, _table(field))
+        series = link_pm25(zones, membership({"z": ["a", "b"]}), _table(field))
         assert by_day(series) == {"z": {D: 5.0}}
 
     def test_single_member_identity(self):
-        cells = [GridCell("a", 40.0, -74.0)]
-        zones = [Zone("z", 40.0, -74.0, frozenset({"a"}))]
+        zones = places([("z", 40.0, -74.0)])
         field = {("a", D): 7.25}
-        series = link_pm25(cells, zones, _table(field))
+        series = link_pm25(zones, membership({"z": ["a"]}), _table(field))
         assert by_day(series) == {"z": {D: 7.25}}
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(3)
         cell_ids = [f"c{k:02d}" for k in range(25)]
-        cells = [GridCell(c, float(rng.uniform(30, 45)), float(rng.uniform(-110, -80))) for c in cell_ids]
         dates = [D + timedelta(days=k) for k in range(30)]
         field = {}
         for c in cell_ids:
             for d in dates:
                 if rng.uniform() < 0.9:
                     field[(c, d)] = float(rng.uniform(0, 30))
-        zones = []
-        for k in range(20):
-            members = frozenset(rng.choice(cell_ids, size=rng.integers(1, 6), replace=False).tolist())
-            zones.append(Zone(f"z{k:02d}", float(rng.uniform(30, 45)), float(rng.uniform(-110, -80)), members))
-        out = by_day(link_pm25(cells, zones, _table(field)))
-        for z in zones:
+        zones = _random_places(rng, "z", 20)
+        members = {
+            z: rng.choice(cell_ids, size=rng.integers(1, 6), replace=False).tolist() for z, *_ in zones
+        }
+        out = by_day(link_pm25(places(zones), membership(members), _table(field)))
+        for z, cells in members.items():
             for d in dates:
-                present = [field[(m, d)] for m in sorted(z.member_cells) if (m, d) in field]
+                present = [field[(m, d)] for m in sorted(cells) if (m, d) in field]
                 if present:
-                    assert out[z.zone_id][d] == sum(present) / len(present)
+                    assert out[z][d] == sum(present) / len(present)
                 else:
-                    assert d not in out[z.zone_id]
+                    assert d not in out[z]
 
     def test_member_order_invariance(self):
-        cells = [GridCell(f"c{k}", 40.0 + k, -74.0) for k in range(4)]
         field = {(f"c{k}", D): float(k) * 1.7 + 0.3 for k in range(4)}
-        za = Zone("z", 40.0, -74.0, frozenset(["c0", "c1", "c2", "c3"]))
-        zb = Zone("z", 40.0, -74.0, frozenset(["c3", "c2", "c1", "c0"]))
-        sa = link_pm25(cells, [za], _table(field))
-        sb = link_pm25(cells, [zb], _table(field))
+        zones = places([("z", 40.0, -74.0)])
+        sa = link_pm25(zones, membership({"z": ["c0", "c1", "c2", "c3"]}), _table(field))
+        sb = link_pm25(zones, membership({"z": ["c3", "c2", "c1", "c0"]}), _table(field))
         assert sa.values.tobytes() == sb.values.tobytes()
 
     def test_zone_without_members_excluded_with_warning(self, caplog):
-        cells = [GridCell("a", 40.0, -74.0)]
-        zones = [Zone("empty", 41.0, -74.0), Zone("ok", 40.0, -74.0, frozenset({"a"}))]
+        zones = places([("empty", 41.0, -74.0), ("ok", 40.0, -74.0)])
         field = {("a", D): 3.0}
         with caplog.at_level("WARNING"):
-            out = link_pm25(cells, zones, _table(field))
+            out = link_pm25(zones, membership({"ok": ["a"]}), _table(field))
         assert out.ids.tolist() == ["ok"]
         assert any("empty" in rec.message for rec in caplog.records)
 
     def test_all_members_missing_on_a_date(self):
-        cells = [GridCell("a", 40.0, -74.0)]
-        zones = [Zone("z", 40.0, -74.0, frozenset({"a"}))]
+        zones = places([("z", 40.0, -74.0)])
         field = {("a", D): 3.0, ("b", D + timedelta(days=1)): 4.0}
-        series = link_pm25(cells, zones, _table(field))
+        series = link_pm25(zones, membership({"z": ["a"]}), _table(field))
         assert by_day(series) == {"z": {D: 3.0}}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_per_day_sum_bit_for_bit(self, data):
         # gaps, signed zeros, zones without members or with members that
-        # have no data, member sets and cell lists in any order
+        # have no data, repeated pairs, pairs of a zone not in the zones,
+        # and pairs in any order
         cell_ids = data.draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True))
         # thirds round, so sums of them depend on the order of adding
         thirds = st.integers(1, 10**9).map(lambda k: k / 3.0)
@@ -194,18 +185,17 @@ class TestZonalMean:
         grid = data.draw(st.lists(st.none() | value | value, min_size=len(keys), max_size=len(keys)))
         field = {key: v for key, v in zip(keys, grid) if v is not None}
         members = st.lists(st.sampled_from(cell_ids + ["x"]), max_size=6)
-        zones = [
-            Zone(f"z{k}", 40.0, -74.0, frozenset(m))
-            for k, m in enumerate(data.draw(st.lists(members, min_size=1, max_size=6)))
-        ]
-        cells = [GridCell(c, 40.0, -74.0) for c in data.draw(st.permutations(cell_ids))]
-        got = link_pm25(cells, zones, _table(field))
-        kept = [z for z in zones if z.member_cells]
-        assert got.ids.tolist() == [z.zone_id for z in kept]
+        members = {f"z{k}": m for k, m in enumerate(data.draw(st.lists(members, min_size=1, max_size=6)))}
+        zones = places([(z, 40.0, -74.0) for z in members])
+        pairs = membership({**members, "elsewhere": cell_ids})
+        order = data.draw(st.permutations(range(pairs[0].size)))
+        got = link_pm25(zones, tuple(c[list(order)] for c in pairs), _table(field))
+        kept = {z: m for z, m in members.items() if m}
+        assert got.ids.tolist() == list(kept)
         days = (got.origin + np.arange(got.values.shape[1])).tolist()
-        for z, row in zip(kept, got.values):
+        for (z, m), row in zip(kept.items(), got.values):
             for d, v in zip(days, row):
-                present = [field[(m, d)] for m in sorted(z.member_cells) if (m, d) in field]
+                present = [field[(c, d)] for c in sorted(set(m)) if (c, d) in field]
                 want = sum(present) / len(present) if present else np.nan
                 # bit for bit, signed zeros included
                 assert np.array(v).tobytes() == np.array(want).tobytes(), (z, d)
@@ -285,8 +275,10 @@ class TestValidation:
     def _link(self, kind, values):
         """The one-zone table linked from a one-cell field of ``values``."""
         field = table_of({"a": values})
-        link = link_pm25 if kind == PM25 else link_temperature
-        return link([GridCell("a", 40.0, -74.0)], [Zone("z", 40.0, -74.0, frozenset({"a"}))], field)
+        zones = places([("z", 40.0, -74.0)])
+        if kind == PM25:
+            return link_pm25(zones, membership({"z": ["a"]}), field)
+        return link_temperature(places([("a", 40.0, -74.0)]), zones, field)
 
     def test_negative_pm25_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -319,9 +311,3 @@ class TestValidation:
             DailyTable(np.array(["a"], dtype=object), np.datetime64(D), np.zeros((2, 3)))
         with pytest.raises(ConfigurationError):
             DailyTable(np.array(["a", "a"], dtype=object), np.datetime64(D), np.zeros((2, 3)))
-
-    def test_coordinate_ranges(self):
-        with pytest.raises(ConfigurationError):
-            GridCell("a", 91.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            Zone("z", 0.0, 181.0)

@@ -34,11 +34,11 @@ def shipped(request):
     a shipped config, built as ``pipeline.run`` builds them."""
     cfg, _ = load_config(CONFIGS / f"{request.param}.json")
     cells = io.read_grid_cells(cfg.grid)
-    zones = io.read_zones(cfg.zones, io.read_membership(cfg.membership))
+    zones = io.read_zones(cfg.zones)
     sets, _ = build_matched_sets(
         io.read_events(cfg.events),
         link_temperature(cells, zones, io.read_daily_field(cfg.temperature_field)),
-        link_pm25(cells, zones, io.read_daily_field(cfg.pm25_field)),
+        link_pm25(zones, io.read_membership(cfg.membership), io.read_daily_field(cfg.pm25_field)),
         cfg.temperature_window_days,
         cfg.pm25_window_days,
         season_months=cfg.season_months,
