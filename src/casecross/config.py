@@ -25,7 +25,7 @@ _INT_KEYS = (
     "temperature_window_days", "pm25_window_days", "temperature_df", "pm25_df",
     "chains", "warmup", "draws", "curve_points", "surface_points", "seed",
 )
-_PRIOR_BLOCKS = ("temperature", "pm25", "interaction")
+_PRIOR_SD = {"temperature": 10.0, "pm25": 10.0, "interaction": 1.0}
 
 
 def _number(value) -> bool:
@@ -48,9 +48,7 @@ class AnalysisConfig:
     model_kind: str = "spline_linear"
     temperature_df: int = 3
     pm25_df: int = 3
-    prior_sd: dict = field(
-        default_factory=lambda: {"temperature": 10.0, "pm25": 10.0, "interaction": 1.0}
-    )
+    prior_sd: dict = field(default_factory=dict)
     chains: int = 4
     warmup: int = 1000
     draws: int = 1000
@@ -59,6 +57,10 @@ class AnalysisConfig:
     surface_points: int = 50
     seed: int | None = None
     output_dir: str = "run"
+
+    def __post_init__(self):
+        # a block that prior_sd leaves out keeps its default sd
+        self.prior_sd = {**_PRIOR_SD, **self.prior_sd}
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -94,8 +96,8 @@ class AnalysisConfig:
         if not isinstance(prior, dict):
             raise ConfigurationError(f"prior_sd must be an object, got {prior!r}")
         for name, sd in prior.items():
-            if name not in _PRIOR_BLOCKS:
-                raise ConfigurationError(f"prior_sd: unknown block {name!r} (known: {', '.join(_PRIOR_BLOCKS)})")
+            if name not in _PRIOR_SD:
+                raise ConfigurationError(f"prior_sd: unknown block {name!r} (known: {', '.join(_PRIOR_SD)})")
             if not (_number(sd) and math.isfinite(sd) and sd > 0):
                 raise ConfigurationError(f"prior_sd: {name} must be a positive finite number, got {sd!r}")
         kwargs = dict(raw)

@@ -1,12 +1,11 @@
 """Odds-ratio contrasts, additive interaction (RERI), curves, and surfaces.
 
 All contrasts are differences of linear predictors between two exposure
-scenarios for the same subject, exponentiated. For posterior fits every
-functional is computed per draw and then summarized (posterior mean,
-equal-tailed 95% interval from order statistics); in particular the RERI is
+scenarios for the same subject, exponentiated. Every functional is computed
+per posterior draw and then summarized (posterior mean, equal-tailed 95%
+interval from order statistics); in particular the RERI is
 OR11 - OR10 - OR01 + 1 evaluated draw by draw, never assembled from already
-summarized odds ratios. For MLE fits the point estimate is the plug-in and
-intervals are delta-method Wald intervals.
+summarized odds ratios.
 """
 
 from __future__ import annotations
@@ -28,14 +27,10 @@ __all__ = [
     "case_day_levels",
     "or_contrast",
     "reri",
-    "reri_from_or_draws",
     "mult_interaction",
     "response_curve",
     "risk_surface",
 ]
-
-Z975 = 1.959963984540054  # standard normal 97.5% point
-
 
 @dataclass(frozen=True)
 class ContrastLevels:
@@ -53,7 +48,7 @@ class EffectEstimate:
     name: str
     point: float
     interval: tuple[float, float]
-    per_draw: np.ndarray | None = None
+    per_draw: np.ndarray
     extrapolated: bool = False
 
 
@@ -86,14 +81,18 @@ def _extrapolates(model: ModelBasis, which: str, levels: ContrastLevels) -> bool
     return any(not (t_lo <= t <= t_hi and a_lo <= a <= a_hi) for t, a in _SCENARIOS[which](levels))
 
 
-def _contrast_row(model: ModelBasis, hi: tuple[float, float], lo: tuple[float, float]) -> np.ndarray:
-    return model.rows(hi[0], hi[1]) - model.rows(lo[0], lo[1])
+def _draws(fit: FitResult) -> np.ndarray:
+    """The fit's (draws, dim) posterior draws, which every effect summarizes."""
+    if fit.draws is None:
+        raise UnsupportedModelError(
+            "effects summarize posterior draws, and this fit has none: fit it with fit_bayes"
+        )
+    return fit.draws
 
 
 def _or_draws(fit: FitResult, model: ModelBasis, which: str, levels: ContrastLevels) -> np.ndarray:
     hi, lo = _SCENARIOS[which](levels)
-    row = _contrast_row(model, hi, lo)
-    return np.exp(fit.draws @ row)
+    return np.exp(_draws(fit) @ (model.rows(*hi) - model.rows(*lo)))
 
 
 # Columns of the per-draw OR array that one table job holds at once. A
@@ -135,15 +134,6 @@ def _summarize(name: str, per_draw: np.ndarray, extrapolated: bool) -> EffectEst
     )
 
 
-def _wald(name: str, log_point: float, log_se: float, extrapolated: bool) -> EffectEstimate:
-    return EffectEstimate(
-        name=name,
-        point=float(np.exp(log_point)),
-        interval=(float(np.exp(log_point - Z975 * log_se)), float(np.exp(log_point + Z975 * log_se))),
-        extrapolated=extrapolated,
-    )
-
-
 def or_contrast(
     fit: FitResult,
     model: ModelBasis,
@@ -155,44 +145,13 @@ def or_contrast(
     temperature, "11" raises both."""
     if which not in _SCENARIOS:
         raise ValueError(f"contrast must be one of 10, 01, 11; got {which!r}")
-    name = f"OR{which}"
-    flag = _extrapolates(model, which, levels)
-    if fit.mode == "bayes":
-        return _summarize(name, _or_draws(fit, model, which, levels), flag)
-    hi, lo = _SCENARIOS[which](levels)
-    row = _contrast_row(model, hi, lo)
-    log_or = float(row @ fit.point)
-    se = float(np.sqrt(row @ fit.covariance @ row)) if fit.covariance is not None else np.nan
-    return _wald(name, log_or, se, flag)
-
-
-def reri_from_or_draws(or10: np.ndarray, or01: np.ndarray, or11: np.ndarray) -> np.ndarray:
-    """Per-draw relative excess risk due to interaction."""
-    return or11 - or10 - or01 + 1.0
+    return _summarize(f"OR{which}", _or_draws(fit, model, which, levels), _extrapolates(model, which, levels))
 
 
 def reri(fit: FitResult, model: ModelBasis, levels: ContrastLevels) -> EffectEstimate:
     """Additive-scale interaction: OR11 - OR10 - OR01 + 1, per draw."""
-    flag = _extrapolates(model, "11", levels)
-    if fit.mode == "bayes":
-        per_draw = reri_from_or_draws(
-            _or_draws(fit, model, "10", levels),
-            _or_draws(fit, model, "01", levels),
-            _or_draws(fit, model, "11", levels),
-        )
-        return _summarize("RERI", per_draw, flag)
-    # delta method around the MLE: d RERI / d beta = sum_k sign_k OR_k c_k
-    rows = {w: _contrast_row(model, *_SCENARIOS[w](levels)) for w in ("10", "01", "11")}
-    ors = {w: float(np.exp(rows[w] @ fit.point)) for w in rows}
-    point = ors["11"] - ors["10"] - ors["01"] + 1.0
-    grad = ors["11"] * rows["11"] - ors["10"] * rows["10"] - ors["01"] * rows["01"]
-    se = float(np.sqrt(grad @ fit.covariance @ grad)) if fit.covariance is not None else np.nan
-    return EffectEstimate(
-        name="RERI",
-        point=point,
-        interval=(point - Z975 * se, point + Z975 * se),
-        extrapolated=flag,
-    )
+    or10, or01, or11 = (_or_draws(fit, model, w, levels) for w in ("10", "01", "11"))
+    return _summarize("RERI", or11 - or10 - or01 + 1.0, _extrapolates(model, "11", levels))
 
 
 def mult_interaction(fit: FitResult) -> EffectEstimate:
@@ -203,11 +162,7 @@ def mult_interaction(fit: FitResult) -> EffectEstimate:
             "multiplicative interaction summary requires a single product term, "
             f"got an interaction block of width {sl.stop - sl.start}"
         )
-    if fit.mode == "bayes":
-        return _summarize("mult_interaction", np.exp(fit.draws[:, sl.start]), False)
-    gamma = float(fit.point[sl.start])
-    se = float(np.sqrt(fit.covariance[sl.start, sl.start])) if fit.covariance is not None else np.nan
-    return _wald("mult_interaction", gamma, se, False)
+    return _summarize("mult_interaction", np.exp(_draws(fit)[:, sl.start]), False)
 
 
 def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tuple[float, float]):
@@ -216,29 +171,22 @@ def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tupl
     ``pairs_hi`` has shape (n, 2). Returns one plot-ready row per scenario,
     which carries the full (t, a) pair.
     """
+    draws = _draws(fit)
     rows = model.rows(pairs_hi[:, 0], pairs_hi[:, 1]) - model.rows(ref[0], ref[1])
-    if fit.mode == "bayes":
-        # The (draws, n) OR array is summarized CHUNK columns at a time, the
-        # chunks on a thread pool. numpy sums a (draws, 1) block pairwise but
-        # wider ones row by row, so a last chunk of one column joins the one
-        # before it: each column's mean then does not depend on where the
-        # chunks fall.
-        n = rows.shape[0]
-        edges = [*range(0, max(n - 1, 1), CHUNK), n]
+    # The (draws, n) OR array is summarized CHUNK columns at a time, the
+    # chunks on a thread pool. numpy sums a (draws, 1) block pairwise but
+    # wider ones row by row, so a last chunk of one column joins the one
+    # before it: each column's mean then does not depend on where the chunks
+    # fall.
+    n = rows.shape[0]
+    edges = [*range(0, max(n - 1, 1), CHUNK), n]
 
-        def chunk(columns):
-            log_or = fit.draws @ rows[columns].T
-            return _posterior_summary(np.exp(log_or, out=log_or))
+    def chunk(columns):
+        log_or = draws @ rows[columns].T
+        return _posterior_summary(np.exp(log_or, out=log_or))
 
-        chunks = ordered_map(chunk, map(slice, edges, edges[1:]))
-        summary = [np.concatenate(c) for c in zip(*chunks)]
-    else:
-        log_or = rows @ fit.point
-        if fit.covariance is not None:
-            se = np.sqrt(np.einsum("nd,de,ne->n", rows, fit.covariance, rows))
-        else:
-            se = np.full(rows.shape[0], np.nan)
-        summary = (np.exp(log_or), np.exp(log_or - Z975 * se), np.exp(log_or + Z975 * se))
+    chunks = ordered_map(chunk, map(slice, edges, edges[1:]))
+    summary = [np.concatenate(c) for c in zip(*chunks)]
     return [
         {"t": t, "a": a, "or": point, "lo95": lo, "hi95": hi}
         for (t, a), point, lo, hi in zip(pairs_hi.tolist(), *(x.tolist() for x in summary))

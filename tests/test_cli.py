@@ -7,20 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from casecross import mcmc
-from casecross.cli import (
-    EXIT_EMPTY_ANALYSIS,
-    EXIT_INPUT_ERROR,
-    EXIT_NONCONVERGENCE,
-    EXIT_OK,
-    main,
-)
-from casecross.config import AnalysisConfig
+from casecross.cli import EXIT_INPUT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, main
 from casecross.errors import ConvergenceError
-from casecross.pipeline import run
 
 
 def child_env() -> dict:

@@ -459,6 +459,16 @@ class TestConfig:
         assert cfg.season_months == (6, 9)
         assert verbatim == {"seed": 3}
 
+    def test_partial_prior_sd_keeps_default_blocks(self, tmp_path):
+        given = {"seed": 3, "prior_sd": {"temperature": 5.0}}
+        cfg, verbatim = load_config(self._write(tmp_path, given))
+        want = {"temperature": 5.0, "pm25": 10.0, "interaction": 1.0}
+        assert cfg.prior_sd == want
+        assert cfg.to_dict()["prior_sd"] == want    # the manifest's resolved_config
+        assert verbatim == given
+        # a config built in code keeps the defaults as well
+        assert AnalysisConfig(prior_sd={"pm25": 2.0}).prior_sd == {"temperature": 10.0, "pm25": 2.0, "interaction": 1.0}
+
     def test_unknown_keys_rejected(self, tmp_path):
         p = self._write(tmp_path, {"sede": 3})
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from casecross.clr import FitResult
+from casecross.clr import ConditionalLikelihood, FitResult, fit_mle
 from casecross.design import DayRecord, MatchedSet
 from casecross.effects import (
     CHUNK,
@@ -14,18 +14,20 @@ from casecross.effects import (
     mult_interaction,
     or_contrast,
     reri,
-    reri_from_or_draws,
     response_curve,
     risk_surface,
 )
 from casecross.errors import UnsupportedModelError
 from casecross.quantiles import type1_index
+from casecross.simulate import generate, linear_truth
 from casecross.splines import (
     LINEAR_INTERACTION,
     TENSOR_PRODUCT,
     BasisSpec,
     InteractionSpec,
     ModelBasis,
+    design_matrix,
+    fit_model_basis,
 )
 from per_day import rows_of
 
@@ -61,15 +63,18 @@ def bayes_fit(model, draws):
     )
 
 
-def mle_fit(model, point, cov_scale=1e-4):
-    point = np.asarray(point, dtype=float)
-    return FitResult(
-        mode="mle",
-        point=point,
-        labels=model.column_labels,
-        blocks=model.blocks,
-        covariance=np.eye(point.size) * cov_scale,
-    )
+def point_mass_fit(model, coefficients, n_draws=100):
+    """A posterior whose every draw row is ``coefficients``."""
+    return bayes_fit(model, np.tile(np.asarray(coefficients, dtype=float), (n_draws, 1)))
+
+
+def assert_point_mass(est, want, rel):
+    """Every draw of ``est`` is one value, close to ``want``; so are the
+    interval ends, which are draws, and the mean."""
+    assert np.all(est.per_draw == est.per_draw[0])
+    assert est.per_draw[0] == pytest.approx(want, rel=rel)
+    assert est.interval == (est.per_draw[0], est.per_draw[0])
+    assert est.point == pytest.approx(want, rel=rel)
 
 
 def _sets_with_case_values(temps, pms):
@@ -128,15 +133,14 @@ class TestOrContrast:
         est = or_contrast(fit, model, "01", same_a)
         assert np.all(est.per_draw == 1.0)
 
-    def test_known_slopes_closed_form_at_mle(self):
+    def test_known_slopes_closed_form_at_point_mass(self):
         model = linear_model()
         slope_t, slope_a = 0.07, 0.025
-        fit = mle_fit(model, [slope_t, slope_a, 0.0])
+        fit = point_mass_fit(model, [slope_t, slope_a, 0.0])
         est = or_contrast(fit, model, "10", LEVELS)
-        want = np.exp(slope_t * (LEVELS.t1 - LEVELS.t0))
-        assert est.point == pytest.approx(want, rel=1e-15)
+        assert_point_mass(est, np.exp(slope_t * (LEVELS.t1 - LEVELS.t0)), rel=1e-15)
         est01 = or_contrast(fit, model, "01", LEVELS)
-        assert est01.point == pytest.approx(np.exp(slope_a * (LEVELS.a1 - LEVELS.a0)), rel=1e-15)
+        assert_point_mass(est01, np.exp(slope_a * (LEVELS.a1 - LEVELS.a0)), rel=1e-15)
 
     def test_monotone_transform_consistency(self):
         # OR interval endpoints are exp of the log-OR interval endpoints
@@ -172,10 +176,6 @@ class TestOrContrast:
 
 
 class TestReri:
-    def test_direct_substitution(self):
-        got = reri_from_or_draws(np.array([2.0]), np.array([1.5]), np.array([3.0]))
-        assert got[0] == 0.5
-
     def test_null_model_zero(self):
         model = spline_model()
         fit = bayes_fit(model, np.zeros((300, model.dimension)))
@@ -211,10 +211,10 @@ class TestReri:
         want = (or10 - 1.0) * (or01 - 1.0)
         assert np.allclose(est.per_draw, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
-    def test_mle_plug_in(self):
+    def test_point_mass_plug_in(self):
         model = linear_model()
-        fit = mle_fit(model, [0.07, 0.025, 0.001])
-        est = reri(fit, model, LEVELS)
+        beta = np.array([0.07, 0.025, 0.001])
+        est = reri(point_mass_fit(model, beta), model, LEVELS)
         rows = {
             "10": (LEVELS.t1 - LEVELS.t0, 0.0, LEVELS.t1 * LEVELS.a0 - LEVELS.t0 * LEVELS.a0),
             "01": (0.0, LEVELS.a1 - LEVELS.a0, LEVELS.t0 * LEVELS.a1 - LEVELS.t0 * LEVELS.a0),
@@ -224,9 +224,8 @@ class TestReri:
                 LEVELS.t1 * LEVELS.a1 - LEVELS.t0 * LEVELS.a0,
             ),
         }
-        ors = {w: np.exp(np.dot(rows[w], fit.point)) for w in rows}
-        assert est.point == pytest.approx(ors["11"] - ors["10"] - ors["01"] + 1.0, rel=1e-12)
-        assert est.interval[0] <= est.point <= est.interval[1]
+        ors = {w: np.exp(np.dot(rows[w], beta)) for w in rows}
+        assert_point_mass(est, ors["11"] - ors["10"] - ors["01"] + 1.0, rel=1e-12)
 
 
 class TestMultInteraction:
@@ -251,34 +250,30 @@ class TestMultInteraction:
         with pytest.raises(UnsupportedModelError):
             mult_interaction(fit)
 
-    def test_wald_interval_recovers_known_gamma(self):
-        # synthetic fit with known gamma and its standard error
-        model = linear_model()
-        gamma, se = 0.003, 0.0008
-        fit = FitResult(
-            mode="mle",
-            point=np.array([0.05, 0.02, gamma]),
-            labels=model.column_labels,
-            blocks=model.blocks,
-            covariance=np.diag([1e-4, 1e-4, se**2]),
-        )
-        est = mult_interaction(fit)
-        assert est.point == pytest.approx(np.exp(gamma), rel=1e-12)
-        assert est.interval[0] < np.exp(gamma) < est.interval[1]
-        assert est.interval[0] == pytest.approx(np.exp(gamma - 1.959963984540054 * se), rel=1e-12)
 
-    def test_generating_gamma_inside_wald_interval(self):
-        from casecross.clr import ConditionalLikelihood, fit_mle
-        from casecross.simulate import generate, linear_truth
-        from casecross.splines import design_matrix, fit_model_basis
+@pytest.fixture(scope="module")
+def mle_fit_and_model():
+    data = generate(linear_truth(0.05, 0.02, 0.002, n_zones=10, seed=41), 500)
+    model = fit_model_basis(data.rows, "spline_linear", 1, 1)
+    lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
+    return fit_mle(lik), model
 
-        gamma = 0.002
-        truth = linear_truth(0.05, 0.02, gamma, n_zones=25, seed=41)
-        data = generate(truth, 5000)
-        model = fit_model_basis(data.rows, "spline_linear", 1, 1)
-        lik = ConditionalLikelihood.from_design_matrix(design_matrix(data.rows, model))
-        est = mult_interaction(fit_mle(lik))
-        assert est.interval[0] < np.exp(gamma) < est.interval[1]
+
+EFFECTS = {
+    "or_contrast": lambda fit, model: or_contrast(fit, model, "10", LEVELS),
+    "reri": lambda fit, model: reri(fit, model, LEVELS),
+    "mult_interaction": lambda fit, model: mult_interaction(fit),
+    "response_curve": lambda fit, model: response_curve(fit, model, "pm25", 28.0, [4.0, 8.0], 8.0),
+    "risk_surface": lambda fit, model: risk_surface(fit, model, [22.0, 31.0], [7.0, 14.0], (25.0, 8.0)),
+}
+
+
+@pytest.mark.parametrize("effect", sorted(EFFECTS))
+def test_fit_without_draws_is_refused(mle_fit_and_model, effect):
+    fit, model = mle_fit_and_model
+    assert fit.draws is None
+    with pytest.raises(UnsupportedModelError, match="posterior draws.*fit_bayes"):
+        EFFECTS[effect](fit, model)
 
 
 class TestTables:

@@ -1,12 +1,16 @@
 """Every exported name resolves: a name deleted from a module must leave
-its ``__all__`` too."""
+its ``__all__`` too. No module imports a name it does not use."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import casecross
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULES = ["casecross"] + [
     f"casecross.{m.name}" for m in pkgutil.iter_modules(casecross.__path__) if m.name != "__main__"
@@ -25,3 +29,29 @@ def test_star_import_binds_linkers():
     namespace = {}
     exec("from casecross import *", namespace)
     assert {"link_pm25", "link_temperature"} <= namespace.keys()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads as an ``ast.Name``, leaving out
+    ``__future__`` imports and the names its ``__all__`` re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_no_unused_imports():
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for folder in ("src/casecross", "tests", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if (names := _unused_imports(path))
+    }
+    assert unused == {}
