@@ -9,8 +9,8 @@
 
 import numpy as np
 
-from casecross import eval_interaction, eval_natural_cubic, fit_knots
-from casecross.splines import LINEAR_INTERACTION, TENSOR_PRODUCT, InteractionSpec
+from casecross import ModelBasis, eval_natural_cubic, fit_knots
+from casecross.splines import LINEAR_INTERACTION, TENSOR_PRODUCT
 
 rng = np.random.default_rng(3)
 
@@ -49,12 +49,15 @@ print("=" * 60)
 print("3. Interaction blocks")
 print("=" * 60)
 
-linear = InteractionSpec(LINEAR_INTERACTION)
-print(f"\nlinear interaction at (t=31.5, a=9.25): {eval_interaction(linear, 31.5, 9.25)}")
-
+# the interaction block is the last block of a model's design row
 pm_spec = fit_knots(rng.gamma(5.0, 2.0, size=2000), df=3)
-tensor = InteractionSpec(TENSOR_PRODUCT, t_basis=spec, a_basis=pm_spec)
-vals = eval_interaction(tensor, 31.5, 9.25)
-print(f"tensor interaction dimension: {tensor.df}")
+linear = ModelBasis(spec, pm_spec, LINEAR_INTERACTION)
+inter = dict(linear.blocks)["interaction"]
+print(f"\nlinear interaction at (t=31.5, a=9.25): {linear.rows(31.5, 9.25)[inter]}")
+
+tensor = ModelBasis(spec, pm_spec, TENSOR_PRODUCT)
+inter = dict(tensor.blocks)["interaction"]
+vals = tensor.rows(31.5, 9.25)[inter]
+print(f"tensor interaction dimension: {inter.stop - inter.start}")
 print("tensor values (outer product of marginal bases, row-major):")
 print("  ", np.array2string(vals.reshape(3, 3), precision=3))

@@ -59,10 +59,8 @@ from .simulate import TruthSpec, brute_force_set_probability, generate, linear_t
 from .splines import (
     BasisSpec,
     DesignMatrix,
-    InteractionSpec,
     ModelBasis,
     design_matrix,
-    eval_interaction,
     eval_natural_cubic,
     fit_knots,
     fit_model_basis,
@@ -84,7 +82,6 @@ __all__ = [
     "EffectEstimate",
     "EmptyAnalysisError",
     "FitResult",
-    "InteractionSpec",
     "MatchedRows",
     "MatchedSet",
     "ModelBasis",
@@ -100,7 +97,6 @@ __all__ = [
     "build_matched_sets",
     "case_day_levels",
     "design_matrix",
-    "eval_interaction",
     "eval_natural_cubic",
     "fit_bayes",
     "fit_knots",

@@ -26,7 +26,7 @@ from .errors import (
     EmptyAnalysisError,
     SeparationError,
 )
-from .pipeline import run
+from .pipeline import STAGES, run
 from .simulate import generate, linear_truth
 
 EXIT_OK = 0
@@ -89,6 +89,9 @@ def _apply_overrides(cfg: AnalysisConfig, args) -> AnalysisConfig:
 def _cmd_pipeline(args, upto: str) -> int:
     cfg, verbatim = load_config(args.config)
     cfg = _apply_overrides(cfg, args)
+    problems = validate_config(cfg, need_seed=upto in STAGES[2:])
+    if problems:    # run refuses them too, but knows no config file to name
+        raise ConfigurationError(f"{args.config}: invalid configuration: " + "; ".join(problems))
     artifacts = run(cfg, verbatim, upto=upto)
     if not artifacts.converged:
         return EXIT_NONCONVERGENCE
@@ -99,7 +102,7 @@ def _cmd_validate(args) -> int:
     cfg, _ = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    problems = validate_config(cfg, need_seed=True)
+    problems = [f"{args.config}: {p}" for p in validate_config(cfg, need_seed=True)]
     if not problems:    # every input parses as the pipeline reads it
         for read, path in ((io.read_events, cfg.events), (io.read_grid_cells, cfg.grid),
                            (io.read_zones, cfg.zones), (io.read_membership, cfg.membership),

@@ -69,6 +69,7 @@ Newton's tolerance, its separation bound, its ridge and its linear algebra.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -78,7 +79,7 @@ import numpy as np
 from . import mcmc
 from .errors import ConvergenceError, SeparationError
 from .parallel import ordered_map
-from .splines import DesignMatrix
+from .splines import LINEAR_INTERACTION, DesignMatrix
 
 __all__ = [
     "ConditionalLikelihood",
@@ -434,23 +435,14 @@ class BayesDiagnostics:
 
 @dataclass
 class FitResult:
-    """A fitted model: an MLE with covariance, or posterior draws."""
+    """A fitted model: an MLE (``draws`` is None) or posterior draws."""
 
-    mode: str                                  # "mle" | "bayes"
     point: np.ndarray                          # MLE or posterior mean
+    sd: np.ndarray                             # MLE standard error or posterior sd
     labels: tuple[str, ...] | None
     blocks: tuple[tuple[str, slice], ...] | None
-    covariance: np.ndarray | None = None       # mle only
-    draws: np.ndarray | None = None            # (S, dim), bayes only
+    draws: np.ndarray | None = None            # (S, dim), posterior only
     diagnostics: MleDiagnostics | BayesDiagnostics | None = None
-
-    @property
-    def sd(self) -> np.ndarray:
-        if self.mode == "mle":
-            if self.covariance is None:
-                return np.full_like(self.point, np.nan)
-            return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
-        return self.draws.std(axis=0, ddof=1)
 
     def block_slice(self, name: str) -> slice:
         if not self.blocks:
@@ -473,11 +465,9 @@ class PriorSpec:
     default_sd: float = 10.0
 
     def __post_init__(self):
-        for name, s in self.sd.items():
-            if s <= 0:
-                raise ValueError(f"prior sd for block {name!r} must be positive")
-        if self.default_sd <= 0:
-            raise ValueError("default prior sd must be positive")
+        for name, s in (*self.sd.items(), ("default_sd", self.default_sd)):
+            if not (math.isfinite(s) and s > 0):
+                raise ValueError(f"prior sd {name!r} must be a positive finite number, got {s!r}")
 
     def column_sds(self, lik: ConditionalLikelihood) -> np.ndarray:
         out = np.full(lik.dimension, self.default_sd)
@@ -488,9 +478,10 @@ class PriorSpec:
 
     @classmethod
     def for_model(cls, interaction_kind: str) -> "PriorSpec":
-        """Defaults: sd 10 on spline blocks; sd 1 on a single product-term
-        coefficient, whose covariate has much larger scale."""
-        inter_sd = 1.0 if interaction_kind == "linear_interaction" else 10.0
+        """The default prior, which configs fill their blocks from: sd 10 on
+        spline blocks; sd 1 on a single product-term coefficient, whose
+        covariate has much larger scale."""
+        inter_sd = 1.0 if interaction_kind == LINEAR_INTERACTION else 10.0
         return cls(sd={"temperature": 10.0, "pm25": 10.0, "interaction": inter_sd})
 
 
@@ -618,23 +609,17 @@ def fit_mle(lik: ConditionalLikelihood) -> FitResult:
     """Maximum likelihood via Newton iteration with step halving.
 
     Convergence is gradient sup-norm <= ``TOLERANCE`` in fit units; the
-    covariance is the inverse observed information, back-transformed to the
-    original scale.
+    standard errors are the square roots of the diagonal of the inverse
+    observed information, back-transformed to the original scale, and NaN
+    at zero information.
     """
     scale = lik.scale
     beta_std, cov_std, diag = _newton(lik)
-    point = beta_std / scale
-    cov = None
-    if cov_std is not None:
-        cov = cov_std / np.outer(scale, scale)
-    return FitResult(
-        mode="mle",
-        point=point,
-        labels=lik.labels,
-        blocks=lik.blocks,
-        covariance=cov,
-        diagnostics=diag,
-    )
+    if cov_std is None:
+        sd = np.full(lik.dimension, np.nan)
+    else:
+        sd = np.sqrt(np.clip(np.diag(cov_std / np.outer(scale, scale)), 0.0, None))
+    return FitResult(beta_std / scale, sd, lik.labels, lik.blocks, diagnostics=diag)
 
 
 def fit_bayes(
@@ -655,8 +640,8 @@ def fit_bayes(
     seeds and configs are bit-identical, whatever the number of threads.
     ``log_post_evals`` counts the points scored, chains x (warmup + draws +
     1), and the Pareto k-hat is that of the kept proposals' weights.
-    Non-convergence (any split-Rhat above 1.05) and a k-hat above 0.7 are
-    recorded on the diagnostics and logged as warnings, not raised.
+    Non-convergence (any split-Rhat above ``RHAT_WARN``) and a k-hat above
+    0.7 are recorded on the diagnostics and logged as warnings, not raised.
     """
     start = time.perf_counter()
     scale = lik.scale
@@ -711,10 +696,5 @@ def fit_bayes(
             diag.pareto_k, mcmc.PARETO_K_WARN,
         )
     return FitResult(
-        mode="bayes",
-        point=draws.mean(axis=0),
-        labels=lik.labels,
-        blocks=lik.blocks,
-        draws=draws,
-        diagnostics=diag,
+        draws.mean(axis=0), draws.std(axis=0, ddof=1), lik.labels, lik.blocks, draws=draws, diagnostics=diag,
     )

@@ -13,19 +13,24 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .clr import PriorSpec
 from .errors import ConfigurationError
 from .io import open_input
+from .splines import MODEL_KINDS
 
 __all__ = ["AnalysisConfig", "load_config", "validate_config"]
-
-MODEL_KINDS = ("spline_linear", "spline_tensor")
 
 _INPUT_KEYS = ("events", "grid", "zones", "membership", "temperature_field", "pm25_field")
 _INT_KEYS = (
     "temperature_window_days", "pm25_window_days", "temperature_df", "pm25_df",
     "chains", "warmup", "draws", "curve_points", "surface_points", "seed",
 )
-_PRIOR_SD = {"temperature": 10.0, "pm25": 10.0, "interaction": 1.0}
+
+
+def _default_prior_sd(model_kind) -> dict:
+    """The default prior sd of each block for ``model_kind``; an unknown kind
+    is left for ``validate_config`` to report."""
+    return dict(PriorSpec.for_model(MODEL_KINDS.get(model_kind)).sd)
 
 
 def _number(value) -> bool:
@@ -59,8 +64,8 @@ class AnalysisConfig:
     output_dir: str = "run"
 
     def __post_init__(self):
-        # a block that prior_sd leaves out keeps its default sd
-        self.prior_sd = {**_PRIOR_SD, **self.prior_sd}
+        # a block that prior_sd leaves out keeps its model's default sd
+        self.prior_sd = {**_default_prior_sd(self.model_kind), **self.prior_sd}
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -95,9 +100,10 @@ class AnalysisConfig:
         prior = raw.get("prior_sd", {})
         if not isinstance(prior, dict):
             raise ConfigurationError(f"prior_sd must be an object, got {prior!r}")
+        blocks = _default_prior_sd(raw.get("model_kind"))
         for name, sd in prior.items():
-            if name not in _PRIOR_SD:
-                raise ConfigurationError(f"prior_sd: unknown block {name!r} (known: {', '.join(_PRIOR_SD)})")
+            if name not in blocks:
+                raise ConfigurationError(f"prior_sd: unknown block {name!r} (known: {', '.join(blocks)})")
             if not (_number(sd) and math.isfinite(sd) and sd > 0):
                 raise ConfigurationError(f"prior_sd: {name} must be a positive finite number, got {sd!r}")
         kwargs = dict(raw)
@@ -152,7 +158,7 @@ def validate_config(cfg: AnalysisConfig, need_seed: bool = False, check_files: b
     if not 0.0 < cfg.trim_quantile <= 1.0:
         problems.append(f"trim_quantile {cfg.trim_quantile} must be in (0, 1]")
     if cfg.model_kind not in MODEL_KINDS:
-        problems.append(f"model_kind {cfg.model_kind!r} must be one of {MODEL_KINDS}")
+        problems.append(f"model_kind {cfg.model_kind!r} must be one of {tuple(MODEL_KINDS)}")
     if cfg.temperature_df < 1 or cfg.pm25_df < 1:
         problems.append("spline df must be at least 1")
     if cfg.chains < 2:

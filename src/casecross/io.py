@@ -14,9 +14,9 @@ pattern, so 0.0 and -0.0 keep their own text); an ID that holds a delimiter,
 quote or line break is formatted by ``csv.writer`` itself, so its quoting
 stays the writer's own. The drop log, coefficients and contrasts go through
 ``csv.writer``. Readers decode every file as UTF-8 and name the file and line
-of a byte that is not UTF-8, of a value they cannot parse, of a coordinate out
-of range or NaN, of a repeated id, key or membership pair, and of a non-finite
-field value.
+of a byte that is not UTF-8, of a row csv cannot parse, of a value they cannot
+parse, of a coordinate out of range or NaN, of a repeated id, key or
+membership pair, and of a non-finite field value.
 
 A daily field is read, chunk by chunk, into a ``DailyTable``; events, grid
 cells, zones and membership into columns, as ``exposure`` takes them. Each
@@ -73,12 +73,17 @@ _NEEDS_WRITER = re.compile('[,"\r\n]').search    # text csv.writer may quote
 
 @contextmanager
 def open_input(path):
-    """``path`` open for reading as UTF-8 text. A byte that is not UTF-8
-    raises ``ConfigurationError`` naming its line: the ``\\n`` bytes before it
-    in the raw file, plus one."""
+    """``path`` open for reading as UTF-8 text. A path that cannot be opened,
+    such as a directory, raises ``ConfigurationError`` naming it, and a byte
+    that is not UTF-8 one naming its line: the ``\\n`` bytes before it in the
+    raw file, plus one."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        handle = path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot open: {exc.strerror}") from None
+    try:
+        with handle:
             yield handle
     except UnicodeDecodeError:
         raw = path.read_bytes()    # the decoder's own offset counts from its last block
@@ -97,18 +102,24 @@ def _chunks(path, expected: list[str]):
         raise ConfigurationError(f"input file not found: {path}")
     with open_input(path) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != expected:
-            raise ConfigurationError(f"{path}: expected header {expected}, got {header}")
-        while chunk := list(islice(reader, 8192)):
-            yield chunk
+        try:
+            header = next(reader, None)
+            if header != expected:
+                raise ConfigurationError(f"{path}: expected header {expected}, got {header}")
+            while chunk := list(islice(reader, 8192)):
+                yield chunk
+        except csv.Error as exc:    # such as a quoted field past csv's size limit
+            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _line(path, index: int) -> int:
     """The file line on which data row ``index`` ends."""
     with open_input(path) as handle:
         reader = csv.reader(handle)
-        next(islice(reader, index + 1, None))     # the header, then rows 0 to index
+        try:
+            next(islice(reader, index + 1, None))     # the header, then rows 0 to index
+        except csv.Error as exc:
+            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
         return reader.line_num
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .clr import ConditionalLikelihood, FitResult, PriorSpec, SamplerConfig, fit_bayes, fit_mle
+from .clr import RHAT_WARN, ConditionalLikelihood, FitResult, PriorSpec, SamplerConfig, fit_bayes, fit_mle
 from .config import AnalysisConfig, validate_config
 from .design import apply_trimming, build_matched_sets
 from .effects import case_day_levels, mult_interaction, or_contrast, reri, response_curve, risk_surface
@@ -45,7 +45,8 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
     Raises ``ConfigurationError`` for invalid configs or inputs,
     ``EmptyAnalysisError`` when nothing survives trimming, and
     ``SeparationError`` for unbounded likelihoods. A sampler that finishes
-    with any split-Rhat above 1.05 is reported via ``converged=False``.
+    with any split-Rhat above ``clr.RHAT_WARN`` is reported via
+    ``converged=False``.
     """
     if upto not in STAGES:
         raise ConfigurationError(f"unknown stage {upto!r}")
@@ -124,7 +125,7 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         or_contrast(fit, model, "11", levels),
         reri(fit, model, levels),
     ]
-    if model.interaction.kind == LINEAR_INTERACTION:
+    if model.interaction == LINEAR_INTERACTION:
         contrasts.append(mult_interaction(fit))
     io.write_contrasts(out / "contrasts.csv", contrasts)
 
@@ -180,7 +181,7 @@ def _write_manifest(cfg, verbatim, artifacts, threshold=None, model=None, levels
                 "interior_knots": list(model.pm25.interior_knots),
                 "boundary_knots": list(model.pm25.boundary_knots),
             },
-            "interaction": model.interaction.kind,
+            "interaction": model.interaction,
         }
     if levels is not None:
         payload["contrast_levels"] = {
@@ -201,7 +202,7 @@ def _write_diagnostics(path, labels, mle, fit):
     lines.append("")
     lines.append("== posterior sampling ==")
     b = fit.diagnostics
-    lines.append(f"converged (all rhat <= 1.05): {b.converged}")
+    lines.append(f"converged (all rhat <= {RHAT_WARN}): {b.converged}")
     lines.append(f"acceptance_rate: {float(b.acceptance_rate)!r}")
     lines.append(f"pareto_k: {float(b.pareto_k)!r}")
     lines.append(f"log_post_evals: {b.log_post_evals}")

@@ -12,8 +12,8 @@ everywhere, and exactly linear outside the boundary knots (second derivative
 zero at and beyond them). The intercept is omitted: conditional-likelihood
 models identify coefficients only through within-set contrasts.
 
-Interaction bases are either the single product t*a or the row-major outer
-product of two marginal natural cubic bases (tensor product).
+The interaction block is either the single product t*a or the row-major
+outer product of the two marginal bases (tensor product).
 """
 
 from __future__ import annotations
@@ -29,19 +29,20 @@ from .quantiles import type1_index
 __all__ = [
     "LINEAR_INTERACTION",
     "TENSOR_PRODUCT",
+    "MODEL_KINDS",
     "BasisSpec",
-    "InteractionSpec",
     "ModelBasis",
     "DesignMatrix",
     "fit_knots",
     "eval_natural_cubic",
-    "eval_interaction",
     "fit_model_basis",
     "design_matrix",
 ]
 
 LINEAR_INTERACTION = "linear_interaction"
 TENSOR_PRODUCT = "tensor_product"
+# the interaction kind of each model_kind
+MODEL_KINDS = {"spline_linear": LINEAR_INTERACTION, "spline_tensor": TENSOR_PRODUCT}
 
 
 @dataclass(frozen=True)
@@ -125,75 +126,48 @@ def _tp_ratio(x, knot, upper):
 
 
 @dataclass(frozen=True)
-class InteractionSpec:
-    """Interaction basis: a single product term or a tensor product."""
-
-    kind: str
-    t_basis: BasisSpec | None = None
-    a_basis: BasisSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in (LINEAR_INTERACTION, TENSOR_PRODUCT):
-            raise ConfigurationError(f"unknown interaction kind {self.kind!r}")
-        if self.kind == TENSOR_PRODUCT and (self.t_basis is None or self.a_basis is None):
-            raise ConfigurationError("tensor interaction needs both marginal bases")
-
-    @property
-    def df(self) -> int:
-        if self.kind == LINEAR_INTERACTION:
-            return 1
-        return self.t_basis.df * self.a_basis.df
-
-
-def eval_interaction(spec: InteractionSpec, t, a) -> np.ndarray:
-    """Evaluate the interaction block at (t, a); shapes broadcast.
-
-    For the tensor product the output is the outer product of the marginal
-    basis vectors flattened row-major (t-index major, a-index minor).
-    """
-    t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if spec.kind == LINEAR_INTERACTION:
-        return (t * a)[..., np.newaxis]
-    bt = eval_natural_cubic(spec.t_basis, t)
-    ba = eval_natural_cubic(spec.a_basis, a)
-    outer = bt[..., :, np.newaxis] * ba[..., np.newaxis, :]
-    return outer.reshape(outer.shape[:-2] + (spec.df,))
-
-
-@dataclass(frozen=True)
 class ModelBasis:
-    """The full covariate map (t, a) -> design row for one model kind."""
+    """The full covariate map (t, a) -> design row for one model kind.
+
+    ``interaction`` is ``LINEAR_INTERACTION``, the single product t*a, or
+    ``TENSOR_PRODUCT``, the outer product of the two marginal bases flattened
+    row-major (t-index major, a-index minor).
+    """
 
     temperature: BasisSpec
     pm25: BasisSpec
-    interaction: InteractionSpec
+    interaction: str
+
+    def __post_init__(self):
+        if self.interaction not in MODEL_KINDS.values():
+            raise ConfigurationError(f"unknown interaction kind {self.interaction!r}")
 
     @property
     def dimension(self) -> int:
-        return self.temperature.df + self.pm25.df + self.interaction.df
+        return self.blocks[-1][1].stop
 
     @property
     def column_labels(self) -> tuple[str, ...]:
         labels = [f"temp_s{i + 1}" for i in range(self.temperature.df)]
         labels += [f"pm25_s{i + 1}" for i in range(self.pm25.df)]
-        if self.interaction.kind == LINEAR_INTERACTION:
+        if self.interaction == LINEAR_INTERACTION:
             labels.append("inter_ta")
         else:
             labels += [
                 f"inter_t{i + 1}a{j + 1}"
-                for i in range(self.interaction.t_basis.df)
-                for j in range(self.interaction.a_basis.df)
+                for i in range(self.temperature.df)
+                for j in range(self.pm25.df)
             ]
         return tuple(labels)
 
     @property
     def blocks(self) -> tuple[tuple[str, slice], ...]:
         p, q = self.temperature.df, self.pm25.df
+        r = 1 if self.interaction == LINEAR_INTERACTION else p * q
         return (
             ("temperature", slice(0, p)),
             ("pm25", slice(p, p + q)),
-            ("interaction", slice(p + q, p + q + self.interaction.df)),
+            ("interaction", slice(p + q, p + q + r)),
         )
 
     def rows(self, t, a) -> np.ndarray:
@@ -201,14 +175,14 @@ class ModelBasis:
         t = np.asarray(t, dtype=float)
         a = np.asarray(a, dtype=float)
         t, a = np.broadcast_arrays(t, a)
-        return np.concatenate(
-            [
-                eval_natural_cubic(self.temperature, t),
-                eval_natural_cubic(self.pm25, a),
-                eval_interaction(self.interaction, t, a),
-            ],
-            axis=-1,
-        )
+        bt = eval_natural_cubic(self.temperature, t)
+        ba = eval_natural_cubic(self.pm25, a)
+        if self.interaction == LINEAR_INTERACTION:
+            inter = (t * a)[..., np.newaxis]
+        else:
+            outer = bt[..., :, np.newaxis] * ba[..., np.newaxis, :]
+            inter = outer.reshape(t.shape + (self.temperature.df * self.pm25.df,))
+        return np.concatenate([bt, ba, inter], axis=-1)
 
 
 def fit_model_basis(
@@ -219,21 +193,17 @@ def fit_model_basis(
 ) -> ModelBasis:
     """Fit knots on the pooled (case and control) day values of the table.
 
-    ``kind`` is ``spline_linear`` (splines plus a single product interaction)
-    or ``spline_tensor`` (splines plus a tensor-product interaction sharing
-    the marginal knots).
+    ``kind`` is a key of ``MODEL_KINDS``: ``spline_linear`` (splines plus a
+    single product interaction) or ``spline_tensor`` (splines plus a
+    tensor-product interaction of the two marginal bases).
     """
+    if kind not in MODEL_KINDS:
+        raise ConfigurationError(f"unknown model kind {kind!r}")
     if not rows.temperature.size:
         raise DegenerateDataError("no rows to fit knots on")
     t_spec = fit_knots(rows.temperature, temperature_df)
     a_spec = fit_knots(rows.pm25_window, pm25_df)
-    if kind == "spline_linear":
-        inter = InteractionSpec(LINEAR_INTERACTION)
-    elif kind == "spline_tensor":
-        inter = InteractionSpec(TENSOR_PRODUCT, t_basis=t_spec, a_basis=a_spec)
-    else:
-        raise ConfigurationError(f"unknown model kind {kind!r}")
-    return ModelBasis(t_spec, a_spec, inter)
+    return ModelBasis(t_spec, a_spec, MODEL_KINDS[kind])
 
 
 @dataclass

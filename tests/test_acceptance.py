@@ -28,7 +28,6 @@ from casecross.effects import ContrastLevels, or_contrast, reri
 from casecross.simulate import brute_force_set_probability, generate, linear_truth
 from casecross.splines import (
     BasisSpec,
-    InteractionSpec,
     LINEAR_INTERACTION,
     ModelBasis,
     design_matrix,
@@ -167,7 +166,7 @@ def test_06_reri_identities():
     with criterion(6, "RERI identities", 60.0):
         t_spec = BasisSpec(1, (), (10.0, 45.0))
         a_spec = BasisSpec(1, (), (0.0, 25.0))
-        model = ModelBasis(t_spec, a_spec, InteractionSpec(LINEAR_INTERACTION))
+        model = ModelBasis(t_spec, a_spec, LINEAR_INTERACTION)
         levels = ContrastLevels(t0=25.0, t1=35.0, a0=8.0, a1=16.0, provenance="user")
         rng = np.random.default_rng(606)
 
@@ -177,7 +176,7 @@ def test_06_reri_identities():
         draws = np.column_stack(
             [rng.normal(0.05, 0.02, 2000), rng.normal(0.02, 0.02, 2000), rng.normal(0.0, 0.002, 2000)]
         )
-        fit = FitResult("bayes", draws.mean(axis=0), model.column_labels, model.blocks, draws=draws)
+        fit = FitResult(draws.mean(axis=0), draws.std(axis=0, ddof=1), model.column_labels, model.blocks, draws=draws)
         or10 = or_contrast(fit, model, "10", levels).per_draw
         or01 = or_contrast(fit, model, "01", levels).per_draw
         or11 = or_contrast(fit, model, "11", levels).per_draw
@@ -188,7 +187,8 @@ def test_06_reri_identities():
         null_draws = draws.copy()
         null_draws[:, 2] = 0.0
         fit0 = FitResult(
-            "bayes", null_draws.mean(axis=0), model.column_labels, model.blocks, draws=null_draws
+            null_draws.mean(axis=0), null_draws.std(axis=0, ddof=1), model.column_labels, model.blocks,
+            draws=null_draws,
         )
         r10 = or_contrast(fit0, model, "10", levels).per_draw
         r01 = or_contrast(fit0, model, "01", levels).per_draw
@@ -200,7 +200,7 @@ def test_06_reri_identities():
 
         # null coefficients: every OR is one and the RERI is zero, exactly
         zero = FitResult(
-            "bayes", np.zeros(3), model.column_labels, model.blocks, draws=np.zeros((500, 3))
+            np.zeros(3), np.zeros(3), model.column_labels, model.blocks, draws=np.zeros((500, 3))
         )
         for which in ("10", "01", "11"):
             assert np.all(or_contrast(zero, model, which, levels).per_draw == 1.0)

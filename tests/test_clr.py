@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,7 +172,7 @@ class TestFitMle:
         fit = fit_mle(lik)
         assert np.array_equal(fit.point, np.zeros(2))
         assert fit.diagnostics.zero_information
-        assert fit.covariance is None
+        assert np.isnan(fit.sd).all()
 
     def test_perfect_separation_raises_with_block(self):
         sets = [(np.array([1.0, 0.3]), np.array([[0.0, 0.3]]))] * 4
@@ -357,3 +358,8 @@ class TestFitBayes:
     def test_prior_spec_validation(self):
         with pytest.raises(ValueError):
             PriorSpec(sd={"temperature": -1.0})
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="positive finite"):
+                PriorSpec(sd={"temperature": bad})
+            with pytest.raises(ValueError, match="positive finite"):
+                PriorSpec(default_sd=bad)

@@ -1,17 +1,22 @@
 import csv
 import json
 import math
+import re
+import shutil
 import struct
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casecross import io
-from casecross.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from casecross.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
+from casecross.clr import PriorSpec
 from casecross.config import AnalysisConfig, load_config, validate_config
 from casecross.design import DroppedEvent, MatchedRows
 from casecross.errors import ConfigurationError
@@ -365,6 +370,33 @@ class TestReaderChecks:
         assert main(["-q", command, "--config", str(cfg)]) == EXIT_INPUT_ERROR
         assert f"{cfg}:1: byte 0xe9 is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["match", "validate"])
+    @pytest.mark.parametrize("file", [
+        "events.csv", "grid.csv", "zones.csv", "membership.csv", "temperature_field.csv", "pm25_field.csv",
+    ])
+    def test_stray_quote_past_the_field_limit(self, tmp_path, capsys, command, file):
+        # the quote on line 3 opens a field that swallows the rest of the
+        # file, and passes csv's 131,072-character limit on line 4
+        data, cfg = _dataset(tmp_path)
+        lines = (data / file).read_text().split("\n")
+        lines[2] = '"' + lines[2]
+        lines.insert(3, "x" * 140_000)
+        (data / file).write_text("\n".join(lines))
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:4", "field larger than field limit")
+
+    @pytest.mark.parametrize("command", ["match", "validate"])
+    def test_input_path_is_a_directory(self, tmp_path, capsys, command):
+        data, cfg = _dataset(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["zones"] = str(data)
+        cfg.write_text(json.dumps(payload))
+        self._exits_2_naming(capsys, cfg, command, str(data), "cannot open")
+
+    @pytest.mark.parametrize("command", ["match", "validate"])
+    def test_config_path_is_a_directory(self, tmp_path, capsys, command):
+        assert main(["-q", command, "--config", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert f"{tmp_path}: cannot open" in capsys.readouterr().err
+
     def test_validate_parses_every_value(self, tmp_path, capsys):
         data, cfg = _dataset(tmp_path)
 
@@ -385,6 +417,84 @@ class TestReaderChecks:
         _edit(data / "pm25_field.csv", edit)
         assert main(["-q", "link", "--config", str(cfg)]) == EXIT_INPUT_ERROR
         assert "negative pm25 value -1.5" in capsys.readouterr().err
+
+
+_INPUTS = ("events", "grid", "zones", "membership", "temperature_field", "pm25_field")
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_BAD = {
+    "bad_number": ("abc", "1.2.3", "", "nan", "-inf", "1e999", "0x1f"),
+    "bad_date": ("2012-02-30", "2012-13-01", "12/07/2012", "2012-7-1", "", "2012-07-01T12"),
+}
+_BREAKS = ("truncate", "repeat", "stray_quote", "empty", *_BAD)
+
+
+def _broken(text: str, kind: str, at: int, where: int, token: int, long: bool) -> str:
+    """``text`` with one breakage of ``kind``. ``at`` picks the line, or the
+    number or date to replace with the ``token``-th bad one; ``where`` picks
+    the place in the line where a truncation cuts or a stray quote goes. A
+    ``long`` stray quote is followed by a line of more than 128 KiB."""
+    if kind == "empty":
+        return ""
+    if kind in _BAD:
+        spans = [m.span() for m in (_NUMBER if kind == "bad_number" else _DATE).finditer(text)]
+        if not spans:
+            return text
+        lo, hi = spans[at % len(spans)]
+        return text[:lo] + _BAD[kind][token % len(_BAD[kind])] + text[hi:]
+    lines = text.split("\n")
+    i = at % len(lines)
+    k = where % (len(lines[i]) + 1)
+    if kind == "truncate":
+        lines[i] = lines[i][:k]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i][:k] + '"' + lines[i][k:]
+        if long:
+            lines.insert(i + 1, "x" * 140_000)
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def clean_data(tmp_path_factory):
+    return _dataset(tmp_path_factory.mktemp("clean"))[0]
+
+
+class TestMalformedInputs:
+    """One breakage of one input file or of the config: ``validate`` and
+    ``match`` each exit 0, or exit 2 with a message naming the broken file,
+    and never end in a traceback. A break that leaves a file csv reads, but
+    in which no event keeps both exposures (a quote that opens a field
+    holding the rest of ``membership.csv``), empties ``match``'s analysis:
+    exit 3, the code for that."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(
+        name=st.sampled_from((*_INPUTS, "config")), kind=st.sampled_from(_BREAKS),
+        at=st.integers(0, 10_000), where=st.integers(0, 100), token=st.integers(0, 10), long=st.booleans(),
+    )
+    @example(name="events", kind="stray_quote", at=5, where=8, token=0, long=True)
+    def test_exit_0_or_2_naming_the_file(self, tmp_path_factory, clean_data, name, kind, at, where, token, long):
+        case = tmp_path_factory.mktemp("case")
+        paths = {key: case / f"{key}.csv" for key in _INPUTS}
+        for key, path in paths.items():
+            shutil.copy(clean_data / f"{key}.csv", path)
+        cfg = case / "cfg.json"
+        payload = AnalysisConfig(**{k: str(p) for k, p in paths.items()}, seed=1, output_dir=str(case / "out"))
+        cfg.write_text(json.dumps(payload.to_dict(), indent=2))
+        broken = paths.get(name, cfg)
+        broken.write_text(_broken(broken.read_text(), kind, at, where, token, long))
+        for command in ("validate", "match"):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["-q", command, "--config", str(cfg)])
+            message = out.getvalue() + err.getvalue()
+            if code == EXIT_EMPTY_ANALYSIS and command == "match":
+                assert "no events survived" in message
+                continue
+            assert code in (EXIT_OK, EXIT_INPUT_ERROR), message
+            assert code == EXIT_OK or str(broken) in message, message
 
 
 def _bits(x: float) -> bytes:
@@ -468,6 +578,21 @@ class TestConfig:
         assert verbatim == given
         # a config built in code keeps the defaults as well
         assert AnalysisConfig(prior_sd={"pm25": 2.0}).prior_sd == {"temperature": 10.0, "pm25": 2.0, "interaction": 1.0}
+
+    @pytest.mark.parametrize("model_kind, interaction", [
+        ("spline_linear", "linear_interaction"), ("spline_tensor", "tensor_product"),
+    ])
+    def test_prior_defaults_follow_the_model_kind(self, model_kind, interaction):
+        # the library's defaults for the model's interaction kind
+        want = PriorSpec.for_model(interaction).sd
+        assert AnalysisConfig.from_dict({"model_kind": model_kind}).prior_sd == want
+        assert AnalysisConfig(model_kind=model_kind).prior_sd == want
+
+    def test_unknown_model_kind_reaches_validation(self, tmp_path):
+        cfg, _ = load_config(self._write(tmp_path, {"model_kind": "spline_cubic"}))
+        assert any("model_kind" in p for p in validate_config(cfg, check_files=False))
+        with pytest.raises(ConfigurationError, match="unknown block 'intercept'"):
+            load_config(self._write(tmp_path, {"model_kind": "spline_cubic", "prior_sd": {"intercept": 1.0}}))
 
     def test_unknown_keys_rejected(self, tmp_path):
         p = self._write(tmp_path, {"sede": 3})

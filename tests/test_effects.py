@@ -24,7 +24,6 @@ from casecross.splines import (
     LINEAR_INTERACTION,
     TENSOR_PRODUCT,
     BasisSpec,
-    InteractionSpec,
     ModelBasis,
     design_matrix,
     fit_model_basis,
@@ -37,26 +36,26 @@ LEVELS = ContrastLevels(t0=25.0, t1=35.0, a0=8.0, a1=16.0, provenance="user")
 def linear_model(t_range=(10.0, 45.0), a_range=(0.0, 25.0)):
     t = BasisSpec(1, (), t_range)
     a = BasisSpec(1, (), a_range)
-    return ModelBasis(t, a, InteractionSpec(LINEAR_INTERACTION))
+    return ModelBasis(t, a, LINEAR_INTERACTION)
 
 
 def spline_model():
     t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
     a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
-    return ModelBasis(t, a, InteractionSpec(LINEAR_INTERACTION))
+    return ModelBasis(t, a, LINEAR_INTERACTION)
 
 
 def tensor_model():
     t = BasisSpec(3, (20.0, 30.0), (10.0, 45.0))
     a = BasisSpec(3, (6.0, 12.0), (0.0, 25.0))
-    return ModelBasis(t, a, InteractionSpec(TENSOR_PRODUCT, t, a))
+    return ModelBasis(t, a, TENSOR_PRODUCT)
 
 
 def bayes_fit(model, draws):
     draws = np.asarray(draws, dtype=float)
     return FitResult(
-        mode="bayes",
         point=draws.mean(axis=0),
+        sd=draws.std(axis=0, ddof=1),
         labels=model.column_labels,
         blocks=model.blocks,
         draws=draws,

@@ -9,9 +9,8 @@ from casecross.splines import (
     LINEAR_INTERACTION,
     TENSOR_PRODUCT,
     BasisSpec,
-    InteractionSpec,
+    ModelBasis,
     design_matrix,
-    eval_interaction,
     eval_natural_cubic,
     fit_knots,
     fit_model_basis,
@@ -140,20 +139,24 @@ class TestSmoothness:
 
 
 class TestInteraction:
+    """The interaction block of ``ModelBasis.rows``: the columns after the
+    two marginal bases."""
+
     def test_linear_product(self):
-        spec = InteractionSpec(LINEAR_INTERACTION)
-        assert spec.df == 1
-        got = eval_interaction(spec, 2.0, 3.0)
-        assert got.shape == (1,)
-        assert got[0] == 6.0
+        one = BasisSpec(1, (), (0.0, 10.0))
+        model = ModelBasis(one, one, LINEAR_INTERACTION)
+        assert dict(model.blocks)["interaction"] == slice(2, 3)
+        got = model.rows(2.0, 3.0)
+        assert got.shape == (3,)
+        assert got[2] == 6.0
 
     def test_tensor_is_all_pairwise_products(self):
         t_b = _spec((0.0, 30.0), (10.0, 20.0))
         a_b = _spec((0.0, 20.0), (7.0, 13.0))
-        spec = InteractionSpec(TENSOR_PRODUCT, t_b, a_b)
-        assert spec.df == 9
+        model = ModelBasis(t_b, a_b, TENSOR_PRODUCT)
+        assert dict(model.blocks)["interaction"] == slice(6, 15)
         t, a = 17.3, 4.2
-        got = eval_interaction(spec, t, a)
+        got = model.rows(t, a)[6:]
         bt = eval_natural_cubic(t_b, t)
         ba = eval_natural_cubic(a_b, a)
         want = np.array([bt[i] * ba[j] for i in range(3) for j in range(3)])
@@ -163,19 +166,19 @@ class TestInteraction:
         rng = np.random.default_rng(5)
         t_b = _spec((5.0, 45.0), (18.0, 30.0))
         a_b = _spec((0.0, 25.0), (8.0, 16.0))
-        spec = InteractionSpec(TENSOR_PRODUCT, t_b, a_b)
+        model = ModelBasis(t_b, a_b, TENSOR_PRODUCT)
         ts = rng.uniform(0, 50, size=200)
         avs = rng.uniform(-2, 28, size=200)
-        got = eval_interaction(spec, ts, avs)
+        got = model.rows(ts, avs)[:, 6:]
         assert got.shape == (200, 9)
         for k in range(200):
             bt = eval_natural_cubic(t_b, ts[k])
             ba = eval_natural_cubic(a_b, avs[k])
             assert np.array_equal(got[k], np.outer(bt, ba).ravel())
 
-    def test_tensor_requires_marginals(self):
-        with pytest.raises(ConfigurationError):
-            InteractionSpec(TENSOR_PRODUCT)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown interaction kind"):
+            ModelBasis(_spec(), _spec(), "spline_tensor")
 
 
 def _toy_sets():
@@ -213,7 +216,8 @@ class TestDesignMatrix:
         model = fit_model_basis(sets, "spline_tensor", 3, 3)
         dm = design_matrix(sets, model)
         assert dm.values.shape[1] == 3 + 3 + 9
-        assert model.interaction.df == model.temperature.df * model.pm25.df
+        assert model.interaction == TENSOR_PRODUCT
+        assert model.dimension == dm.values.shape[1]
 
     def test_row_order_follows_set_order(self):
         sets = _toy_sets()
