@@ -51,7 +51,10 @@ code = main(["run-all", "--config", str(cfg_path)])
 print(f"  exit code: {code}")
 run_dir = workdir / "run"
 for p in sorted(run_dir.iterdir()):
-    print(f"  {p.name:24s} {p.stat().st_size:8d} bytes")
+    # sizes of the csv artifacts only, which the rerun checks byte for byte:
+    # diagnostics.txt holds wall times and manifest.json the working directory
+    size = f" {p.stat().st_size:8d} bytes" if p.suffix == ".csv" else ""
+    print(f"  {p.name:24s}{size}".rstrip())
 
 print("\ncontrast table:")
 print((run_dir / "contrasts.csv").read_text())

@@ -34,7 +34,6 @@ __all__ = [
     "DayRecord",
     "MatchedSet",
     "MatchedRows",
-    "DroppedEvent",
     "REASON_OUTSIDE_SEASON",
     "REASON_DUPLICATE_SUBJECT",
     "REASON_UNKNOWN_ZONE",
@@ -55,6 +54,7 @@ REASON_NO_CONTROLS = "no_controls"
 
 # case day + 7k for these k covers every same-weekday day of any month
 _WEEKS = 7 * np.arange(-4, 5)
+_DROPS = np.dtype([("subject_id", object), ("reason", object)])
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class DayRecord:
     is_case: bool
     temperature: float
     pm25_window: float
-
-
-@dataclass(frozen=True)
-class DroppedEvent:
-    subject_id: str
-    reason: str
 
 
 @dataclass
@@ -173,15 +167,16 @@ def build_matched_sets(
     temperature_window_days: int,
     pm25_window_days: int,
     season_months: tuple[int, int] = (6, 9),
-) -> tuple[MatchedRows, list[DroppedEvent]]:
+) -> tuple[MatchedRows, np.recarray]:
     """Join events to windowed exposures, one matched set per retained event.
 
     ``events`` holds the columns ``(subject_id, zone_id, case_day)``:
     object, object and ``datetime64[D]`` arrays, as ``io.read_events``
-    returns them. Every input event is accounted for: it either yields a set or appears, in event order, in the
-    returned drop list with the first reason that applies of duplicate
-    subject, outside season, unknown zone (not a row of both zone tables)
-    and missing exposure. Only a subject's first event (earliest case date,
+    returns them. Every input event is accounted for: it either yields a
+    set or appears, in event order, in the returned drops (a record array
+    of ``subject_id`` and ``reason``) with the first reason that applies of
+    duplicate subject, outside season, unknown zone (not a row of both zone
+    tables) and missing exposure. Only a subject's first event (earliest case date,
     then first listed) is kept. Sets keep event order and their days are
     ascending. Each exposure is the mean over its window of days ending on
     the day: 1 day is the same-day value, 3 that day and the two before.
@@ -216,7 +211,8 @@ def build_matched_sets(
     a = _windowed(pm25_series, pm25_window_days, a_row[cand][set_of_row], row_day)
     missing = np.bincount(set_of_row, weights=np.isnan(t) | np.isnan(a), minlength=cand.size) > 0
     reason[cand[missing]] = REASON_MISSING_EXPOSURE
-    dropped = [DroppedEvent(subject[i], reason[i]) for i in np.flatnonzero(reason != "")]
+    gone = reason != ""
+    dropped = np.rec.fromarrays([subject[gone], reason[gone]], dtype=_DROPS)
     rows = MatchedRows(subject[cand], set_of_row, row_day, _WEEKS[week] == 0, t, a)
     return rows.select(~missing[set_of_row], ~missing), dropped
 
@@ -231,7 +227,7 @@ def _windowed(table: DailyTable, window_days: int, row: np.ndarray, day: np.ndar
     return out
 
 
-def apply_trimming(rows: MatchedRows, quantile: float) -> tuple[MatchedRows, float, list[DroppedEvent]]:
+def apply_trimming(rows: MatchedRows, quantile: float) -> tuple[MatchedRows, float, np.recarray]:
     """Remove day rows whose pm25 window exceeds the pooled quantile threshold.
 
     The threshold is the type-1 ``quantile``, in (0, 1], of ``pm25_window``
@@ -250,7 +246,7 @@ def apply_trimming(rows: MatchedRows, quantile: float) -> tuple[MatchedRows, flo
     case_kept = np.bincount(rows.set_index, weights=kept & rows.is_case, minlength=len(rows)) > 0
     survives = case_kept & (np.bincount(rows.set_index, weights=kept, minlength=len(rows)) >= 2)
     why = np.where(case_kept, REASON_NO_CONTROLS, REASON_CASE_TRIMMED).astype(object)
-    dropped = [DroppedEvent(rows.subject_id[i], why[i]) for i in np.flatnonzero(~survives)]
+    dropped = np.rec.fromarrays([rows.subject_id[~survives], why[~survives]], dtype=_DROPS)
     if not survives.any():
         raise EmptyAnalysisError(
             f"trimming at quantile {quantile} (threshold {threshold}) discarded every set"

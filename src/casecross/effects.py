@@ -168,8 +168,9 @@ def mult_interaction(fit: FitResult) -> EffectEstimate:
 def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tuple[float, float]):
     """OR of each (t, a) scenario versus the reference pair, summarized.
 
-    ``pairs_hi`` has shape (n, 2). Returns one plot-ready row per scenario,
-    which carries the full (t, a) pair.
+    ``pairs_hi`` has shape (n, 2). Returns a record array of one plot-ready
+    row per scenario, with float fields ``t``, ``a``, ``or``, ``lo95`` and
+    ``hi95``.
     """
     draws = _draws(fit)
     rows = model.rows(pairs_hi[:, 0], pairs_hi[:, 1]) - model.rows(ref[0], ref[1])
@@ -187,10 +188,7 @@ def _or_table(fit: FitResult, model: ModelBasis, pairs_hi: np.ndarray, ref: tupl
 
     chunks = ordered_map(chunk, map(slice, edges, edges[1:]))
     summary = [np.concatenate(c) for c in zip(*chunks)]
-    return [
-        {"t": t, "a": a, "or": point, "lo95": lo, "hi95": hi}
-        for (t, a), point, lo, hi in zip(pairs_hi.tolist(), *(x.tolist() for x in summary))
-    ]
+    return np.rec.fromarrays([*pairs_hi.T, *summary], names=("t", "a", "or", "lo95", "hi95"))
 
 
 def response_curve(
@@ -200,7 +198,7 @@ def response_curve(
     fixed_level: float,
     grid,
     reference: float,
-) -> list[dict]:
+) -> np.recarray:
     """Exposure-response table: OR at each grid value of one exposure versus
     its reference level, the other exposure held at ``fixed_level``."""
     grid = np.asarray(grid, dtype=float)
@@ -221,7 +219,7 @@ def risk_surface(
     t_grid,
     a_grid,
     reference: tuple[float, float],
-) -> list[dict]:
+) -> np.recarray:
     """Joint-exposure table: OR of every (t, a) grid pair versus the
     reference pair. The reference pair itself, if on the grid, is exactly 1."""
     t_grid = np.asarray(t_grid, dtype=float)

@@ -3,28 +3,30 @@
 Floats are written as their ``repr`` (shortest round-trip form), booleans
 are passed as 0/1 and lines end in ``\\n``, so identical analyses produce
 byte-identical artifacts. Every file holds the bytes ``csv.writer`` writes
-for its rows, but the large ones are formatted without it, a line of text
-per row. Files of numbers only (``write_draws``, ``write_effect_table``)
-join each row's fields' ``str``: that is the text ``csv.writer`` writes for
-an int or a float (``repr`` for a Python float), and no such text holds a
-delimiter, quote or line break; ``write_draws`` formats a run of repeated
-rows once. Matched sets, zone series and fields format each ID once, each
-date once and, for matched sets, each distinct float once (told apart by bit
-pattern, so 0.0 and -0.0 keep their own text); an ID that holds a delimiter,
-quote or line break is formatted by ``csv.writer`` itself, so its quoting
-stays the writer's own. The drop log, coefficients and contrasts go through
-``csv.writer``. Readers decode every file as UTF-8 and name the file and line
-of a byte that is not UTF-8, of a row csv cannot parse, of a value they cannot
-parse, of a coordinate out of range or NaN, of a repeated id, key or
-membership pair, and of a non-finite field value.
+for its rows. The drop log, coefficients and contrasts go through it; the
+large files (matched sets, zone series, fields, draws and effect tables)
+are written by ``_write_lines`` from columns, each the text of each of its
+distinct values, formatted once, and each row's index into that text. The
+values of a field, zone table or draws file are formatted about 8,192 at a
+time, since their text, mostly distinct, would outgrow the table. Floats
+and dates are told apart by bit pattern, so 0.0 and -0.0 keep their own
+text; a float's text is the one ``csv.writer`` writes for it, and holds no
+delimiter, quote or line break. An ID that holds one is formatted by
+``csv.writer`` itself, so its quoting stays the writer's own.
 
-A daily field is read, chunk by chunk, into a ``DailyTable``; events, grid
-cells, zones and membership into columns, as ``exposure`` takes them. Each
-distinct date string goes through ``date.fromisoformat`` once and each value
-through ``float()``, so a file is accepted exactly when a per-row parse
-accepts it, and its table, cells by days from its first date to its last,
-fits in ``FIELD_SLOTS``; a field that would not is rejected, naming the line
-of its outlying first or last date.
+Every reader parses its file with ``_columns``, 8,192 rows at a time: each
+column's texts go to that column's parser, each distinct date string
+through ``date.fromisoformat`` once and each value through ``float()``, so
+a file is accepted exactly when a per-row parse accepts it. Readers decode
+every file as UTF-8 and name the file and line of a byte that is not UTF-8,
+of a row csv cannot parse (the line it starts on), of a row whose field
+count is not the header's, of a value they cannot parse, of a coordinate
+out of range or NaN, of a repeated id, key or membership pair, and of a
+non-finite field value. Events, grid cells, zones and membership are read
+into columns, as ``exposure`` takes them, and a daily field into a
+``DailyTable``: its table, cells by days from its first date to its last,
+must fit in ``FIELD_SLOTS``, and a field that would not is rejected, naming
+the line of its outlying first or last date.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ import re
 from contextlib import contextmanager
 from datetime import date as Date
 from io import StringIO
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
 
-from .design import DroppedEvent, MatchedRows
+from .design import MatchedRows
 from .errors import ConfigurationError
 from .exposure import DailyTable
 
@@ -97,9 +99,6 @@ def open_input(path):
 
 def _chunks(path, expected: list[str]):
     """The rows after the header, checked against ``expected``, 8,192 at a time."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"input file not found: {path}")
     with open_input(path) as handle:
         reader = csv.reader(handle)
         try:
@@ -109,30 +108,72 @@ def _chunks(path, expected: list[str]):
             while chunk := list(islice(reader, 8192)):
                 yield chunk
         except csv.Error as exc:    # such as a quoted field past csv's size limit
-            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ConfigurationError(f"{path}:{_line(path)}: {exc}") from None
 
 
-def _line(path, index: int) -> int:
-    """The file line on which data row ``index`` ends."""
+def _line(path, index: int | None = None) -> int:
+    """The file line on which data row ``index`` ends or, with no ``index``,
+    the line on which the first row csv cannot parse starts: the one after
+    the last row it parsed."""
     with open_input(path) as handle:
         reader = csv.reader(handle)
+        end = 0
         try:
-            next(islice(reader, index + 1, None))     # the header, then rows 0 to index
-        except csv.Error as exc:
-            raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from None
-        return reader.line_num
+            for _ in islice(reader, None if index is None else index + 2):    # the header, then rows 0 to index
+                end = reader.line_num
+        except csv.Error:
+            return end + 1
+        return end
 
 
-def _read(path, expected: list[str], parse) -> list:
-    """``parse`` of each row after the header, naming the line of a bad value."""
-    parsed = []
-    for chunk in _chunks(path, expected):
-        for row in chunk:
-            try:
-                parsed.append(parse(row))
-            except (ValueError, IndexError) as exc:
-                raise ConfigurationError(f"{path}:{_line(path, len(parsed))}: {exc}") from None
-    return parsed
+def _ids(texts) -> np.ndarray:
+    return np.array(texts, dtype=object)
+
+
+def _floats(texts) -> np.ndarray:
+    return np.fromiter(map(float, texts), float, len(texts))
+
+
+def _lookup(table: dict, add):
+    """A parser of texts into int32s through ``table``. The texts of a chunk
+    not in it yet go to ``add``, with ``len(table)``, which returns their
+    ``(text, number)`` pairs: each distinct text is parsed once."""
+
+    def parse(texts) -> np.ndarray:
+        table.update(add(set(texts).difference(table), len(table)))
+        return np.fromiter(map(table.__getitem__, texts), np.int32, len(texts))
+
+    return parse
+
+
+def _days(texts, _):
+    """Each ISO date and its number of days since 1970-01-01."""
+    return ((d, Date.fromisoformat(d).toordinal() - _EPOCH) for d in texts)
+
+
+def _columns(path, header: list[str], parsers) -> list[np.ndarray]:
+    """The columns of the rows after ``header``: each the arrays its parser
+    makes of the texts of one chunk, joined. The first row whose field count
+    is not the header's, or that holds a value its parser rejects (fields
+    checked in order), raises naming its line."""
+    parts = [[parse(())] for parse in parsers]     # an empty column of each parser's type
+    done = 0
+    for chunk in _chunks(path, header):
+        try:    # strict: a row of another field count raises
+            for part, parse, texts in zip(parts, parsers, zip(*chunk, strict=True), strict=True):
+                part.append(parse(texts))
+        except ValueError:
+            for k, row in enumerate(chunk):     # name the first bad row, as a per-row parse would
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                    for parse, text in zip(parsers, row):
+                        parse((text,))
+                except ValueError as exc:
+                    raise ConfigurationError(f"{path}:{_line(path, done + k)}: {exc}") from None
+            raise
+        done += len(chunk)
+    return [np.concatenate(part) for part in parts]
 
 
 def _unique(path, keys, what: str) -> None:
@@ -162,10 +203,10 @@ def write_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _quoted(names) -> list[str]:
-    """Each name as ``csv.writer`` writes it as a field of a row: as is,
-    unless it holds a delimiter, quote or line break, when the writer itself
-    formats it."""
+def _quoted(names) -> np.ndarray:
+    """Each name as ``csv.writer`` writes it as a field of a row, as an
+    object array: as is, unless it holds a delimiter, quote or line break,
+    when the writer itself formats it."""
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     out = []
@@ -176,34 +217,35 @@ def _quoted(names) -> list[str]:
             writer.writerow([name])
             name = buffer.getvalue()[:-1]
         out.append(name)
-    return out
+    return np.array(out, dtype=object)
 
 
-def _text(values: np.ndarray, fmt) -> np.ndarray:
-    """``fmt`` of the distinct values of a float64 or datetime64 array, each
-    formatted once, spread back over ``values`` as an object array of text.
-    Values are told apart by their bit patterns, so 0.0 and -0.0 keep their
-    own text."""
-    bits = np.ascontiguousarray(values).view(np.int64)
-    order = np.argsort(bits)
-    ranked = bits[order]
-    new = np.ones(bits.size, dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    out = np.empty(bits.size, dtype=object)
-    out[order] = np.array(fmt(ranked[new].view(values.dtype)), dtype=object)[np.cumsum(new) - 1]
-    return out
+def _text(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """``fmt`` of each distinct value of a float64 or datetime64 array,
+    formatted once, as an object array of text, and each value's index into
+    it. Values are told apart by their bit patterns, so 0.0 and -0.0 keep
+    their own text."""
+    distinct, index = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+    return np.array(fmt(distinct.view(values.dtype)), dtype=object), index
 
 
 def _reprs(values: np.ndarray) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
+def _write_lines(handle, blocks) -> None:
+    """A line per row of each block of ``(texts, index)`` columns: the texts
+    its indices pick, joined by commas, gathered 8,192 rows at a time."""
+    for columns in blocks:
+        for lo in range(0, len(columns[0][1]), 8192):
+            fields = [texts[index[lo : lo + 8192]].tolist() for texts, index in columns]
+            handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
 def _places(path, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(ids, lat, lon)`` columns of ``{kind}_id,lat,lon`` rows, in file
     order, naming the line of the first coordinate out of range."""
-    rows = _read(path, [f"{kind}_id", "lat", "lon"], lambda r: (r[0], float(r[1]), float(r[2])))
-    ids = np.array([r[0] for r in rows], dtype=object)
-    lat, lon = np.array([r[1:] for r in rows], dtype=float).reshape(-1, 2).T
+    ids, lat, lon = _columns(path, [f"{kind}_id", "lat", "lon"], (_ids, _floats, _floats))
     bad_lat = ~((lat >= -90.0) & (lat <= 90.0))     # not (lat < -90) | (lat > 90): NaN is out of range
     bad = bad_lat | ~((lon >= -180.0) & (lon <= 180.0))
     if bad.any():
@@ -224,120 +266,86 @@ def read_zones(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def read_membership(path) -> tuple[np.ndarray, np.ndarray]:
     """The ``(zone_id, cell_id)`` columns, naming the line of a repeated pair."""
-    pairs = _read(path, ["zone_id", "cell_id"], lambda r: (r[0], r[1]))
-    _unique(path, pairs, "(zone_id, cell_id)")
-    zone, cell = np.array(pairs, dtype=object).reshape(-1, 2).T
+    zone, cell = _columns(path, ["zone_id", "cell_id"], (_ids, _ids))
+    _unique(path, zip(zone.tolist(), cell.tolist()), "(zone_id, cell_id)")
     return zone, cell
 
 
 def read_daily_field(path) -> DailyTable:
     """The field as a table of its cells, NaN where a (cell, date) has no row."""
-    header = ["cell_id", "date", "value"]
-    index, ordinal = {}, {}     # a number for each cell_id, the day of each date
-    cell, day, value = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-    try:
-        for chunk in _chunks(path, header):
-            cells, dates, values, *_ = zip(*chunk)
-            index.update((c, k) for k, c in enumerate(set(cells).difference(index), start=len(index)))
-            ordinal.update((d, Date.fromisoformat(d).toordinal()) for d in set(dates).difference(ordinal))
-            cell.append(np.array(list(map(index.__getitem__, cells)), dtype=np.int32))
-            day.append(np.array(list(map(ordinal.__getitem__, dates)), dtype=np.int32))
-            value.append(np.array(list(map(float, values))))
-    except ValueError:
-        # name the first row that fails, as a per-row parse would
-        _read(path, header, lambda r: (r[0], Date.fromisoformat(r[1]), float(r[2])))
-        raise
-    cell, day, value = (np.concatenate(c) for c in (cell, day, value))
+    index = {}      # a number for each cell_id, as first seen
+    numbered = _lookup(index, lambda new, start: zip(new, count(start)))
+    cell, day, value = _columns(path, ["cell_id", "date", "value"], (numbered, _lookup({}, _days), _floats))
     if not np.isfinite(value).all():
         row = int(np.argmin(np.isfinite(value)))
         raise ConfigurationError(f"{path}:{_line(path, row)}: non-finite value {float(value[row])}")
     named = np.array(list(index), dtype=object)
     ids, cell = named[np.argsort(named)], np.argsort(np.argsort(named))[cell]
-    first = int(day.min()) if day.size else _EPOCH
+    first = int(day.min()) if day.size else 0
     span = int(day.max()) - first + 1 if day.size else 0
     if ids.size * span > FIELD_SLOTS:
         # name the end of the span farther from the median day
         mid = np.median(day)
         row = int(np.argmax(day) if day.max() - mid > mid - day.min() else np.argmin(day))
         raise ConfigurationError(
-            f"{path}:{_line(path, row)}: date {Date.fromordinal(int(day[row])).isoformat()} "
+            f"{path}:{_line(path, row)}: date {np.datetime64(int(day[row]), 'D')} "
             f"stretches the field to {ids.size} cells x {span} days, over {FIELD_SLOTS} values"
         )
     values = np.full((ids.size, span), np.nan)
     values[cell, day - first] = value
     if np.count_nonzero(~np.isnan(values)) < value.size:   # a (cell, day) given twice
-        dates = (Date.fromordinal(d).isoformat() for d in day.tolist())
+        dates = np.datetime_as_string(day.astype("datetime64[D]")).tolist()
         _unique(path, zip(ids[cell].tolist(), dates), "(cell_id, date)")
-    return DailyTable(ids, np.datetime64(first - _EPOCH, "D"), values)
+    return DailyTable(ids, np.datetime64(first, "D"), values)
 
 
 def read_events(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The events as columns ``(subject_id, zone_id, case_day)``: object,
     object and ``datetime64[D]`` arrays, in file order."""
-    header = ["subject_id", "zone_id", "case_date"]
-    ordinal = {}    # the day of each date
-    subject, zone, day = [], [], []
-    try:
-        for chunk in _chunks(path, header):
-            subjects, zones, dates, *_ = zip(*chunk)
-            ordinal.update((d, Date.fromisoformat(d).toordinal()) for d in set(dates).difference(ordinal))
-            subject += subjects
-            zone += zones
-            day += map(ordinal.__getitem__, dates)
-    except ValueError:
-        # name the first row that fails, as a per-row parse would
-        _read(path, header, lambda r: (r[0], r[1], Date.fromisoformat(r[2])))
-        raise
-    days = (np.array(day, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
-    return np.array(subject, dtype=object), np.array(zone, dtype=object), days
+    subject, zone, day = _columns(path, ["subject_id", "zone_id", "case_date"], (_ids, _ids, _lookup({}, _days)))
+    return subject, zone, day.astype("datetime64[D]")
 
 
 def _present(table: DailyTable, *kind: str):
-    """Text of rows ``id,date[,kind],value`` of the present values of
-    ``table``, row by row with days ascending, about 8,192 rows at a time."""
+    """``(texts, index)`` columns of rows ``id,date[,kind],value`` of the
+    present values of ``table``, row by row with days ascending, for about
+    8,192 rows at a time."""
+    ids = _quoted(table.ids.tolist())
     days = np.datetime_as_string(table.origin + np.arange(table.values.shape[1])).tolist()
     dates = np.array([",".join((d, *kind)) for d in days], dtype=object)
-    ids = np.array(_quoted(table.ids.tolist()), dtype=object)
     step = max(1, 8192 // max(1, dates.size))
     for lo in range(0, ids.size, step):
         block = table.values[lo : lo + step]
         row, col = np.nonzero(~np.isnan(block))
-        yield "".join([
-            f"{i},{d},{v!r}\n"
-            for i, d, v in zip(ids[lo + row].tolist(), dates[col].tolist(), block[row, col].tolist())
-        ])
+        yield (ids[lo : lo + step], row), (dates, col), _text(block[row, col], _reprs)
 
 
 def write_series(path, series: dict[str, DailyTable]) -> None:
     """The present values of each exposure kind's zone table, kinds in order."""
     with _csv_file(path, ["zone_id", "date", "exposure_kind", "value"]) as (handle, _):
         for kind, table in series.items():
-            handle.writelines(_present(table, kind))
+            _write_lines(handle, _present(table, kind))
 
 
 def write_field(path, table: DailyTable) -> None:
     """A cell table in the layout ``read_daily_field`` reads."""
     with _csv_file(path, ["cell_id", "date", "value"]) as (handle, _):
-        handle.writelines(_present(table))
+        _write_lines(handle, _present(table))
 
 
 def write_matched_sets(path, m: MatchedRows) -> None:
-    columns = (
-        np.array(_quoted(m.subject_id.tolist()), dtype=object)[m.set_index],
-        _text(m.day, np.datetime_as_string),
-        m.is_case.astype(int),
-        _text(m.temperature, _reprs),
-        _text(m.pm25_window, _reprs),
-    )
     with _csv_file(path, ["subject_id", "date", "is_case", "temperature", "pm25_window"]) as (handle, _):
-        # 8,192 rows at a time: one Python object per row and column would outgrow the arrays
-        for lo in range(0, m.day.size, 8192):
-            rows = zip(*(c[lo : lo + 8192].tolist() for c in columns))
-            handle.write("".join([f"{i},{d},{case},{t},{a}\n" for i, d, case, t, a in rows]))
+        _write_lines(handle, [(
+            (_quoted(m.subject_id.tolist()), m.set_index),
+            _text(m.day, np.datetime_as_string),
+            (np.array(["0", "1"], dtype=object), m.is_case.view(np.uint8)),
+            _text(m.temperature, _reprs),
+            _text(m.pm25_window, _reprs),
+        )])
 
 
-def write_drop_log(path, drops: list[DroppedEvent]) -> None:
-    write_rows(path, ["subject_id", "reason"], [(d.subject_id, d.reason) for d in drops])
+def write_drop_log(path, drops: np.ndarray) -> None:
+    write_rows(path, ["subject_id", "reason"], drops.tolist())
 
 
 def write_coefficients(path, labels, estimates, sds) -> None:
@@ -346,20 +354,13 @@ def write_coefficients(path, labels, estimates, sds) -> None:
 
 
 def write_draws(path, labels, draws) -> None:
-    """Rows of floats, one draw each, as ``csv.writer`` writes them: each
-    row joined from its fields' ``str``. A rejected proposal repeats the row
-    before it, so a row whose bits repeat the row before reuses its text,
-    and each run of repeats is formatted once."""
-    draws = np.ascontiguousarray(draws, dtype=float)
-    bits = draws.view(np.int64)
-    repeat = np.zeros(len(draws), dtype=bool)
-    repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    """Rows of floats, one draw each, as ``csv.writer`` writes them,
+    formatted about 8,192 values at a time."""
+    draws = np.asarray(draws, dtype=float)
+    step = max(1, 8192 // max(1, draws.shape[1]))
     with _csv_file(path, list(labels)) as (handle, _):
-        line = ""
-        for row, same in zip(draws, repeat.tolist()):
-            if not same:
-                line = ",".join(map(str, row.tolist())) + "\n"
-            handle.write(line)
+        blocks = (draws[lo : lo + step].T for lo in range(0, len(draws), step))
+        _write_lines(handle, ([_text(column, _reprs) for column in block] for block in blocks))
 
 
 def write_contrasts(path, estimates) -> None:
@@ -370,9 +371,10 @@ def write_contrasts(path, estimates) -> None:
     write_rows(path, ["name", "point", "lo95", "hi95", "extrapolated"], rows)
 
 
-def write_effect_table(path, table: list[dict]) -> None:
+def write_effect_table(path, table: np.ndarray) -> None:
+    """An OR table: a record array of float fields ``t, a, or, lo95, hi95``."""
     header = ["t", "a", "or", "lo95", "hi95"]
-    write_draws(path, header, np.array([[r[k] for k in header] for r in table], dtype=float).reshape(-1, len(header)))
+    write_draws(path, header, np.column_stack([table[k] for k in header]))
 
 
 def write_json(path, payload: dict) -> None:

@@ -82,7 +82,7 @@ def run(cfg: AnalysisConfig, verbatim: dict | None = None, upto: str = "effects"
         io.write_drop_log(out / "drop_log.csv", drops)
         raise EmptyAnalysisError("no events survived the exposure join")
     sets, threshold, trim_drops = apply_trimming(sets, cfg.trim_quantile)
-    drops = drops + trim_drops
+    drops = np.concatenate((drops, trim_drops))
     io.write_matched_sets(out / "matched_sets.csv", sets)
     io.write_drop_log(out / "drop_log.csv", drops)
     log.info(

@@ -18,7 +18,7 @@ from casecross import io
 from casecross.cli import EXIT_EMPTY_ANALYSIS, EXIT_INPUT_ERROR, EXIT_OK, main
 from casecross.clr import PriorSpec
 from casecross.config import AnalysisConfig, load_config, validate_config
-from casecross.design import DroppedEvent, MatchedRows
+from casecross.design import MatchedRows
 from casecross.errors import ConfigurationError
 from casecross.exposure import PM25, TEMPERATURE, DailyTable
 
@@ -98,7 +98,9 @@ class TestCsvRoundTrips:
         ]
 
     def test_drop_log_schema(self, tmp_path):
-        io.write_drop_log(tmp_path / "d.csv", [DroppedEvent("s1", "missing_exposure")])
+        drops = np.rec.fromarrays([np.array(["s1"], dtype=object), np.array(["missing_exposure"], dtype=object)],
+                                  names=("subject_id", "reason"))
+        io.write_drop_log(tmp_path / "d.csv", drops)
         assert (tmp_path / "d.csv").read_text() == "subject_id,reason\ns1,missing_exposure\n"
 
 
@@ -146,9 +148,10 @@ class TestNumericWriter:
         io.write_draws(tmp_path / "draws.csv", ["a", "b,c", 'd"'], draws)
         io.write_rows(tmp_path / "want.csv", ["a", "b,c", 'd"'], draws.tolist())
         assert (tmp_path / "draws.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        table = [{"t": t, "a": -0.0, "or": 1.0, "lo95": 5e-324, "hi95": np.inf} for t in (0.1, 1e16)]
+        table = np.rec.fromarrays([[0.1, 1e16], [-0.0] * 2, [1.0] * 2, [5e-324] * 2, [np.inf] * 2],
+                                  names=("t", "a", "or", "lo95", "hi95"))
         io.write_effect_table(tmp_path / "table.csv", table)
-        io.write_rows(tmp_path / "want.csv", ["t", "a", "or", "lo95", "hi95"], [list(r.values()) for r in table])
+        io.write_rows(tmp_path / "want.csv", ["t", "a", "or", "lo95", "hi95"], table.tolist())
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -376,13 +379,28 @@ class TestReaderChecks:
     ])
     def test_stray_quote_past_the_field_limit(self, tmp_path, capsys, command, file):
         # the quote on line 3 opens a field that swallows the rest of the
-        # file, and passes csv's 131,072-character limit on line 4
+        # file, and passes csv's 131,072-character limit on line 4: the
+        # line named is the one the field opens on
         data, cfg = _dataset(tmp_path)
         lines = (data / file).read_text().split("\n")
         lines[2] = '"' + lines[2]
         lines.insert(3, "x" * 140_000)
         (data / file).write_text("\n".join(lines))
-        self._exits_2_naming(capsys, cfg, command, f"{data / file}:4", "field larger than field limit")
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:3", "field larger than field limit")
+
+    @pytest.mark.parametrize("command", ["match", "validate"])
+    @pytest.mark.parametrize("file", [
+        "events.csv", "grid.csv", "zones.csv", "membership.csv", "temperature_field.csv", "pm25_field.csv",
+    ])
+    def test_row_with_extra_field(self, tmp_path, capsys, command, file):
+        data, cfg = _dataset(tmp_path)
+
+        def edit(rows):
+            rows[2].append("x")
+            return rows
+
+        _edit(data / file, edit)
+        self._exits_2_naming(capsys, cfg, command, f"{data / file}:3", "fields, expected")
 
     @pytest.mark.parametrize("command", ["match", "validate"])
     def test_input_path_is_a_directory(self, tmp_path, capsys, command):
@@ -501,6 +519,32 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def _row_bits(row) -> tuple:
+    return tuple(_bits(x) if isinstance(x, float) else x for x in row)
+
+
+# per reader: its header, the row written for the k-th (date, value) texts,
+# the per-row parse, the check a parsed row must pass, and the parsed rows
+# of what the reader returns
+_ROW_PARSERS = {
+    "read_daily_field": (
+        ["cell_id", "date", "value"], lambda k, d, v: [f"c{k}", d, v],
+        lambda r: (r[0], date.fromisoformat(r[1]), float(r[2])), lambda p: math.isfinite(p[2]),
+        lambda table: [(c, d, v) for c, per in by_day(table).items() for d, v in per.items()],
+    ),
+    "read_events": (
+        ["subject_id", "zone_id", "case_date"], lambda k, d, v: [f"s{k}", v, d],
+        lambda r: (r[0], r[1], date.fromisoformat(r[2])), lambda p: True,
+        lambda columns: zip(*(c.tolist() for c in columns)),
+    ),
+    "read_grid_cells": (
+        ["cell_id", "lat", "lon"], lambda k, d, v: [f"c{k}", v, d],
+        lambda r: (r[0], float(r[1]), float(r[2])), lambda p: -90 <= p[1] <= 90 and -180 <= p[2] <= 180,
+        lambda columns: zip(*(c.tolist() for c in columns)),
+    ),
+}
+
+
 class TestFieldExactness:
     @settings(max_examples=60, deadline=None)
     @given(series=st.dictionaries(
@@ -521,6 +565,7 @@ class TestFieldExactness:
         for cell, values in want.items():
             assert {d: _bits(v) for d, v in got[cell].items()} == {d: _bits(v) for d, v in values.items()}
 
+    @pytest.mark.parametrize("reader", list(_ROW_PARSERS))
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(
         st.sampled_from(["2012-06-01", "20120601", "2012-W23-5", "2012-06", "2012-13-01", "2012-6-1",
@@ -529,30 +574,34 @@ class TestFieldExactness:
         st.sampled_from(["1.5", "-0.0", "1e5", " 2 ", "1_0", "1.0.0", "abc", "", "0x10", "nan", "inf",
                          "-Infinity", "1e400"])
         | st.floats(allow_nan=False).map(repr) | st.text(alphabet="0123456789.e-_ ", max_size=6),
+        st.sampled_from([0, 0, 0, -1, 1]),     # a field fewer or more than the header's
     ), min_size=1, max_size=4))
-    def test_reader_accepts_exactly_what_the_row_parsers_accept(self, tmp_path_factory, rows):
-        path = tmp_path_factory.mktemp("field") / "f.csv"
-        io.write_rows(path, ["cell_id", "date", "value"], [(f"c{k}", d, v) for k, (d, v) in enumerate(rows)])
+    def test_reader_accepts_exactly_what_the_row_parsers_accept(self, tmp_path_factory, reader, rows):
+        header, fields, parse, valid, read_back = _ROW_PARSERS[reader]
+        path = tmp_path_factory.mktemp("rows") / "f.csv"
+        written = []
+        for k, (d, v, extra) in enumerate(rows):
+            row = fields(k, d, v)
+            written.append(row[:-1] if extra < 0 else row + ["x"] if extra > 0 else row)
+        io.write_rows(path, header, written)
         parsed, failed = [], None
-        for k, (d, v) in enumerate(rows):
+        for k, row in enumerate(written):
             try:
-                parsed.append((date.fromisoformat(d), float(v)))
+                if len(row) != len(header):
+                    raise ValueError
+                parsed.append(parse(row))
             except ValueError:
                 failed = k + 2
                 break
         if failed is None:
-            bad = [k + 2 for k, (_, v) in enumerate(parsed) if not math.isfinite(v)]
+            bad = [k + 2 for k, p in enumerate(parsed) if not valid(p)]
             failed = bad[0] if bad else None
         if failed is not None:
             with pytest.raises(ConfigurationError, match=f":{failed}: "):
-                io.read_daily_field(path)
+                getattr(io, reader)(path)
             return
-        table = io.read_daily_field(path)
-        assert table.origin == np.datetime64(min(d for d, _ in parsed), "D")
-        got = by_day(table)
-        assert {c: {d: _bits(v) for d, v in per.items()} for c, per in got.items()} == {
-            f"c{k}": {d: _bits(v)} for k, (d, v) in enumerate(parsed)
-        }
+        got = read_back(getattr(io, reader)(path))
+        assert sorted(map(_row_bits, got)) == sorted(map(_row_bits, parsed))
 
 
 class TestConfig:

@@ -14,7 +14,6 @@ from casecross.design import (
     REASON_OUTSIDE_SEASON,
     REASON_UNKNOWN_ZONE,
     DayRecord,
-    DroppedEvent,
     MatchedRows,
     MatchedSet,
     apply_trimming,
@@ -102,7 +101,7 @@ class TestBuildMatchedSets:
         temp, pm = _covered_series()
         events = [Event("s1", "z1", date(2012, 7, 18))]
         sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
-        assert drops == []
+        assert len(drops) == 0
         assert sets.subject_id.tolist() == ["s1"]
         assert sets.is_case.sum() == 1
         assert sets.day.size in (4, 5)
@@ -122,7 +121,7 @@ class TestBuildMatchedSets:
         events = [Event("s1", "z1", date(2012, 7, 18))]
         sets, drops = _build(events, {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
         assert len(sets) == 0
-        assert drops == [DroppedEvent("s1", REASON_MISSING_EXPOSURE)]
+        assert drops.tolist() == [("s1", REASON_MISSING_EXPOSURE)]
 
     def test_unknown_zone_drops_event(self):
         temp, pm = _covered_series()
@@ -234,7 +233,7 @@ class TestTrimming:
         kept, threshold, drops = apply_trimming(rows_of(sets), 1.0)
         assert kept.subject_id.tolist() == [s.subject_id for s in sets]
         assert np.bincount(kept.set_index).tolist() == [len(s.rows) for s in sets]
-        assert drops == []
+        assert len(drops) == 0
         assert threshold == max(r.pm25_window for s in sets for r in s.rows)
 
     def test_pooled_1_to_100_at_95(self):
@@ -329,13 +328,13 @@ def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
     drops = []
     for ev in events:
         if first[ev.subject_id] is not ev:
-            drops.append(DroppedEvent(ev.subject_id, REASON_DUPLICATE_SUBJECT))
+            drops.append((ev.subject_id, REASON_DUPLICATE_SUBJECT))
             continue
         if not season[0] <= ev.case_date.month <= season[1]:
-            drops.append(DroppedEvent(ev.subject_id, REASON_OUTSIDE_SEASON))
+            drops.append((ev.subject_id, REASON_OUTSIDE_SEASON))
             continue
         if ev.zone_id not in temp or ev.zone_id not in pm:
-            drops.append(DroppedEvent(ev.subject_id, REASON_UNKNOWN_ZONE))
+            drops.append((ev.subject_id, REASON_UNKNOWN_ZONE))
             continue
         days = sorted(select_referents(ev.case_date) + [ev.case_date])
         try:
@@ -347,7 +346,7 @@ def _reference_join(events, temp, pm, temp_w, pm_w, season=(6, 9)):
                 for d in days
             ]
         except Gap:
-            drops.append(DroppedEvent(ev.subject_id, REASON_MISSING_EXPOSURE))
+            drops.append((ev.subject_id, REASON_MISSING_EXPOSURE))
             continue
         for d, (t, a) in zip(days, values):
             cols["set_index"].append(len(cols["subject_id"]))
@@ -370,7 +369,7 @@ def _assert_exact(events, temp, pm, temp_w, pm_w, season=(6, 9)):
     for name in ("temperature", "pm25_window"):
         # bit for bit, signed zeros included
         assert getattr(rows, name).tobytes() == np.array(cols[name], dtype=float).tobytes(), name
-    assert drops == ref_drops
+    assert drops.tolist() == ref_drops
     return rows, drops
 
 
@@ -459,7 +458,7 @@ class TestMatchedRowsExactness:
     def test_no_events(self):
         temp, pm = _covered_series()
         rows, drops = _assert_exact([], {"z1": temp}, {"z1": pm}, TEMP_W, PM_W)
-        assert len(rows) == 0 and drops == []
+        assert len(rows) == 0 and len(drops) == 0
 
     def test_hand_built_sets_match_the_build(self):
         temp, pm = _covered_series()
@@ -515,7 +514,7 @@ class TestMatchedRowsSequence:
         assert len(drops) == 2
         assert same_sets(list(built), set_objects(built))
         kept, threshold, trim_drops = apply_trimming(built, 0.8)
-        assert trim_drops and len(kept) == len(built) - len(trim_drops)
+        assert len(trim_drops) and len(kept) == len(built) - len(trim_drops)
         assert same_sets(list(kept), set_objects(kept))
         # the renumbered view: each surviving set, its rows under the threshold
         dropped_ids = {d.subject_id for d in trim_drops}

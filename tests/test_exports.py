@@ -1,8 +1,11 @@
 """Every exported name resolves: a name deleted from a module must leave
-its ``__all__`` too. No module imports a name it does not use."""
+its ``__all__`` too. No module imports a name it does not use. Every layer
+function the benchmark's spans wrap by name still exists."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -55,3 +58,37 @@ def test_no_unused_imports():
         if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _bench_spans():
+    """``bench/spans.py``, loaded by path. Its ``install``, which patches the
+    package in process, is not called."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_span_targets_resolve():
+    # a target that no longer resolves is silently left out of the
+    # benchmark's per-layer metrics
+    unresolved = []
+    for module_name, attr, _ in _bench_spans().TARGETS:
+        module = importlib.import_module(f"casecross.{module_name}")
+        owner, _, name = attr.rpartition(".")
+        if owner:   # a dotted name is wrapped as a classmethod
+            found = isinstance(vars(getattr(module, owner, object)).get(name), classmethod)
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            unresolved.append(f"{module_name}.{attr}")
+    assert unresolved == []
+
+
+def test_io_readers_and_writers_take_the_path_first():
+    # the benchmark's spans read a write's path as its first argument
+    from casecross import io
+
+    names = [n for n in vars(io) if n.startswith(("read_", "write_"))]
+    assert names
+    assert [n for n in names if next(iter(inspect.signature(getattr(io, n)).parameters), None) != "path"] == []

@@ -74,10 +74,10 @@ def test_fit_and_tables_do_not_depend_on_thread_count(shipped, monkeypatch):
             "pareto_k": d.pareto_k,
             "proposal_df_per_chain": d.proposal_df_per_chain,
             "log_post_evals": d.log_post_evals,
-            "curve": response_curve(fit, model, TEMPERATURE, levels.a0, t_grid, levels.t0),
-            "surface": risk_surface(fit, model, t_surf, a_surf, (levels.t0, levels.a0)),
+            "curve": response_curve(fit, model, TEMPERATURE, levels.a0, t_grid, levels.t0).tobytes(),
+            "surface": risk_surface(fit, model, t_surf, a_surf, (levels.t0, levels.a0)).tobytes(),
         })
-    assert len(results[0]["surface"]) == t_surf.size * a_surf.size
+    assert len(results[0]["surface"]) == t_surf.size * a_surf.size * 5 * 8    # five float64 fields
     for cpus, got in zip(CPUS[1:], results[1:]):
         for key, want in results[0].items():
             assert got[key] == want, (cpus, key)

@@ -128,7 +128,7 @@ class TestGenerate:
             data.temperature_window_days,
             data.pm25_window_days,
         )
-        assert drops == []
+        assert len(drops) == 0
         assert len(sets) == 300
 
     def test_prejoined_sets_match_pipeline_join(self):
